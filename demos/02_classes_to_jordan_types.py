@@ -4,7 +4,7 @@
 Conjugacy classes of the B/C/D Weyl groups are pairs of partitions (positive
 and negative cycle lengths).  phi_classical sends a class to a Jordan type;
 psi_classical picks, among all classes with that image, the unique one whose
-fixed space on the reflection module is largest.
+fixed space on the reflection module is smallest.
 """
 
 from weyl2uni import Partition

@@ -4,7 +4,7 @@ The classical series (B, C, D) are handled through signed cycle types and
 partition splits; the exceptional groups through validated lookup tables.
 ``phi_classical`` maps a class to its unipotent Jordan type, and
 ``psi_classical`` inverts it canonically: the unique preimage class whose
-fixed space on the reflection module is largest.
+fixed space on the reflection module is smallest.
 """
 
 from . import exceptional, type_bd, type_c, verify, weyl

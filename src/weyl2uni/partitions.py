@@ -102,6 +102,13 @@ class Partition:
         """How many times the value e occurs as a part (O(length) scan)."""
         return sum(1 for p in self._parts if p == e)
 
+    def multiplicities(self) -> dict[int, int]:
+        """Each distinct value with its multiplicity, largest value first (one pass)."""
+        out: dict[int, int] = {}
+        for p in self._parts:
+            out[p] = out.get(p, 0) + 1
+        return out
+
     def text(self) -> str:
         """Comma-separated decimal parts; "-" for the empty partition."""
         return ",".join(str(p) for p in self._parts) if self._parts else "-"
@@ -188,19 +195,25 @@ CHAINED = Family("R")
 DOUBLED_EVEN = Family("E")
 
 
+def _pairs_up(ps) -> bool:
+    """Whether a decreasing sequence is equal in consecutive pairs (even length included).
+
+    For sorted input this holds exactly when every value occurs an even
+    number of times, so one linear pass replaces a count per value.
+    """
+    return ps[0::2] == ps[1::2]
+
+
 def _check_doubled(c: Partition) -> bool:
-    ps = c.parts
-    if len(ps) % 2:
-        return False
-    return all(ps[i] == ps[i + 1] for i in range(0, len(ps), 2))
+    return _pairs_up(c.parts)
 
 
 def _check_symplectic(c: Partition) -> bool:
-    return all(c.multiplicity(v) % 2 == 0 for v in set(c.parts) if v % 2 == 1)
+    return _pairs_up([v for v in c.parts if v % 2])
 
 
 def _check_orthogonal(c: Partition) -> bool:
-    return all(c.multiplicity(v) % 2 == 0 for v in set(c.parts) if v % 2 == 0)
+    return _pairs_up([v for v in c.parts if v % 2 == 0])
 
 
 def _check_chained(c: Partition) -> bool:

@@ -11,6 +11,9 @@ it.  ``halves_from_blocks`` inverts it exactly.
 The split machinery mirrors type_c with r drawn from family R instead of S:
 ``combine``, ``canonical_split`` (the five routing rules below), ``fiber``,
 ``minimal_split`` and the (halves, doubled) packaging ``from_halves``.
+``minimal_split`` checks the routing against a second route that never
+consults it: ``fiber_minimum``, a dynamic program over the distinct values
+whose states come from the definition of family R (see ``_r_step``).
 
 Routing rules of ``canonical_split`` for a value e with multiplicity q in c
 (writing d for the 1-based position where e's run starts inside the odd
@@ -250,12 +253,13 @@ def _star(odds: tuple[int, ...], e: int) -> bool:
 def canonical_split(c: Partition) -> Split:
     """The distinguished split of an orthogonal Jordan type (rules 1-5)."""
     _require_orthogonal(c)
-    ps = c.parts
+    runs = c.multiplicities().items()
     r_parts: list[int] = []
     p_parts: list[int] = []
-    for e in sorted({v for v in ps if v % 2 == 1}, reverse=True):
-        q = c.multiplicity(e)
-        d = 1 + sum(1 for v in ps if v % 2 == 1 and v > e)  # run start, odd subsequence
+    d = 1  # where the next odd run starts in the odd subsequence of c
+    for e, q in runs:
+        if e % 2 == 0:
+            continue
         if q % 2 == 1:
             m = 1
         elif d % 2 == 0:
@@ -264,9 +268,11 @@ def canonical_split(c: Partition) -> Split:
             m = 0
         r_parts += [e] * m
         p_parts += [e] * (q - m)
+        d += q
     r_odds = tuple(r_parts)  # already decreasing
-    for e in sorted({v for v in ps if v % 2 == 0}, reverse=True):
-        q = c.multiplicity(e)
+    for e, q in runs:
+        if e % 2:
+            continue
         if _star(r_odds, e):
             p_parts += [e] * q
         else:
@@ -281,28 +287,32 @@ def canonical_split(c: Partition) -> Split:
     return out
 
 
+def _r_counts(e: int, q: int) -> list[int]:
+    """Copies of a value e of multiplicity q that may go to r.
+
+    An odd value sends 0, 1 or 2 copies with matching parity (family R
+    admits at most two equal odd parts); an even value keeps an even count
+    in p.
+    """
+    if e % 2:
+        return [m for m in (0, 1, 2) if m <= q and (q - m) % 2 == 0]
+    return [q - n for n in range(0, q + 1, 2)]
+
+
 def iter_fiber(c: Partition) -> Iterator[Split]:
     """Lazily enumerate every split of c.
 
-    Each odd value contributes 0, 1 or 2 copies to r with matching parity
-    (family R admits at most two equal odd parts); each even value sends an
-    even count to p.  Assembled candidates are filtered through family R.
+    Every combination of per-value counts from ``_r_counts`` is tried;
+    assembled candidates are filtered through family R.
     """
     _require_orthogonal(c)
-    values = sorted(set(c.parts), reverse=True)
-    choices = []
-    for e in values:
-        q = c.multiplicity(e)
-        if e % 2:
-            choices.append([m for m in (0, 1, 2) if m <= q and (q - m) % 2 == 0])
-        else:
-            choices.append([q - n for n in range(0, q + 1, 2)])
-    for ms in itertools.product(*choices):
+    runs = list(c.multiplicities().items())
+    for ms in itertools.product(*(_r_counts(e, q) for e, q in runs)):
         r_parts: list[int] = []
         p_parts: list[int] = []
-        for e, m in zip(values, ms):
+        for (e, q), m in zip(runs, ms):
             r_parts += [e] * m
-            p_parts += [e] * (c.multiplicity(e) - m)
+            p_parts += [e] * (q - m)
         r = Partition(r_parts)
         p = Partition(p_parts)
         if not (is_member(r, CHAINED) and is_member(p, DOUBLED)):
@@ -315,23 +325,108 @@ def fiber(c: Partition) -> list[Split]:
     return sorted(iter_fiber(c), key=lambda x: (len(x.p), x.p.parts, x.r.parts))
 
 
+# Family-R states of an r built from the largest value down:
+# (odd entries so far, coded 0 = none, 1 = an odd number, 2 = an even number;
+#  whether an even part sits below an odd entry at an even position;
+#  len(r) mod 2; parity of the smallest part so far).
+_R_START = (0, False, 0, 0)
+
+
+def _r_step(state: tuple, e: int, m: int) -> tuple | None:
+    """The state after m copies of e (below every part so far) join r.
+
+    None when family R forbids it.  The rules restate the definition of R
+    (``partitions._check_chained``), not the routing of ``canonical_split``:
+    the largest part is odd, odd entries at positions (2v-1, 2v) of the odd
+    subsequence strictly drop, and no part lies strictly inside the gap
+    between positions 2v and 2v+1.
+    """
+    if m == 0:
+        return state
+    odds, gap_used, length, _ = state
+    if e % 2 == 0:
+        if odds == 0:
+            return None  # an even part would be the largest
+        return (odds, gap_used or odds == 2, (length + m) % 2, 0)
+    if gap_used:
+        return None  # the even part above would sit inside an even-position gap
+    if m == 2:
+        if odds != 1:
+            return None  # equal odd entries must sit at positions (2v, 2v+1)
+        return (1, False, length, 1)
+    return (2 if odds == 1 else 1, False, 1 - length, 1)  # one more odd entry
+
+
+def _r_accepts(state: tuple) -> bool:
+    """Family R at the end: r is empty, has odd length, or ends on an odd part."""
+    odds, _, length, low = state
+    return odds == 0 or length == 1 or low == 1
+
+
+def fiber_minimum(c: Partition) -> tuple[int | None, int, Split | None]:
+    """(minimal p-length, number of splits reaching it, the minimiser if unique).
+
+    A dynamic program over the distinct values of c, largest first: each
+    value sends one of its ``_r_counts`` to r, and the family-R state of
+    ``_r_step`` is all that later values need to know.  Each state keeps its
+    least p-length, how many choice sequences reach it and a backpointer, so
+    the cost is linear in the number of distinct values where listing the
+    fiber is exponential.  An empty fiber gives (None, 0, None).
+    """
+    _require_orthogonal(c)
+    runs = list(c.multiplicities().items())
+    layer: dict[tuple, tuple[int, int]] = {_R_START: (0, 1)}
+    backs: list[dict[tuple, tuple[tuple, int]]] = []
+    for e, q in runs:
+        nxt: dict[tuple, tuple[int, int]] = {}
+        back: dict[tuple, tuple[tuple, int]] = {}
+        for state, (p_len, ways) in layer.items():
+            for m in _r_counts(e, q):
+                to = _r_step(state, e, m)
+                if to is None:
+                    continue
+                cand = p_len + q - m
+                have = nxt.get(to)
+                if have is None or cand < have[0]:
+                    nxt[to] = (cand, ways)
+                    back[to] = (state, m)
+                elif cand == have[0]:
+                    nxt[to] = (cand, have[1] + ways)
+        layer = nxt
+        backs.append(back)
+    ends = [(p_len, ways, state) for state, (p_len, ways) in layer.items() if _r_accepts(state)]
+    if not ends:
+        return None, 0, None
+    p_len = min(end[0] for end in ends)
+    ties = sum(ways for low, ways, _ in ends if low == p_len)
+    if ties != 1:
+        return p_len, ties, None
+    state = next(state for low, _, state in ends if low == p_len)
+    r_parts: list[int] = []
+    p_parts: list[int] = []
+    for (e, q), back in zip(reversed(runs), reversed(backs)):
+        state, m = back[state]
+        r_parts += [e] * m
+        p_parts += [e] * (q - m)
+    r, p = Partition(r_parts), Partition(p_parts)
+    try:  # Split re-checks families R and Ptilde on the rebuilt argmin
+        return p_len, 1, Split(r, p)
+    except DomainError as exc:
+        raise ContradictionError(f"fiber minimum over {c.text()} is not a split: {exc}") from None
+
+
 def minimal_split(c: Partition) -> Split:
     """The unique split minimizing the number of parts of p.
 
-    Dual-route: the fiber scan must single out exactly the canonical split.
+    Dual-route: the minimum found by ``fiber_minimum`` must be unique and
+    equal the canonical split, else ContradictionError.
     """
-    best: Split | None = None
-    at_best = 0
-    for x in iter_fiber(c):
-        if best is None or len(x.p) < len(best.p):
-            best, at_best = x, 1
-        elif len(x.p) == len(best.p):
-            at_best += 1
-    if best is None:
+    p_len, ties, best = fiber_minimum(c)
+    if p_len is None:
         raise ContradictionError(f"empty fiber over {c.text()}")
-    if at_best != 1:
+    if ties != 1:
         raise ContradictionError(
-            f"{at_best} fiber elements over {c.text()} share the minimal p-length {len(best.p)}"
+            f"{ties} fiber elements over {c.text()} share the minimal p-length {p_len}"
         )
     want = canonical_split(c)
     if best != want:

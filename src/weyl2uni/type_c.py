@@ -5,7 +5,10 @@ A ``Split`` is a pair (r, p) with r all even (family S) and p doubled
 is a symplectic Jordan type.  ``combine`` merges, ``canonical_split`` routes
 every odd part to p and every even part to r, ``fiber`` lists all splits of
 a given Jordan type, and ``minimal_split`` returns the unique split with the
-fewest parts in p, cross-checking the fiber scan against the parity rule.
+fewest parts in p.  It finds that minimum a second way, without the parity
+rule: each distinct value picks its own count for p, so the minimum is a
+per-value argmin over the allowed counts, checked for ties and then against
+``canonical_split``.
 """
 
 from __future__ import annotations
@@ -86,24 +89,29 @@ def canonical_split(c: Partition) -> Split:
     return out
 
 
+def _p_counts(e: int, q: int) -> list[int]:
+    """Copies of a value e of multiplicity q that may go to p.
+
+    Odd values may only sit in p; for an even value any even number of
+    copies goes to p.
+    """
+    return [q] if e % 2 else list(range(0, q + 1, 2))
+
+
 def iter_fiber(c: Partition) -> Iterator[Split]:
     """Lazily enumerate every split of c.
 
-    Odd values may only sit in p; for each even value an even number of
-    copies goes to p.  The doubled-family check runs on the assembled p.
+    Every combination of per-value counts from ``_p_counts`` is tried; the
+    family checks run on the assembled r and p.
     """
     _require_symplectic(c)
-    values = sorted(set(c.parts), reverse=True)
-    choices = []
-    for e in values:
-        q = c.multiplicity(e)
-        choices.append([q] if e % 2 else list(range(0, q + 1, 2)))
-    for ns in itertools.product(*choices):
+    runs = list(c.multiplicities().items())
+    for ns in itertools.product(*(_p_counts(e, q) for e, q in runs)):
         p_parts: list[int] = []
         r_parts: list[int] = []
-        for e, n in zip(values, ns):
+        for (e, q), n in zip(runs, ns):
             p_parts += [e] * n
-            r_parts += [e] * (c.multiplicity(e) - n)
+            r_parts += [e] * (q - n)
         p = Partition(p_parts)
         r = Partition(r_parts)
         if not (is_member(r, ALL_EVEN) and is_member(p, DOUBLED)):
@@ -116,25 +124,45 @@ def fiber(c: Partition) -> list[Split]:
     return sorted(iter_fiber(c), key=lambda x: (len(x.p), x.p.parts, x.r.parts))
 
 
+def fiber_minimum(c: Partition) -> tuple[int | None, int, Split | None]:
+    """(minimal p-length, number of splits reaching it, the minimiser if unique).
+
+    The values are independent, so the minimum is a per-value argmin over
+    ``_p_counts`` and the number of minimisers is the product of the
+    per-value tie counts.  Linear in the length of c; an empty fiber gives
+    (None, 0, None).
+    """
+    _require_symplectic(c)
+    p_len, ties = 0, 1
+    r_parts: list[int] = []
+    p_parts: list[int] = []
+    for e, q in c.multiplicities().items():
+        ns = _p_counts(e, q)
+        if not ns:
+            return None, 0, None
+        n = min(ns)
+        p_len += n
+        ties *= ns.count(n)
+        r_parts += [e] * (q - n)
+        p_parts += [e] * n
+    best = Split(Partition(r_parts), Partition(p_parts)) if ties == 1 else None
+    return p_len, ties, best
+
+
 def minimal_split(c: Partition) -> Split:
     """The unique split minimizing the number of parts of p.
 
-    Computed twice: by scanning the fiber and by the parity rule.  Raises
-    ContradictionError if the minimum is not unique or the routes disagree
-    (neither can happen; this is the point being verified).
+    Computed twice: by the per-value argmin of ``fiber_minimum`` and by the
+    parity rule.  Raises ContradictionError if the fiber is empty, the
+    minimum is not unique or the routes disagree (none can happen; this is
+    the point being verified).
     """
-    best: Split | None = None
-    at_best = 0
-    for x in iter_fiber(c):
-        if best is None or len(x.p) < len(best.p):
-            best, at_best = x, 1
-        elif len(x.p) == len(best.p):
-            at_best += 1
-    if best is None:
+    p_len, ties, best = fiber_minimum(c)
+    if p_len is None:
         raise ContradictionError(f"empty fiber over {c.text()}")
-    if at_best != 1:
+    if ties != 1:
         raise ContradictionError(
-            f"{at_best} fiber elements over {c.text()} share the minimal p-length {len(best.p)}"
+            f"{ties} fiber elements over {c.text()} share the minimal p-length {p_len}"
         )
     want = canonical_split(c)
     if best != want:

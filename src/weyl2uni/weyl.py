@@ -4,11 +4,10 @@ Conjugacy classes of the hyperoctahedral-type Weyl groups (series B, C, D)
 are stored as a pair of partitions: positive cycle lengths and negative
 cycle lengths.  ``phi_classical`` sends a class to the Jordan type of the
 unipotent class it determines; ``psi_classical`` picks the preimage class
-with the largest fixed space, which is the unique one minimizing nothing
-other than the number of positive cycles.  ``fixed_space_dim`` is the
-closed-form count (positive cycles); ``fixed_space_dim_from_matrix``
-recomputes it as an exact matrix nullity and serves as the independent
-oracle.
+with the smallest fixed space, which is the unique one with the fewest
+positive cycles.  ``fixed_space_dim`` is the closed-form count (positive
+cycles); ``fixed_space_dim_from_matrix`` recomputes it as an exact matrix
+nullity and serves as the independent oracle.
 """
 
 from __future__ import annotations
@@ -262,7 +261,7 @@ def _check_jordan(j: JordanType, g: GroupKind) -> None:
 
 
 def psi_classical(j: JordanType, g: GroupKind) -> SignedCycleType:
-    """The preimage class of phi_classical with maximal fixed space.
+    """The preimage class of phi_classical with strictly minimal fixed space.
 
     Uniqueness is enforced by the minimal-split machinery; the result is
     round-tripped through phi_classical before being returned.

@@ -3,6 +3,7 @@ import pytest
 from conftest import brute_fiber
 from weyl2uni import (
     CHAINED,
+    ContradictionError,
     DOUBLED,
     DomainError,
     ORTHOGONAL,
@@ -173,6 +174,14 @@ class TestMinimalSplit:
             for other in type_bd.iter_fiber(c):
                 for e in set(c.parts):
                     assert other.p.multiplicity(e) >= canon.p.multiplicity(e)
+
+    def test_disagreement_reports_contradiction(self, monkeypatch):
+        # a genuine fiber element, but not the minimum
+        monkeypatch.setattr(
+            type_bd, "canonical_split", lambda c: type_bd.Split(P(5, 1), P(3, 3))
+        )
+        with pytest.raises(ContradictionError):
+            type_bd.minimal_split(P(5, 3, 3, 1))
 
 
 class TestHalfSplit:
