@@ -23,6 +23,7 @@ from .partitions import (
     Partition,
     SYMPLECTIC,
     is_member,
+    iter_members,
     iter_partitions,
     merge,
 )
@@ -69,6 +70,7 @@ __all__ = [
     "fixed_space_dim",
     "fixed_space_dim_from_matrix",
     "is_member",
+    "iter_members",
     "iter_partitions",
     "load_table",
     "merge",

@@ -16,7 +16,16 @@ import sys
 from . import exceptional, type_bd, type_c, verify
 from .exceptional import GROUPS, load_table
 from .partitions import ContradictionError, DomainError, Partition
-from .weyl import GroupKind, JordanType, SignedCycleType, fixed_space_dim, phi_classical, psi_classical
+from .weyl import (
+    GroupKind,
+    JordanType,
+    SignedCycleType,
+    _check_class,
+    encode_class,
+    fixed_space_dim,
+    phi_classical,
+    psi_classical,
+)
 
 
 def _emit(args, text_value: str, json_value) -> None:
@@ -47,10 +56,6 @@ def _parse_jordan(series: str, text: str, nu_flag: int | None) -> tuple[JordanTy
     return JordanType(parts, g.epsilon), g
 
 
-def _class_group(series: str, cls: SignedCycleType) -> GroupKind:
-    return GroupKind(series, cls.rank)
-
-
 def _need(args, parser, *names) -> None:
     missing = [n for n in names if getattr(args, n.replace("-", "_"), None) is None]
     if missing:
@@ -66,8 +71,7 @@ def _cmd_phi(args, parser) -> int:
         return 0
     _need(args, parser, "series", "class")
     w = SignedCycleType.from_text(getattr(args, "class"))
-    g = _class_group(args.series, w)
-    j = phi_classical(w, g)
+    j = phi_classical(w, GroupKind(args.series, w.rank))
     _emit(args, j.text(), {"series": args.series, "class": w.to_json(), "jordan": j.parts.to_json()})
     return 0
 
@@ -100,11 +104,8 @@ def _cmd_fiber(args, parser) -> int:
 
 def _cmd_encode(args, parser) -> int:
     _need(args, parser, "series", "class")
-    from .weyl import encode_class
-
     w = SignedCycleType.from_text(getattr(args, "class"))
-    g = _class_group(args.series, w)
-    enc = encode_class(w, g)
+    enc = encode_class(w, GroupKind(args.series, w.rank))
     _emit(args, enc.text(), enc.to_json())
     return 0
 
@@ -118,7 +119,7 @@ def _cmd_mc(args, parser) -> int:
         return 0
     _need(args, parser, "series", "class")
     w = SignedCycleType.from_text(getattr(args, "class"))
-    _class_group(args.series, w)  # validates rank/parity constraints
+    _check_class(w, GroupKind(args.series, w.rank))  # the same class check as phi and encode
     value = fixed_space_dim(w)
     _emit(args, str(value), {"series": args.series, "class": w.to_json(), "mc": value})
     return 0

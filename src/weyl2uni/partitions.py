@@ -58,6 +58,20 @@ class Partition:
                 raise DomainError(f"partition parts must be positive integers, got {p!r}")
         object.__setattr__(self, "_parts", ps)
 
+    @classmethod
+    def _from_sorted(cls, parts: tuple[int, ...]) -> "Partition":
+        """Trusted constructor: skips the sort and the per-part check of ``__init__``.
+
+        The caller guarantees that ``parts`` is a tuple of positive ints in
+        weakly decreasing order.  Only code of this package that builds parts
+        in that order (``iter_partitions``, ``iter_members``, the fiber
+        assembly of ``type_c``/``type_bd``) may call it; outside input always
+        goes through ``__init__``.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "_parts", parts)
+        return self
+
     def __setattr__(self, name, value):  # immutable after construction
         raise AttributeError("Partition is immutable")
 
@@ -148,7 +162,10 @@ def undouble_parts(a: Partition) -> Partition:
 
 
 def iter_partitions(total: int, max_part: int | None = None) -> Iterator[Partition]:
-    """All partitions of `total`, in reverse lexicographic order."""
+    """All partitions of `total`, in reverse lexicographic order.
+
+    ``iter_members`` yields the members of family T or Q in this same order.
+    """
     if total < 0:
         raise DomainError("cannot partition a negative total")
 
@@ -162,7 +179,7 @@ def iter_partitions(total: int, max_part: int | None = None) -> Iterator[Partiti
 
     cap = total if max_part is None else min(max_part, total)
     for tup in rec(total, cap):
-        yield Partition(tup)
+        yield Partition._from_sorted(tup)
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +210,21 @@ ALL_EVEN = Family("S")
 ORTHOGONAL = Family("Q")
 CHAINED = Family("R")
 DOUBLED_EVEN = Family("E")
+
+_BY_TAG = {
+    f.tag: f
+    for f in (ANY, EVEN_LENGTH, DOUBLED, SYMPLECTIC, ALL_EVEN, ORTHOGONAL, CHAINED, DOUBLED_EVEN)
+}
+
+
+def _family(f: Family | str) -> Family:
+    """The Family for a tag string (its module constant) or a Family value."""
+    if not isinstance(f, str):
+        return f
+    try:
+        return _BY_TAG[f]
+    except KeyError:
+        raise DomainError(f"unknown family tag {f!r}; expected one of {FAMILY_TAGS}") from None
 
 
 def _pairs_up(ps) -> bool:
@@ -252,7 +284,40 @@ _PREDICATES = {
 def is_member(c: Partition, f: Family | str) -> bool:
     """Decide membership of a partition in a family (tag or Family value)."""
     if isinstance(f, str):
-        f = Family(f)
+        f = _family(f)
     if f.size is not None and c.size != f.size:
         return False
     return _PREDICATES[f.tag](c)
+
+
+def iter_members(total: int, family: Family | str) -> Iterator[Partition]:
+    """The partitions of `total` in family T (SYMPLECTIC) or Q (ORTHOGONAL).
+
+    Generated directly instead of filtering ``iter_partitions``: the values
+    are taken largest first, each with a multiplicity, and a value of the
+    paired parity (odd for T, even for Q) takes only even multiplicities.
+    Multiplicities are tried largest first, so the order is reverse
+    lexicographic, identical to ``iter_partitions`` filtered by ``is_member``.
+    """
+    f = _family(family)
+    if f not in (SYMPLECTIC, ORTHOGONAL):
+        raise DomainError(f"iter_members generates families T and Q only, got {f!r}")
+    if total < 0:
+        raise DomainError("cannot partition a negative total")
+    paired = 1 if f == SYMPLECTIC else 0  # parity of the values that must come in pairs
+
+    def rec(remaining: int, cap: int):
+        if remaining == 0:
+            yield ()
+            return
+        for v in range(min(cap, remaining), 0, -1):
+            most, step = remaining // v, 1
+            if v % 2 == paired:
+                most, step = most - most % 2, 2
+            for k in range(most, 0, -step):
+                head = (v,) * k
+                for tail in rec(remaining - k * v, v - 1):
+                    yield head + tail
+
+    for tup in rec(total, total):
+        yield Partition._from_sorted(tup)

@@ -303,7 +303,9 @@ def iter_fiber(c: Partition) -> Iterator[Split]:
     """Lazily enumerate every split of c.
 
     Every combination of per-value counts from ``_r_counts`` is tried;
-    assembled candidates are filtered through family R.
+    assembled candidates are filtered through family R.  Both sides are
+    built from the runs of c, largest value first, so they are already
+    sorted and skip the re-sort of the validating constructor.
     """
     _require_orthogonal(c)
     runs = list(c.multiplicities().items())
@@ -313,8 +315,8 @@ def iter_fiber(c: Partition) -> Iterator[Split]:
         for (e, q), m in zip(runs, ms):
             r_parts += [e] * m
             p_parts += [e] * (q - m)
-        r = Partition(r_parts)
-        p = Partition(p_parts)
+        r = Partition._from_sorted(tuple(r_parts))
+        p = Partition._from_sorted(tuple(p_parts))
         if not (is_member(r, CHAINED) and is_member(p, DOUBLED)):
             continue
         yield Split(r, p)

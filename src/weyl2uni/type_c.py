@@ -102,7 +102,9 @@ def iter_fiber(c: Partition) -> Iterator[Split]:
     """Lazily enumerate every split of c.
 
     Every combination of per-value counts from ``_p_counts`` is tried; the
-    family checks run on the assembled r and p.
+    family checks run on the assembled r and p.  Both sides are built from
+    the runs of c, largest value first, so they are already sorted and skip
+    the re-sort of the validating constructor.
     """
     _require_symplectic(c)
     runs = list(c.multiplicities().items())
@@ -112,8 +114,8 @@ def iter_fiber(c: Partition) -> Iterator[Split]:
         for (e, q), n in zip(runs, ns):
             p_parts += [e] * n
             r_parts += [e] * (q - n)
-        p = Partition(p_parts)
-        r = Partition(r_parts)
+        p = Partition._from_sorted(tuple(p_parts))
+        r = Partition._from_sorted(tuple(r_parts))
         if not (is_member(r, ALL_EVEN) and is_member(p, DOUBLED)):
             continue
         yield Split(r, p)

@@ -27,8 +27,7 @@ from .partitions import (
     ORTHOGONAL,
     Partition,
     SYMPLECTIC,
-    is_member,
-    iter_partitions,
+    iter_members,
 )
 from .weyl import GroupKind, encode_class, enumerate_classes, fixed_space_dim, fixed_space_dim_from_matrix
 
@@ -154,9 +153,7 @@ def check_classical(cfg: SweepConfig) -> VerificationReport:
             family, module = ORTHOGONAL, type_bd
         skipped = 0
         for nu in sizes:
-            for c in iter_partitions(nu):
-                if not is_member(c, family):
-                    continue
+            for c in iter_members(nu, family):
                 if series == "D" and type_bd.classify_d(c) is type_bd.DKind.VERY_EVEN:
                     skipped += 1  # the statement is vacuous there (singleton fiber)
                     continue

@@ -24,6 +24,7 @@ from .partitions import (
     SYMPLECTIC,
     double_parts,
     is_member,
+    iter_members,
     iter_partitions,
     undouble_parts,
 )
@@ -301,6 +302,5 @@ def enumerate_classes(g: GroupKind) -> list[SignedCycleType]:
 def iter_jordan_types(g: GroupKind) -> Iterator[JordanType]:
     """All valid Jordan types for the group, in reverse lexicographic order."""
     fam = SYMPLECTIC if g.series == "C" else ORTHOGONAL
-    for c in iter_partitions(g.nu):
-        if is_member(c, fam):
-            yield JordanType(c, g.epsilon)
+    for c in iter_members(g.nu, fam):
+        yield JordanType(c, g.epsilon)

@@ -83,6 +83,10 @@ class TestEncodeAndMc:
         rc, out, _ = run(capsys, "mc", "--series", "C", "--class", "pos=2,1;neg=3")
         assert rc == 0 and out == "2"
 
+    def test_mc_rejects_odd_negative_cycles_in_d(self, capsys):
+        rc, out, err = run(capsys, "mc", "--series", "D", "--class", "pos=-;neg=3")
+        assert rc == 1 and out == "" and "negative cycles" in err
+
     def test_mc_exceptional(self, capsys):
         rc, out, _ = run(capsys, "mc", "--group", "E7", "--label", "4A_1")
         assert rc == 0 and out == "3"

@@ -15,10 +15,14 @@ from weyl2uni import (
     Partition,
     SYMPLECTIC,
     is_member,
+    iter_members,
     iter_partitions,
     merge,
+    type_bd,
+    type_c,
 )
 from weyl2uni.partitions import double_parts, undouble_parts
+from weyl2uni.weyl import SignedCycleType
 
 parts_strategy = st.lists(st.integers(min_value=1, max_value=12), max_size=10)
 
@@ -94,6 +98,10 @@ class TestFamilies:
     def test_is_member_accepts_tag_strings(self):
         assert is_member(P(2, 2), "S")
 
+    def test_is_member_rejects_unknown_tag_strings(self):
+        with pytest.raises(DomainError):
+            is_member(P(2, 2), "X")
+
     def test_parity_families_match_counting(self):
         # symplectic/orthogonal tags agree with plain multiplicity counting
         for n in range(21):
@@ -150,3 +158,63 @@ def test_partition_counts():
     # p(n) for n = 0..10
     expected = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
     assert [sum(1 for _ in iter_partitions(n)) for n in range(11)] == expected
+
+
+class TestIterMembers:
+    @pytest.mark.parametrize("family", [SYMPLECTIC, ORTHOGONAL], ids=["T", "Q"])
+    def test_equals_filtered_partitions_in_order(self, family):
+        for n in range(25):
+            want = [c for c in iter_partitions(n) if is_member(c, family)]
+            assert list(iter_members(n, family)) == want
+
+    def test_counts_at_rank_20(self):
+        # the Jordan types of C20, B20 and D20
+        assert sum(1 for _ in iter_members(40, SYMPLECTIC)) == 7336
+        assert sum(1 for _ in iter_members(41, ORTHOGONAL)) == 5922
+        assert sum(1 for _ in iter_members(40, ORTHOGONAL)) == 5096
+
+    def test_accepts_tags(self):
+        assert list(iter_members(6, "T")) == list(iter_members(6, SYMPLECTIC))
+        assert list(iter_members(7, "Q")) == list(iter_members(7, ORTHOGONAL))
+        assert list(iter_members(6, Family("T"))) == list(iter_members(6, SYMPLECTIC))
+
+    @pytest.mark.parametrize(
+        "bad", [(4, DOUBLED), (4, "R"), (4, "X"), (6, Family("Q", 6)), (-1, SYMPLECTIC)]
+    )
+    def test_rejects(self, bad):
+        with pytest.raises(DomainError):
+            list(iter_members(*bad))
+
+
+class TestTrustedConstructor:
+    def test_fiber_parts_pass_the_validating_constructor(self, monkeypatch):
+        built = []
+        trusted = Partition.__dict__["_from_sorted"].__func__
+
+        def record(cls, parts):
+            built.append(trusted(cls, parts))
+            return built[-1]
+
+        monkeypatch.setattr(Partition, "_from_sorted", classmethod(record))
+        for n in range(17):
+            for c in iter_members(n, SYMPLECTIC):
+                list(type_c.iter_fiber(c))
+            for c in iter_members(n, ORTHOGONAL):
+                list(type_bd.iter_fiber(c))
+        assert len(built) > 1000
+        for x in built:
+            assert type(x.parts) is tuple and Partition(x.parts) == x
+
+    def test_public_parsers_never_use_it(self, monkeypatch):
+        def refuse(cls, parts):
+            raise AssertionError("a parser used the trusted constructor")
+
+        monkeypatch.setattr(Partition, "_from_sorted", classmethod(refuse))
+        assert Partition.from_text("1,3,2").parts == (3, 2, 1)
+        for bad in ("0", "2,-1", "x"):
+            with pytest.raises(DomainError):
+                Partition.from_text(bad)
+        assert type_c.Split.from_text("r=2;p=1,1").p == P(1, 1)
+        assert type_bd.Split.from_text("r=1,3;p=2,2").r == P(3, 1)
+        assert type_bd.HalfSplit.from_text("p'=1,2;p=-;k=0").halves == P(2, 1)
+        assert SignedCycleType.from_text("pos=1,2;neg=-").positive == P(2, 1)
