@@ -7,7 +7,11 @@ fixed-space dimension (Weyl rank minus diagram rank) is strictly minimal.
 
 Tables ship as data (``data/phi_tables.tsv``); bad-characteristic variants
 are stored as replacement records and spliced in at load time.  Set
-``WEYL2UNI_TABLE_PATH`` to point the loader at an alternative file.
+``WEYL2UNI_TABLE_PATH`` to point the loader at an alternative file; it is
+honoured on every call.  Each file content is parsed once and each table
+validated once per content, and the validated tables are shared between
+callers: a load whose text equals the last text read returns the same
+frozen ``MapTable``.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 import os
 import re
 import unicodedata
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
@@ -36,6 +40,7 @@ EXPECTED_LABELS = {"G2": 6, "F4": 25, "E6": 25, "E7": 60, "E8": 112}
 EXPECTED_NAMES = {"G2": 5, "F4": 16, "E6": 21, "E7": 45, "E8": 70}
 
 _DATA_ENV = "WEYL2UNI_TABLE_PATH"
+_PACKAGED_TABLES = resources.files(__package__).joinpath("data/phi_tables.tsv")
 
 
 class UnknownLabel(DomainError):
@@ -241,14 +246,26 @@ def verify_table(t: MapTable) -> TableReport:
     return TableReport(t.group, t.characteristic, len(t.lines), len(labels), len(names), failures)
 
 
-def _raw_records(path: str | None = None) -> list[tuple[str, str, list[str], str]]:
+def _read_text(path: str | None) -> str:
+    """The table text: the explicit path, else the env var, else the packaged file."""
     env = os.environ.get(_DATA_ENV)
     if path is not None:
-        text = Path(path).read_text(encoding="utf-8")
+        file = Path(path)
     elif env:
-        text = Path(env).read_text(encoding="utf-8")
+        file = Path(env)
     else:
-        text = resources.files(__package__).joinpath("data/phi_tables.tsv").read_text("utf-8")
+        file = _PACKAGED_TABLES
+    try:
+        return file.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise DomainError(f"cannot read table file {file}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DomainError(
+            f"table file {file} is not UTF-8 text (byte {exc.start}: {exc.reason})"
+        ) from exc
+
+
+def _parse_records(text: str) -> tuple[tuple[str, str, tuple[str, ...], str], ...]:
     records = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip("\n")
@@ -262,8 +279,8 @@ def _raw_records(path: str | None = None) -> list[tuple[str, str, list[str], str
             raise DomainError(f"table data line {lineno}: unknown group {group!r}")
         if tag not in ("good", "p2", "p3"):
             raise DomainError(f"table data line {lineno}: unknown characteristic tag {tag!r}")
-        records.append((group, tag, labels.split(","), name))
-    return records
+        records.append((group, tag, tuple(labels.split(",")), name))
+    return tuple(records)
 
 
 def _apply_patches(base: list[TableLine], patches: list[TableLine], group: str) -> list[TableLine]:
@@ -297,12 +314,34 @@ def _apply_patches(base: list[TableLine], patches: list[TableLine], group: str) 
     return out
 
 
+@dataclass
+class _TableCache:
+    """The last table text read, its records and the tables validated from it."""
+
+    text: str
+    records: tuple[tuple[str, str, tuple[str, ...], str], ...]
+    tables: dict[tuple[str, str], MapTable] = field(default_factory=dict)
+
+
+_cache: _TableCache | None = None
+
+
 def load_table(group: str, characteristic: str = "good", path: str | None = None) -> MapTable:
     """Load and validate one (group, characteristic) table.
 
     Unsupported pairs are rejected: the base table already covers every
     characteristic without a dedicated variant.
+
+    Every call reads the data afresh: from ``path``, else from the file
+    named by ``WEYL2UNI_TABLE_PATH`` (looked up on every call), else from
+    the packaged file.  An unreadable file raises DomainError naming it.
+    Tables are parsed and validated once per file content: while the text
+    read equals the last text seen, the table already validated from that
+    text is returned, so callers share one frozen ``MapTable``.  The cache
+    is keyed on the text itself, never on mtime, so it cannot go stale; it
+    holds one text at a time, and a load that raises stores nothing.
     """
+    global _cache
     if group not in GROUPS:
         raise DomainError(f"unknown group {group!r}; expected one of {GROUPS}")
     if characteristic not in SUPPORTED_CHARACTERISTICS[group]:
@@ -310,9 +349,23 @@ def load_table(group: str, characteristic: str = "good", path: str | None = None
             f"group {group} has tables for {SUPPORTED_CHARACTERISTICS[group]}, "
             f"not {characteristic!r} (the base table covers the other characteristics)"
         )
+    text = _read_text(path)
+    cache = _cache
+    if cache is None or cache.text != text:
+        cache = _TableCache(text, _parse_records(text))
+    table = cache.tables.get((group, characteristic))
+    if table is None:
+        table = _build_table(cache.records, group, characteristic)
+        cache.tables[group, characteristic] = table
+    _cache = cache
+    return table
+
+
+def _build_table(records: tuple, group: str, characteristic: str) -> MapTable:
+    """The (group, characteristic) table assembled from records, validated."""
     base: list[TableLine] = []
     patches: list[TableLine] = []
-    for rec_group, tag, labels, name in _raw_records(path):
+    for rec_group, tag, labels, name in records:
         if rec_group != group:
             continue
         line = TableLine(tuple(CarterLabel.parse(s) for s in labels), normalize_name(name))

@@ -258,14 +258,16 @@ def _check_chained(c: Partition) -> bool:
         return False  # largest part must be odd
     if len(ps) % 2 == 0 and ps[-1] % 2 == 0:
         return False  # even length: smallest part must be odd
-    odds = [v for v in ps if v % 2 == 1]
-    for u in range(1, len(odds)):  # u = 1-based index of the earlier odd entry
-        hi, lo = odds[u - 1], odds[u]
-        if u % 2 == 1:
-            if hi <= lo:
-                return False  # odd position: strict drop
-        elif any(lo < v < hi for v in ps):
-            return False  # even position: the gap must be empty
+    total_odds = sum(v % 2 for v in ps)
+    seen = 0  # odd entries passed so far
+    prev = 0  # the latest of them
+    for part in ps:
+        if part % 2:
+            if seen % 2 == 1 and prev <= part:
+                return False  # entries at positions (2v-1, 2v): strict drop
+            seen, prev = seen + 1, part
+        elif seen % 2 == 0 and 0 < seen < total_odds:
+            return False  # strictly inside the gap between positions 2v and 2v+1
     return True
 
 

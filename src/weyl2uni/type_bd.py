@@ -302,10 +302,11 @@ def _r_counts(e: int, q: int) -> list[int]:
 def iter_fiber(c: Partition) -> Iterator[Split]:
     """Lazily enumerate every split of c.
 
-    Every combination of per-value counts from ``_r_counts`` is tried;
-    assembled candidates are filtered through family R.  Both sides are
-    built from the runs of c, largest value first, so they are already
-    sorted and skip the re-sort of the validating constructor.
+    Every combination of per-value counts from ``_r_counts`` is tried and
+    kept when r is in family R.  Each value leaves an even number of copies
+    to p, so p is doubled by construction; ``Split`` re-checks both.  Both
+    sides are built from the runs of c, largest value first, so they are
+    already sorted and skip the re-sort of the validating constructor.
     """
     _require_orthogonal(c)
     runs = list(c.multiplicities().items())
@@ -316,10 +317,8 @@ def iter_fiber(c: Partition) -> Iterator[Split]:
             r_parts += [e] * m
             p_parts += [e] * (q - m)
         r = Partition._from_sorted(tuple(r_parts))
-        p = Partition._from_sorted(tuple(p_parts))
-        if not (is_member(r, CHAINED) and is_member(p, DOUBLED)):
-            continue
-        yield Split(r, p)
+        if is_member(r, CHAINED):
+            yield Split(r, Partition._from_sorted(tuple(p_parts)))
 
 
 def fiber(c: Partition) -> list[Split]:

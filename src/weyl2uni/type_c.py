@@ -101,10 +101,12 @@ def _p_counts(e: int, q: int) -> list[int]:
 def iter_fiber(c: Partition) -> Iterator[Split]:
     """Lazily enumerate every split of c.
 
-    Every combination of per-value counts from ``_p_counts`` is tried; the
-    family checks run on the assembled r and p.  Both sides are built from
-    the runs of c, largest value first, so they are already sorted and skip
-    the re-sort of the validating constructor.
+    Every combination of per-value counts from ``_p_counts`` is a split:
+    odd values go wholly to p (an even number of copies, c being in family
+    T) and even values send an even number of copies there, so r is all
+    even and p doubled by construction; ``Split`` re-checks both.  Both
+    sides are built from the runs of c, largest value first, so they are
+    already sorted and skip the re-sort of the validating constructor.
     """
     _require_symplectic(c)
     runs = list(c.multiplicities().items())
@@ -114,11 +116,7 @@ def iter_fiber(c: Partition) -> Iterator[Split]:
         for (e, q), n in zip(runs, ns):
             p_parts += [e] * n
             r_parts += [e] * (q - n)
-        p = Partition._from_sorted(tuple(p_parts))
-        r = Partition._from_sorted(tuple(r_parts))
-        if not (is_member(r, ALL_EVEN) and is_member(p, DOUBLED)):
-            continue
-        yield Split(r, p)
+        yield Split(Partition._from_sorted(tuple(r_parts)), Partition._from_sorted(tuple(p_parts)))
 
 
 def fiber(c: Partition) -> list[Split]:

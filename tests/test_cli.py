@@ -156,6 +156,25 @@ class TestErrors:
         rc, _, err = run(capsys, "table", "--group", "E6", "--p", "p2")
         assert rc == 1 and "tables for" in err
 
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
+    def test_unreadable_table_file_exit_1(self, capsys, monkeypatch, tmp_path, kind):
+        path = tmp_path / "tables.tsv"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not_utf8":
+            path.write_bytes(b"G2\tgood\t\xff\tA_0\n")
+        monkeypatch.setenv("WEYL2UNI_TABLE_PATH", str(path))
+        rc, out, err = run(capsys, "psi", "--group", "E8", "--name", "E_8")
+        assert rc == 1 and out == ""
+        assert err.startswith("error: ") and str(path) in err and "\n" not in err
+        rc, out, _ = run(capsys, "verify", "--all")
+        assert rc == 1
+        tables = [c for c in json.loads(out)["checks"] if c["name"].startswith("table[")]
+        assert len(tables) == 10
+        for check in tables:
+            assert not check["passed"]
+            assert str(path) in check["counterexamples"][0]["error"]
+
     def test_usage_error_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["phi", "--series", "Z", "--class", "pos=1;neg=-"])

@@ -1,8 +1,9 @@
 import dataclasses
+import os
 
 import pytest
 
-from weyl2uni import DomainError, UnknownLabel
+from weyl2uni import DomainError, UnknownLabel, exceptional
 from weyl2uni.exceptional import (
     EXPECTED_LABELS,
     EXPECTED_NAMES,
@@ -119,6 +120,106 @@ class TestLoadTable:
         data.write_text("\n".join(lines) + "\n", encoding="utf-8")
         t = load_table("G2", path=str(data))
         assert t.phi("A_2") == "G_2(a_1)"
+
+
+# a fake but internally consistent G2 table (6 labels, 5 names) and a copy
+# of the same byte length that maps A_2 elsewhere
+FAKE_G2 = (
+    "G2\tgood\tA_0\tA_0\n"
+    "G2\tgood\tA_1\tA_1\n"
+    "G2\tgood\tA_1+Ã_1,Ã_1\tÃ_1\n"
+    "G2\tgood\tA_2\tG_2(a_1)\n"
+    "G2\tgood\tG_2\tG_2\n"
+)
+OTHER_G2 = FAKE_G2.replace("G_2(a_1)", "G_2(a_7)")
+# same length again, but the first label no longer dominates its line
+BROKEN_G2 = FAKE_G2.replace("A_1+Ã_1,Ã_1", "Ã_1,A_1+Ã_1")
+
+
+def counting(monkeypatch, name):
+    """Wrap exceptional.<name> so that its calls are counted."""
+    calls = []
+    original = getattr(exceptional, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(exceptional, name, wrapper)
+    return calls
+
+
+class TestTableCache:
+    def test_unchanged_text_returns_the_same_object(self, tmp_path):
+        assert load_table("E8", "p2") is load_table("E8", "p2")
+        data = tmp_path / "tables.tsv"
+        data.write_text(FAKE_G2, encoding="utf-8")
+        assert load_table("G2", path=str(data)) is load_table("G2", path=str(data))
+
+    def test_rewrite_with_the_same_mtime_is_reloaded(self, tmp_path):
+        data = tmp_path / "tables.tsv"
+        data.write_text(FAKE_G2, encoding="utf-8")
+        stamp = data.stat()
+
+        def rewrite(text):
+            data.write_text(text, encoding="utf-8")
+            os.utime(data, ns=(stamp.st_atime_ns, stamp.st_mtime_ns))
+            assert (data.stat().st_mtime_ns, data.stat().st_size) == (
+                stamp.st_mtime_ns, stamp.st_size)
+
+        assert load_table("G2", path=str(data)).phi("A_2") == "G_2(a_1)"
+        rewrite(OTHER_G2)
+        assert load_table("G2", path=str(data)).phi("A_2") == "G_2(a_7)"
+        rewrite(BROKEN_G2)
+        with pytest.raises(DomainError, match="strictly dominate"):
+            load_table("G2", path=str(data))
+
+    def test_switching_the_env_var_gives_each_file_its_table(self, monkeypatch, tmp_path):
+        first, second = tmp_path / "first.tsv", tmp_path / "second.tsv"
+        first.write_text(FAKE_G2, encoding="utf-8")
+        second.write_text(OTHER_G2, encoding="utf-8")
+        for data, name in [(first, "G_2(a_1)"), (second, "G_2(a_7)"), (first, "G_2(a_1)")]:
+            monkeypatch.setenv("WEYL2UNI_TABLE_PATH", str(data))
+            assert load_table("G2").phi("A_2") == name
+        monkeypatch.delenv("WEYL2UNI_TABLE_PATH")
+        assert load_table("G2").phi("A_2") == "G_2(a_1)"
+        assert len(load_table("G2").labels()) == EXPECTED_LABELS["G2"]
+
+    def test_bad_data_raises_every_time_and_caches_nothing(self, monkeypatch, tmp_path):
+        good = load_table("F4")
+        cached = exceptional._cache
+        checks = counting(monkeypatch, "verify_table")
+        bad = tmp_path / "tables.tsv"
+        bad.write_text(BROKEN_G2, encoding="utf-8")
+        for attempt in range(3):
+            with pytest.raises(DomainError):
+                load_table("G2", path=str(bad))
+            assert len(checks) == attempt + 1
+            assert exceptional._cache is cached
+        assert load_table("F4") is good
+        assert len(checks) == 3
+
+    def test_load_all_tables_parses_the_records_once(self, monkeypatch):
+        monkeypatch.setattr(exceptional, "_cache", None)
+        parses = counting(monkeypatch, "_parse_records")
+        checks = counting(monkeypatch, "verify_table")
+        first = load_all_tables()
+        assert len(parses) == 1 and len(checks) == len(first) == 10
+        second = load_all_tables()
+        assert len(parses) == 1 and len(checks) == 10
+        assert all(a is b for a, b in zip(first, second))
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
+def test_unreadable_table_file_is_a_domain_error(tmp_path, kind):
+    path = tmp_path / "tables.tsv"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not_utf8":
+        path.write_bytes(FAKE_G2.encode("utf-8") + b"G2\tgood\t\xff\xfe\tA_0\n")
+    for _ in range(2):
+        with pytest.raises(DomainError, match="tables.tsv"):
+            load_table("G2", path=str(path))
 
 
 class TestLookups:

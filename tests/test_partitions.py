@@ -143,6 +143,39 @@ class TestFamilies:
                     assert not is_member(c, ALL_EVEN)
 
 
+def _quadratic_chained(c):
+    """Family R as first written: a scan over all parts for each even-position gap."""
+    if not is_member(c, ORTHOGONAL):
+        return False
+    ps = c.parts
+    if not ps:
+        return True
+    if ps[0] % 2 == 0:
+        return False
+    if len(ps) % 2 == 0 and ps[-1] % 2 == 0:
+        return False
+    odds = [v for v in ps if v % 2 == 1]
+    for u in range(1, len(odds)):
+        hi, lo = odds[u - 1], odds[u]
+        if u % 2 == 1:
+            if hi <= lo:
+                return False
+        elif any(lo < v < hi for v in ps):
+            return False
+    return True
+
+
+def test_chained_single_pass_matches_quadratic_definition():
+    checked = members = 0
+    for n in range(31):
+        for c in iter_partitions(n):
+            assert is_member(c, CHAINED) == _quadratic_chained(c), c.parts
+            checked += 1
+            members += is_member(c, CHAINED)
+    assert checked == 28629
+    assert 0 < members < checked
+
+
 class TestDoubling:
     def test_round_trip(self):
         assert double_parts(P(3, 1)) == P(3, 3, 1, 1)
