@@ -18,7 +18,6 @@ from .partitions import (
     DOUBLED_EVEN,
     DomainError,
     EVEN_LENGTH,
-    Family,
     ORTHOGONAL,
     Partition,
     SYMPLECTIC,
@@ -52,7 +51,6 @@ __all__ = [
     "DOUBLED_EVEN",
     "DomainError",
     "EVEN_LENGTH",
-    "Family",
     "GroupKind",
     "JordanType",
     "MapTable",

@@ -5,9 +5,11 @@ positive integers.  A partition's ``size`` is the sum of its parts and its
 length the number of parts; the empty partition is valid, prints as ``"-"``
 and serializes to ``[]``.
 
-The families are decidable predicates on partitions.  Their one-letter tags
-(P1, P0, Ptilde, T, S, Q, R, E) are the stable vocabulary used in data and
-error messages; module constants give them readable names:
+The families are decidable predicates on partitions, named by their
+one-letter tags (P1, P0, Ptilde, T, S, Q, R, E).  A family is its tag
+string: ``is_member(c, tag)`` looks the predicate up, and an unknown tag
+raises ``DomainError``.  The module constants are the same strings under
+readable names:
 
 * ``ANY`` (P1): every partition.
 * ``EVEN_LENGTH`` (P0): an even number of parts.
@@ -28,7 +30,6 @@ error messages; module constants give them readable names:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import total_ordering
 from typing import Iterable, Iterator
 
@@ -186,45 +187,7 @@ def iter_partitions(total: int, max_part: int | None = None) -> Iterator[Partiti
 # Families
 
 FAMILY_TAGS = ("P1", "P0", "Ptilde", "T", "S", "Q", "R", "E")
-
-
-@dataclass(frozen=True)
-class Family:
-    """A named membership predicate, optionally restricted to one total size."""
-
-    tag: str
-    size: int | None = None
-
-    def __post_init__(self):
-        if self.tag not in FAMILY_TAGS:
-            raise DomainError(f"unknown family tag {self.tag!r}; expected one of {FAMILY_TAGS}")
-        if self.size is not None and self.size < 0:
-            raise DomainError("family size constraint must be nonnegative")
-
-
-ANY = Family("P1")
-EVEN_LENGTH = Family("P0")
-DOUBLED = Family("Ptilde")
-SYMPLECTIC = Family("T")
-ALL_EVEN = Family("S")
-ORTHOGONAL = Family("Q")
-CHAINED = Family("R")
-DOUBLED_EVEN = Family("E")
-
-_BY_TAG = {
-    f.tag: f
-    for f in (ANY, EVEN_LENGTH, DOUBLED, SYMPLECTIC, ALL_EVEN, ORTHOGONAL, CHAINED, DOUBLED_EVEN)
-}
-
-
-def _family(f: Family | str) -> Family:
-    """The Family for a tag string (its module constant) or a Family value."""
-    if not isinstance(f, str):
-        return f
-    try:
-        return _BY_TAG[f]
-    except KeyError:
-        raise DomainError(f"unknown family tag {f!r}; expected one of {FAMILY_TAGS}") from None
+ANY, EVEN_LENGTH, DOUBLED, SYMPLECTIC, ALL_EVEN, ORTHOGONAL, CHAINED, DOUBLED_EVEN = FAMILY_TAGS
 
 
 def _pairs_up(ps) -> bool:
@@ -283,16 +246,15 @@ _PREDICATES = {
 }
 
 
-def is_member(c: Partition, f: Family | str) -> bool:
-    """Decide membership of a partition in a family (tag or Family value)."""
-    if isinstance(f, str):
-        f = _family(f)
-    if f.size is not None and c.size != f.size:
-        return False
-    return _PREDICATES[f.tag](c)
+def is_member(c: Partition, family: str) -> bool:
+    """Decide membership of a partition in a family, given by its tag."""
+    predicate = _PREDICATES.get(family) if isinstance(family, str) else None
+    if predicate is None:
+        raise DomainError(f"unknown family tag {family!r}; expected one of {FAMILY_TAGS}")
+    return predicate(c)
 
 
-def iter_members(total: int, family: Family | str) -> Iterator[Partition]:
+def iter_members(total: int, family: str) -> Iterator[Partition]:
     """The partitions of `total` in family T (SYMPLECTIC) or Q (ORTHOGONAL).
 
     Generated directly instead of filtering ``iter_partitions``: the values
@@ -301,12 +263,11 @@ def iter_members(total: int, family: Family | str) -> Iterator[Partition]:
     Multiplicities are tried largest first, so the order is reverse
     lexicographic, identical to ``iter_partitions`` filtered by ``is_member``.
     """
-    f = _family(family)
-    if f not in (SYMPLECTIC, ORTHOGONAL):
-        raise DomainError(f"iter_members generates families T and Q only, got {f!r}")
+    if family not in (SYMPLECTIC, ORTHOGONAL):
+        raise DomainError(f"iter_members generates families T and Q only, got {family!r}")
     if total < 0:
         raise DomainError("cannot partition a negative total")
-    paired = 1 if f == SYMPLECTIC else 0  # parity of the values that must come in pairs
+    paired = 1 if family == SYMPLECTIC else 0  # parity of the values that must come in pairs
 
     def rec(remaining: int, cap: int):
         if remaining == 0:

@@ -1,4 +1,4 @@
-"""Orthogonal-side splits: Jordan types vs (chained, doubled) pairs.
+"""Orthogonal-side rules: Jordan types vs (chained, doubled) pairs.
 
 Two layers live here.
 
@@ -6,14 +6,19 @@ The block/halves bijection: ``blocks_from_halves`` stretches a partition of
 half-lengths into a member of the chained family R by doubling each part and
 adding +1/-1 at strict descents (odd positions gain one, even positions give
 one up), appending a trailing 1 when the length-plus-kappa parity calls for
-it.  ``halves_from_blocks`` inverts it exactly.
+it.  ``halves_from_blocks`` inverts it exactly; ``HalfSplit`` is the
+(halves, doubled, kappa) packaging of a split.
 
-The split machinery mirrors type_c with r drawn from family R instead of S:
-``combine``, ``canonical_split`` (the five routing rules below), ``fiber``,
-``minimal_split`` and the (halves, doubled) packaging ``from_halves``.
-``minimal_split`` checks the routing against a second route that never
-consults it: ``fiber_minimum``, a dynamic program over the distinct values
-whose states come from the definition of family R (see ``_r_step``).
+Over the engine in ``splits``, the split rules of series B and D, where r is
+drawn from family R: ``Split`` (``R_FAMILY = CHAINED``), ``_r_counts`` (an
+odd value sends 0, 1 or 2 copies to r, an even value keeps an even count for
+p; the engine keeps a candidate only when r is in R), the routing
+``canonical_split`` (rules 1-5 below, with ``_star``) and ``fiber_minimum``,
+which finds the minimum without that routing: a dynamic program over the
+distinct values whose states come from the definition of family R
+(``_r_step``).  ``combine``, ``iter_fiber``, ``fiber`` and ``minimal_split``
+are one-line calls into the engine.  ``classify_d`` tells very even types of
+series D apart.
 
 Routing rules of ``canonical_split`` for a value e with multiplicity q in c
 (writing d for the 1-based position where e's run starts inside the odd
@@ -29,10 +34,10 @@ subsequence of c):
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
+from . import splits
 from .partitions import (
     CHAINED,
     ContradictionError,
@@ -43,7 +48,6 @@ from .partitions import (
     ORTHOGONAL,
     Partition,
     is_member,
-    merge,
 )
 
 
@@ -135,36 +139,11 @@ def halves_from_blocks(blocks: Partition, kappa: int) -> Partition:
 
 
 @dataclass(frozen=True)
-class Split:
+class Split(splits.Split):
     """(r, p) with r in family R and p in family Ptilde."""
 
-    r: Partition
-    p: Partition
-
-    def __post_init__(self):
-        if not is_member(self.r, CHAINED):
-            raise DomainError(f"r={self.r.text()} is not in family R")
-        if not is_member(self.p, DOUBLED):
-            raise DomainError(f"p={self.p.text()} is not doubled (family Ptilde violated)")
-
-    @property
-    def nu(self) -> int:
-        return self.r.size + self.p.size
-
-    def text(self) -> str:
-        return f"r={self.r.text()};p={self.p.text()}"
-
-    @classmethod
-    def from_text(cls, s: str) -> "Split":
-        try:
-            rpart, ppart = s.split(";")
-            assert rpart.startswith("r=") and ppart.startswith("p=")
-        except (ValueError, AssertionError):
-            raise DomainError(f"expected 'r=<partition>;p=<partition>', got {s!r}") from None
-        return cls(Partition.from_text(rpart[2:]), Partition.from_text(ppart[2:]))
-
-    def to_json(self) -> dict:
-        return {"r": self.r.to_json(), "p": self.p.to_json()}
+    R_FAMILY = CHAINED
+    R_VIOLATION = "is not in family R"
 
 
 @dataclass(frozen=True)
@@ -221,10 +200,7 @@ def to_halves(x: Split, kappa: int) -> HalfSplit:
 
 def combine(x: Split) -> Partition:
     """Merge the two sides into an orthogonal Jordan type."""
-    c = merge(x.r, x.p)
-    if not is_member(c, ORTHOGONAL):  # cannot happen: both sides are in Q
-        raise ContradictionError(f"combine({x.text()}) left family Q")
-    return c
+    return splits.combine(x, ORTHOGONAL)
 
 
 def _star(odds: tuple[int, ...], e: int) -> bool:
@@ -296,34 +272,22 @@ def _r_counts(e: int, q: int) -> list[int]:
     """
     if e % 2:
         return [m for m in (0, 1, 2) if m <= q and (q - m) % 2 == 0]
-    return [q - n for n in range(0, q + 1, 2)]
+    return list(range(q, -1, -2))
 
 
 def iter_fiber(c: Partition) -> Iterator[Split]:
-    """Lazily enumerate every split of c.
+    """Lazily enumerate every split of c (checked for family Q at the call).
 
-    Every combination of per-value counts from ``_r_counts`` is tried and
-    kept when r is in family R.  Each value leaves an even number of copies
-    to p, so p is doubled by construction; ``Split`` re-checks both.  Both
-    sides are built from the runs of c, largest value first, so they are
-    already sorted and skip the re-sort of the validating constructor.
+    Every combination of ``_r_counts`` is tried and kept when r is in
+    family R; p is doubled by construction.
     """
     _require_orthogonal(c)
-    runs = list(c.multiplicities().items())
-    for ms in itertools.product(*(_r_counts(e, q) for e, q in runs)):
-        r_parts: list[int] = []
-        p_parts: list[int] = []
-        for (e, q), m in zip(runs, ms):
-            r_parts += [e] * m
-            p_parts += [e] * (q - m)
-        r = Partition._from_sorted(tuple(r_parts))
-        if is_member(r, CHAINED):
-            yield Split(r, Partition._from_sorted(tuple(p_parts)))
+    return splits.iter_fiber(Split, c, _r_counts, keep=CHAINED)
 
 
 def fiber(c: Partition) -> list[Split]:
     """All splits of c, minimal p-length first, deterministically ordered."""
-    return sorted(iter_fiber(c), key=lambda x: (len(x.p), x.p.parts, x.r.parts))
+    return splits.fiber(iter_fiber(c))
 
 
 # Family-R states of an r built from the largest value down:
@@ -417,24 +381,8 @@ def fiber_minimum(c: Partition) -> tuple[int | None, int, Split | None]:
 
 
 def minimal_split(c: Partition) -> Split:
-    """The unique split minimizing the number of parts of p.
-
-    Dual-route: the minimum found by ``fiber_minimum`` must be unique and
-    equal the canonical split, else ContradictionError.
-    """
-    p_len, ties, best = fiber_minimum(c)
-    if p_len is None:
-        raise ContradictionError(f"empty fiber over {c.text()}")
-    if ties != 1:
-        raise ContradictionError(
-            f"{ties} fiber elements over {c.text()} share the minimal p-length {p_len}"
-        )
-    want = canonical_split(c)
-    if best != want:
-        raise ContradictionError(
-            f"fiber minimum {best.text()} differs from canonical split {want.text()} over {c.text()}"
-        )
-    return best
+    """The unique split minimizing the number of parts of p (``splits.minimal_split``)."""
+    return splits.minimal_split(c, fiber_minimum, canonical_split)
 
 
 class DKind(enum.Enum):

@@ -32,6 +32,12 @@ from .partitions import (
 from .weyl import GroupKind, encode_class, enumerate_classes, fixed_space_dim, fixed_space_dim_from_matrix
 
 CLASSICAL = ("B", "C", "D")
+# series: (parity of the Jordan type's total, its family, the side's split rules)
+_SERIES = {
+    "B": (1, ORTHOGONAL, type_bd),
+    "C": (0, SYMPLECTIC, type_c),
+    "D": (0, ORTHOGONAL, type_bd),
+}
 ALL_SERIES = CLASSICAL + exceptional.GROUPS
 HARD_NU_CAP = 30
 HARD_RANK_CAP = 7
@@ -139,26 +145,18 @@ def _scan_unique_minimum(module, c: Partition) -> dict | None:
 def check_classical(cfg: SweepConfig) -> VerificationReport:
     """Unique-minimum sweep over all Jordan types with total size <= max_nu."""
     report = VerificationReport()
-    for series in (s for s in ("B", "C", "D") if s in cfg.series):
+    for series in (s for s in CLASSICAL if s in cfg.series):
         start = time.perf_counter()
         result = CheckResult(name=f"unique_minimum[{series}]")
-        if series == "C":
-            sizes = range(0, cfg.max_nu + 1, 2)
-            family, module = SYMPLECTIC, type_c
-        elif series == "B":
-            sizes = range(1, cfg.max_nu + 1, 2)
-            family, module = ORTHOGONAL, type_bd
-        else:
-            sizes = range(0, cfg.max_nu + 1, 2)
-            family, module = ORTHOGONAL, type_bd
+        parity, family, side = _SERIES[series]
         skipped = 0
-        for nu in sizes:
+        for nu in range(parity, cfg.max_nu + 1, 2):
             for c in iter_members(nu, family):
                 if series == "D" and type_bd.classify_d(c) is type_bd.DKind.VERY_EVEN:
                     skipped += 1  # the statement is vacuous there (singleton fiber)
                     continue
                 result.scanned += 1
-                ce = _scan_unique_minimum(module, c)
+                ce = _scan_unique_minimum(side, c)
                 if ce is not None:
                     ce["series"] = series
                     result.counterexamples.append(ce)
