@@ -53,21 +53,32 @@ class Partition:
     __slots__ = ("_parts",)
 
     def __init__(self, parts: Iterable[int] = ()) -> None:
-        ps = tuple(sorted(parts, reverse=True))
-        for p in ps:
+        ps = tuple(parts)
+        for p in ps:  # before sorting, so a non-int part never reaches a comparison
             if not isinstance(p, int) or isinstance(p, bool) or p < 1:
                 raise DomainError(f"partition parts must be positive integers, got {p!r}")
-        object.__setattr__(self, "_parts", ps)
+        object.__setattr__(self, "_parts", tuple(sorted(ps, reverse=True)))
 
     @classmethod
     def _from_sorted(cls, parts: tuple[int, ...]) -> "Partition":
         """Trusted constructor: skips the sort and the per-part check of ``__init__``.
 
         The caller guarantees that ``parts`` is a tuple of positive ints in
-        weakly decreasing order.  Only code of this package that builds parts
-        in that order (``iter_partitions``, ``iter_members``, the fiber
-        assembly of ``type_c``/``type_bd``) may call it; outside input always
-        goes through ``__init__``.
+        weakly decreasing order, derived from partitions already validated.
+        Only these functions call it; a test in ``tests/test_partitions.py``
+        scans the source and fails on any caller missing from its
+        ``TRUSTED_CALLERS``:
+
+        * ``merge``, ``double_parts``, ``undouble_parts``,
+          ``iter_partitions`` and ``iter_members`` here;
+        * the fiber assembly ``splits.iter_fiber``;
+        * ``canonical_split`` and ``fiber_minimum`` of ``type_c`` and
+          ``type_bd``;
+        * ``type_bd.blocks_from_halves`` and ``halves_from_blocks``;
+        * ``weyl.encode_class`` and ``decode_class`` (series C).
+
+        Outside input (``from_text``, the ``__init__`` of the public
+        dataclasses) always goes through ``__init__``.
         """
         self = object.__new__(cls)
         object.__setattr__(self, "_parts", parts)
@@ -144,25 +155,22 @@ class Partition:
 
 def merge(a: Partition, b: Partition) -> Partition:
     """Multiset union of the parts of a and b, re-sorted weakly decreasing."""
-    return Partition(a.parts + b.parts)
+    return Partition._from_sorted(tuple(sorted(a.parts + b.parts, reverse=True)))
 
 
 def double_parts(a: Partition) -> Partition:
     """Each part repeated twice; always lands in the DOUBLED family."""
-    out = []
-    for p in a:
-        out += [p, p]
-    return Partition(out)
+    return Partition._from_sorted(tuple([p for p in a.parts for _ in (0, 1)]))
 
 
 def undouble_parts(a: Partition) -> Partition:
     """Inverse of double_parts; rejects partitions that are not doubled."""
     if not is_member(a, DOUBLED):
         raise DomainError(f"{a.text()} is not doubled (family Ptilde)")
-    return Partition(a.parts[0::2])
+    return Partition._from_sorted(a.parts[0::2])
 
 
-def iter_partitions(total: int, max_part: int | None = None) -> Iterator[Partition]:
+def iter_partitions(total: int) -> Iterator[Partition]:
     """All partitions of `total`, in reverse lexicographic order.
 
     ``iter_members`` yields the members of family T or Q in this same order.
@@ -178,8 +186,7 @@ def iter_partitions(total: int, max_part: int | None = None) -> Iterator[Partiti
             for tail in rec(remaining - head, head):
                 yield (head,) + tail
 
-    cap = total if max_part is None else min(max_part, total)
-    for tup in rec(total, cap):
+    for tup in rec(total, total):
         yield Partition._from_sorted(tup)
 
 
@@ -212,8 +219,7 @@ def _check_orthogonal(c: Partition) -> bool:
 
 
 def _check_chained(c: Partition) -> bool:
-    if not _check_orthogonal(c):
-        return False
+    """Family R in one pass over the parts, family Q's pairing test included."""
     ps = c.parts
     if not ps:
         return True
@@ -221,17 +227,23 @@ def _check_chained(c: Partition) -> bool:
         return False  # largest part must be odd
     if len(ps) % 2 == 0 and ps[-1] % 2 == 0:
         return False  # even length: smallest part must be odd
-    total_odds = sum(v % 2 for v in ps)
     seen = 0  # odd entries passed so far
     prev = 0  # the latest of them
+    unpaired = 0  # an even value met an odd number of times so far, else 0
+    gap = False  # the latest even part follows an odd entry at an even position
     for part in ps:
-        if part % 2:
-            if seen % 2 == 1 and prev <= part:
-                return False  # entries at positions (2v-1, 2v): strict drop
-            seen, prev = seen + 1, part
-        elif seen % 2 == 0 and 0 < seen < total_odds:
+        if part % 2 == 0:
+            if unpaired and unpaired != part:
+                return False  # family Q: the value `unpaired` occurs an odd number of times
+            unpaired = 0 if unpaired else part
+            gap = seen % 2 == 0
+        elif gap:
             return False  # strictly inside the gap between positions 2v and 2v+1
-    return True
+        elif seen % 2 == 1 and prev <= part:
+            return False  # entries at positions (2v-1, 2v): strict drop
+        else:
+            seen, prev = seen + 1, part
+    return not unpaired  # family Q again: sorted parts keep each value's copies adjacent
 
 
 _PREDICATES = {
@@ -248,9 +260,10 @@ _PREDICATES = {
 
 def is_member(c: Partition, family: str) -> bool:
     """Decide membership of a partition in a family, given by its tag."""
-    predicate = _PREDICATES.get(family) if isinstance(family, str) else None
-    if predicate is None:
-        raise DomainError(f"unknown family tag {family!r}; expected one of {FAMILY_TAGS}")
+    try:
+        predicate = _PREDICATES[family]
+    except (KeyError, TypeError):  # TypeError: an unhashable tag
+        raise DomainError(f"unknown family tag {family!r}; expected one of {FAMILY_TAGS}") from None
     return predicate(c)
 
 

@@ -68,18 +68,8 @@ def _require_orthogonal(c: Partition) -> None:
 # The halves <-> blocks bijection
 
 
-def blocks_from_halves(halves: Partition, kappa: int) -> Partition:
-    """Jordan blocks contributed by cycles of the given half-lengths.
-
-    Entry t becomes 2*halves[t] + adj where adj is +1 at odd positions whose
-    value strictly drops below everything earlier (vacuously at t=1), -1 at
-    even positions strictly above everything later (vacuously at the end),
-    else 0; a trailing 1 is appended when length+kappa is odd.
-    """
-    _require_kappa(kappa)
-    if kappa == 0 and len(halves) % 2:
-        raise DomainError("kappa=0 requires an even number of halves (family P0)")
-    hs = halves.parts
+def _raw_blocks(hs: tuple[int, ...], kappa: int) -> tuple[int, ...]:
+    """The arithmetic of ``blocks_from_halves`` on sorted halves, with no check."""
     s = len(hs)
     out: list[int] = []
     for t in range(1, s + 1):
@@ -93,9 +83,31 @@ def blocks_from_halves(halves: Partition, kappa: int) -> Partition:
         out.append(2 * v + adj)
     if (s + kappa) % 2 == 1:
         out.append(1)
+    return tuple(out)
+
+
+def blocks_from_halves(halves: Partition, kappa: int) -> Partition:
+    """Jordan blocks contributed by cycles of the given half-lengths.
+
+    Entry t becomes 2*halves[t] + adj where adj is +1 at odd positions whose
+    value strictly drops below everything earlier (vacuously at t=1), -1 at
+    even positions strictly above everything later (vacuously at the end),
+    else 0; a trailing 1 is appended when length+kappa is odd.
+
+    Checks: kappa and the length parity of the input (DomainError); then the
+    output's order, total and membership in family R (ContradictionError,
+    none can happen).  ``halves_from_blocks`` shares the arithmetic through
+    ``_raw_blocks`` without these output checks.
+    """
+    _require_kappa(kappa)
+    if kappa == 0 and len(halves) % 2:
+        raise DomainError("kappa=0 requires an even number of halves (family P0)")
+    out = _raw_blocks(halves.parts, kappa)
     if any(out[i] < out[i + 1] for i in range(len(out) - 1)):
-        raise ContradictionError(f"blocks of {halves.text()} (kappa={kappa}) not decreasing: {out}")
-    blocks = Partition(out)
+        raise ContradictionError(
+            f"blocks of {halves.text()} (kappa={kappa}) not decreasing: {list(out)}"
+        )
+    blocks = Partition._from_sorted(out)
     if blocks.size != 2 * halves.size + kappa:
         raise ContradictionError(f"block total for {halves.text()} (kappa={kappa}) is off")
     if not is_member(blocks, CHAINED):
@@ -110,6 +122,13 @@ def halves_from_blocks(blocks: Partition, kappa: int) -> Partition:
 
     Position k gets (v + z)/2 with z = (-1)^k for odd v and 0 for even v;
     a final block equal to kappa (the appended trailing 1) is dropped first.
+
+    Checks: kappa, membership of the input in family R and the parity of its
+    total (DomainError); then that every half is a positive integer, that the
+    halves decrease and that ``_raw_blocks`` of them rebuilds the input
+    exactly (ContradictionError, none can happen).  The rebuilt blocks equal
+    the input, which was tested for family R above, so ``blocks_from_halves``
+    and its output checks are not run again.
     """
     _require_kappa(kappa)
     if not is_member(blocks, CHAINED):
@@ -128,8 +147,8 @@ def halves_from_blocks(blocks: Partition, kappa: int) -> Partition:
         out.append(half)
     if any(out[i] < out[i + 1] for i in range(len(out) - 1)):
         raise ContradictionError(f"halves of {blocks.text()} not decreasing: {out}")
-    halves = Partition(out)
-    if blocks_from_halves(halves, kappa) != blocks:
+    halves = Partition._from_sorted(tuple(out))
+    if _raw_blocks(halves.parts, kappa) != blocks.parts:
         raise ContradictionError(f"halves_from_blocks({blocks.text()}, {kappa}) does not invert")
     return halves
 
@@ -253,10 +272,10 @@ def canonical_split(c: Partition) -> Split:
             p_parts += [e] * q
         else:
             r_parts += [e] * q
-    r = Partition(r_parts)
-    p = Partition(p_parts)
-    if not is_member(r, CHAINED):
-        raise DomainError(f"canonical split of {c.text()} produced r={r.text()} outside family R")
+    # odd values were routed before even ones, so both sides need a sort;
+    # Split tests r for family R and p for family Ptilde
+    r = Partition._from_sorted(tuple(sorted(r_parts, reverse=True)))
+    p = Partition._from_sorted(tuple(sorted(p_parts, reverse=True)))
     out = Split(r, p)
     if combine(out) != c:
         raise ContradictionError(f"canonical split of {c.text()} does not merge back")
@@ -373,7 +392,9 @@ def fiber_minimum(c: Partition) -> tuple[int | None, int, Split | None]:
         state, m = back[state]
         r_parts += [e] * m
         p_parts += [e] * (q - m)
-    r, p = Partition(r_parts), Partition(p_parts)
+    # rebuilt smallest value first: reversed, both sides are sorted
+    r = Partition._from_sorted(tuple(r_parts[::-1]))
+    p = Partition._from_sorted(tuple(p_parts[::-1]))
     try:  # Split re-checks families R and Ptilde on the rebuilt argmin
         return p_len, 1, Split(r, p)
     except DomainError as exc:

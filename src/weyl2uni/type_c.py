@@ -42,9 +42,9 @@ def combine(x: Split) -> Partition:
 def canonical_split(c: Partition) -> Split:
     """The distinguished split: odd parts all to p, even parts all to r."""
     _require_symplectic(c)
-    evens = [v for v in c if v % 2 == 0]
-    odds = [v for v in c if v % 2 == 1]
-    out = Split(Partition(evens), Partition(odds))
+    evens = tuple([v for v in c.parts if v % 2 == 0])  # sub-sequences of c: already sorted
+    odds = tuple([v for v in c.parts if v % 2 == 1])
+    out = Split(Partition._from_sorted(evens), Partition._from_sorted(odds))
     if combine(out) != c:
         raise ContradictionError(f"canonical split of {c.text()} does not merge back")
     return out
@@ -90,8 +90,9 @@ def fiber_minimum(c: Partition) -> tuple[int | None, int, Split | None]:
         ties *= ms.count(m)
         r_parts += [e] * m
         p_parts += [e] * (q - m)
-    best = Split(Partition(r_parts), Partition(p_parts)) if ties == 1 else None
-    return p_len, ties, best
+    # built from the runs of c, largest value first: both sides are already sorted
+    r, p = Partition._from_sorted(tuple(r_parts)), Partition._from_sorted(tuple(p_parts))
+    return p_len, ties, Split(r, p) if ties == 1 else None
 
 
 def minimal_split(c: Partition) -> Split:

@@ -160,7 +160,8 @@ def encode_class(w: SignedCycleType, g: GroupKind) -> type_c.Split | type_bd.Hal
     """
     _check_class(w, g)
     if g.series == "C":
-        return type_c.Split(Partition(2 * d for d in w.negative), double_parts(w.positive))
+        r = Partition._from_sorted(tuple([2 * d for d in w.negative.parts]))
+        return type_c.Split(r, double_parts(w.positive))
     return type_bd.HalfSplit(w.negative, double_parts(w.positive), g.kappa)
 
 
@@ -169,7 +170,7 @@ def decode_class(enc: type_c.Split | type_bd.HalfSplit, g: GroupKind) -> SignedC
     if g.series == "C":
         if not isinstance(enc, type_c.Split):
             raise DomainError("series C decodes a type_c.Split")
-        neg = Partition(v // 2 for v in enc.r)
+        neg = Partition._from_sorted(tuple([v // 2 for v in enc.r.parts]))  # r is all even
         pos = undouble_parts(enc.p)
     else:
         if not isinstance(enc, type_bd.HalfSplit):

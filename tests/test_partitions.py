@@ -1,3 +1,8 @@
+import ast
+import pathlib
+import re
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -21,7 +26,13 @@ from weyl2uni import (
     type_c,
 )
 from weyl2uni.partitions import double_parts, undouble_parts
-from weyl2uni.weyl import SignedCycleType
+from weyl2uni.weyl import (
+    GroupKind,
+    SignedCycleType,
+    iter_jordan_types,
+    phi_classical,
+    psi_classical,
+)
 
 parts_strategy = st.lists(st.integers(min_value=1, max_value=12), max_size=10)
 
@@ -38,6 +49,12 @@ class TestPartition:
     def test_constructor_rejects_nonpositive_and_nonint(self, bad):
         with pytest.raises(DomainError):
             Partition([bad])
+
+    @pytest.mark.parametrize("parts", [["a", 1], [1, "a"], [2, None, 1], [3, 2.5, "x"]])
+    def test_constructor_checks_parts_before_sorting(self, parts):
+        bad = next(p for p in parts if not isinstance(p, int))
+        with pytest.raises(DomainError, match=re.escape(f"got {bad!r}")):
+            Partition(parts)
 
     def test_empty(self):
         e = Partition()
@@ -87,7 +104,7 @@ class TestFamilies:
         assert not is_member(P(2, 1, 1), DOUBLED)
 
     def test_family_tag_validation(self):
-        for bad in ("X", None, 3, ("T",)):
+        for bad in ("X", None, 3, ("T",), ["T"]):
             with pytest.raises(DomainError):
                 is_member(P(1), bad)
 
@@ -214,6 +231,42 @@ class TestIterMembers:
             list(iter_members(*bad))
 
 
+# The only functions of src/weyl2uni allowed to call Partition._from_sorted:
+# each builds parts derived from partitions that were already validated.
+# Parsers (``from_text``) and the ``__init__`` of public dataclasses must
+# never appear here.
+TRUSTED_CALLERS = {
+    "partitions": {"merge", "double_parts", "undouble_parts", "iter_partitions", "iter_members"},
+    "splits": {"iter_fiber"},
+    "type_c": {"canonical_split", "fiber_minimum"},
+    "type_bd": {"blocks_from_halves", "halves_from_blocks", "canonical_split", "fiber_minimum"},
+    "weyl": {"encode_class", "decode_class"},
+}
+
+
+def _uses_by_function(tree, name):
+    """Names of the functions whose own bodies mention ``name``; "<module>" outside any."""
+    found = set()
+
+    def walk(node, fn):
+        for child in ast.iter_child_nodes(node):
+            if (
+                isinstance(child, ast.Attribute) and child.attr == name
+                or isinstance(child, ast.Name) and child.id == name
+                or isinstance(child, ast.Constant) and child.value == name
+            ):
+                found.add(fn)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                walk(child, child.name)
+            elif isinstance(child, ast.Lambda):
+                walk(child, "<lambda>")
+            else:
+                walk(child, fn)
+
+    walk(tree, "<module>")
+    return found
+
+
 class TestTrustedConstructor:
     def test_fiber_parts_pass_the_validating_constructor(self, monkeypatch):
         built = []
@@ -246,3 +299,45 @@ class TestTrustedConstructor:
         assert type_bd.Split.from_text("r=1,3;p=2,2").r == P(3, 1)
         assert type_bd.HalfSplit.from_text("p'=1,2;p=-;k=0").halves == P(2, 1)
         assert SignedCycleType.from_text("pos=1,2;neg=-").positive == P(2, 1)
+
+    def test_psi_path_keeps_the_contract(self, monkeypatch):
+        # every trusted site on the psi, phi and fiber paths, over every B/C/D
+        # Jordan type with nu <= 20, gets a sorted tuple of positive ints
+        groups = [GroupKind(s, n) for s in "BCD" for n in range(1, 11)
+                  if (s, n) != ("D", 1) and GroupKind(s, n).nu <= 20]
+
+        def answers():
+            out = []
+            for g in groups:
+                fiber = type_c.fiber if g.series == "C" else type_bd.fiber
+                for j in iter_jordan_types(g):
+                    w = psi_classical(j, g)
+                    out.append((w, phi_classical(w, g), fiber(j.parts)))
+            return out
+
+        want = answers()
+        trusted = Partition.__dict__["_from_sorted"].__func__
+        callers = set()
+
+        def checked(cls, parts):
+            assert type(parts) is tuple, parts
+            assert all(type(v) is int and v >= 1 for v in parts), parts
+            assert all(a >= b for a, b in zip(parts, parts[1:])), parts
+            callers.add(sys._getframe(1).f_code.co_name)
+            return trusted(cls, parts)
+
+        monkeypatch.setattr(Partition, "_from_sorted", classmethod(checked))
+        assert answers() == want
+        assert len(want) > 1000
+        on_path = {f for fs in TRUSTED_CALLERS.values() for f in fs} - {"iter_partitions"}
+        assert callers == on_path
+
+    def test_only_allowlisted_functions_use_it(self):
+        src = pathlib.Path(__file__).resolve().parents[1] / "src" / "weyl2uni"
+        found = {}
+        for path in sorted(src.glob("*.py")):
+            uses = _uses_by_function(ast.parse(path.read_text(), str(path)), "_from_sorted")
+            if uses:
+                found[path.stem] = uses
+        assert found == TRUSTED_CALLERS
+
