@@ -246,8 +246,8 @@ def verify_table(t: MapTable) -> TableReport:
     return TableReport(t.group, t.characteristic, len(t.lines), len(labels), len(names), failures)
 
 
-def _read_text(path: str | None) -> str:
-    """The table text: the explicit path, else the env var, else the packaged file."""
+def _read_bytes(path: str | None) -> tuple[object, bytes]:
+    """(file, its bytes): the explicit path, else the env var, else the packaged file."""
     env = os.environ.get(_DATA_ENV)
     if path is not None:
         file = Path(path)
@@ -256,9 +256,15 @@ def _read_text(path: str | None) -> str:
     else:
         file = _PACKAGED_TABLES
     try:
-        return file.read_text(encoding="utf-8")
+        return file, file.read_bytes()
     except OSError as exc:
         raise DomainError(f"cannot read table file {file}: {exc.strerror or exc}") from exc
+
+
+def _decode(file: object, data: bytes) -> str:
+    """The table text of a file's bytes, which must be UTF-8."""
+    try:
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DomainError(
             f"table file {file} is not UTF-8 text (byte {exc.start}: {exc.reason})"
@@ -316,9 +322,9 @@ def _apply_patches(base: list[TableLine], patches: list[TableLine], group: str) 
 
 @dataclass
 class _TableCache:
-    """The last table text read, its records and the tables validated from it."""
+    """The bytes of the last table file read, its records and the tables validated from it."""
 
-    text: str
+    data: bytes
     records: tuple[tuple[str, str, tuple[str, ...], str], ...]
     tables: dict[tuple[str, str], MapTable] = field(default_factory=dict)
 
@@ -334,12 +340,13 @@ def load_table(group: str, characteristic: str = "good", path: str | None = None
 
     Every call reads the data afresh: from ``path``, else from the file
     named by ``WEYL2UNI_TABLE_PATH`` (looked up on every call), else from
-    the packaged file.  An unreadable file raises DomainError naming it.
-    Tables are parsed and validated once per file content: while the text
-    read equals the last text seen, the table already validated from that
-    text is returned, so callers share one frozen ``MapTable``.  The cache
-    is keyed on the text itself, never on mtime, so it cannot go stale; it
-    holds one text at a time, and a load that raises stores nothing.
+    the packaged file.  An unreadable or non-UTF-8 file raises DomainError
+    naming it.  Tables are parsed and validated once per file content:
+    while the bytes read equal the last bytes seen, the table already
+    validated from them is returned, so callers share one frozen
+    ``MapTable``, and only a miss decodes the bytes.  The cache is keyed on
+    the content itself, never on mtime, so it cannot go stale; it holds one
+    content at a time, and a load that raises stores nothing.
     """
     global _cache
     if group not in GROUPS:
@@ -349,10 +356,10 @@ def load_table(group: str, characteristic: str = "good", path: str | None = None
             f"group {group} has tables for {SUPPORTED_CHARACTERISTICS[group]}, "
             f"not {characteristic!r} (the base table covers the other characteristics)"
         )
-    text = _read_text(path)
+    file, data = _read_bytes(path)
     cache = _cache
-    if cache is None or cache.text != text:
-        cache = _TableCache(text, _parse_records(text))
+    if cache is None or cache.data != data:
+        cache = _TableCache(data, _parse_records(_decode(file, data)))
     table = cache.tables.get((group, characteristic))
     if table is None:
         table = _build_table(cache.records, group, characteristic)

@@ -74,7 +74,7 @@ class Partition:
         * the fiber assembly ``splits.iter_fiber``;
         * ``canonical_split`` and ``fiber_minimum`` of ``type_c`` and
           ``type_bd``;
-        * ``type_bd.blocks_from_halves`` and ``halves_from_blocks``;
+        * ``type_bd.blocks_from_halves`` and ``_halves_of_chained``;
         * ``weyl.encode_class`` and ``decode_class`` (series C).
 
         Outside input (``from_text``, the ``__init__`` of the public
@@ -124,10 +124,6 @@ class Partition:
     def __repr__(self) -> str:
         return f"Partition({list(self._parts)})"
 
-    def multiplicity(self, e: int) -> int:
-        """How many times the value e occurs as a part (O(length) scan)."""
-        return sum(1 for p in self._parts if p == e)
-
     def multiplicities(self) -> dict[int, int]:
         """Each distinct value with its multiplicity, largest value first (one pass)."""
         out: dict[int, int] = {}
@@ -141,16 +137,29 @@ class Partition:
 
     @classmethod
     def from_text(cls, s: str) -> "Partition":
+        """Parse comma-separated ASCII decimal parts (see ``parse_decimal``); "-" is empty."""
         s = s.strip()
         if s in ("-", ""):
             return cls()
         try:
-            return cls(int(tok) for tok in s.split(","))
+            return cls(parse_decimal(tok) for tok in s.split(","))
         except ValueError as exc:
             raise DomainError(f"cannot parse partition from {s!r}: {exc}") from None
 
     def to_json(self) -> list[int]:
         return list(self._parts)
+
+
+def parse_decimal(tok: str) -> int:
+    """The value of a token of ASCII digits, surrounding whitespace allowed.
+
+    Unlike ``int``, rejects a sign, ``_`` and non-ASCII digits, with the
+    ValueError message ``int`` gives a malformed literal.
+    """
+    digits = tok.strip()
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid literal for int() with base 10: {tok!r}")
+    return int(digits)
 
 
 def merge(a: Partition, b: Partition) -> Partition:

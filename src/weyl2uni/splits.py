@@ -9,6 +9,11 @@ a closed-form routing.  This module holds that machinery once: ``Split``,
 ``minimal_split``.  ``type_c`` and ``type_bd`` keep only their rules (a
 ``Split`` subclass naming the r-family, ``_r_counts``, ``canonical_split``
 and ``fiber_minimum``) and call in here with one line per public function.
+
+A ``Split`` is a certificate: its public constructor and ``from_text`` test
+r for the r-family and p for family Ptilde, so a function handed a Split
+does not test either again.  A function whose own derivation guarantees
+both families builds its split with the trusted ``Split._trusted``.
 """
 
 from __future__ import annotations
@@ -39,6 +44,20 @@ class Split:
             raise DomainError(f"r={self.r.text()} {self.R_VIOLATION}")
         if not is_member(self.p, DOUBLED):
             raise DomainError(f"p={self.p.text()} is not doubled (family Ptilde violated)")
+
+    @classmethod
+    def _trusted(cls, r: Partition, p: Partition) -> "Split":
+        """Trusted constructor: skips both family tests of ``__post_init__``.
+
+        The caller guarantees r in ``R_FAMILY`` and p in family Ptilde.
+        Only ``iter_fiber``, ``type_bd.from_halves`` and
+        ``weyl.encode_class`` call it, an allowlist that
+        ``tests/test_certificates.py`` checks by scanning the source.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "p", p)
+        return self
 
     @property
     def nu(self) -> int:
@@ -73,10 +92,12 @@ def iter_fiber(split_cls, c: Partition, r_counts, keep: str | None = None) -> It
 
     ``r_counts(e, q)`` lists how many copies of a value e of multiplicity q
     may go to r; the rest go to p.  When ``keep`` names a family, a
-    candidate whose r is not in it is skipped; ``split_cls`` re-checks both
-    families on every split yielded.  Both sides are built from the runs of
-    c, largest value first, so they are already sorted and skip the re-sort
-    of the validating constructor.
+    candidate whose r is not in it is skipped.  That filter is the only
+    family test: ``r_counts`` leaves an even count of every value in p and,
+    without ``keep``, admits only r-family counts, so the splits are built
+    trusted.  Both sides are built from the runs of c, largest value first,
+    so they are already sorted and skip the re-sort of the validating
+    constructor.
     """
     runs = list(c.multiplicities().items())
     for ms in itertools.product(*(r_counts(e, q) for e, q in runs)):
@@ -87,7 +108,7 @@ def iter_fiber(split_cls, c: Partition, r_counts, keep: str | None = None) -> It
             p_parts += [e] * (q - m)
         r = Partition._from_sorted(tuple(r_parts))
         if keep is None or is_member(r, keep):
-            yield split_cls(r, Partition._from_sorted(tuple(p_parts)))
+            yield split_cls._trusted(r, Partition._from_sorted(tuple(p_parts)))
 
 
 def fiber(xs: Iterable[Split]) -> list[Split]:

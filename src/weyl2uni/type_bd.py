@@ -48,6 +48,8 @@ from .partitions import (
     ORTHOGONAL,
     Partition,
     is_member,
+    merge,
+    parse_decimal,
 )
 
 
@@ -123,16 +125,24 @@ def halves_from_blocks(blocks: Partition, kappa: int) -> Partition:
     Position k gets (v + z)/2 with z = (-1)^k for odd v and 0 for even v;
     a final block equal to kappa (the appended trailing 1) is dropped first.
 
-    Checks: kappa, membership of the input in family R and the parity of its
-    total (DomainError); then that every half is a positive integer, that the
-    halves decrease and that ``_raw_blocks`` of them rebuilds the input
-    exactly (ContradictionError, none can happen).  The rebuilt blocks equal
-    the input, which was tested for family R above, so ``blocks_from_halves``
-    and its output checks are not run again.
+    Checks: kappa and membership of the input in family R (DomainError);
+    the rest is ``_halves_of_chained``.
     """
     _require_kappa(kappa)
     if not is_member(blocks, CHAINED):
         raise DomainError(f"{blocks.text()} is not in family R")
+    return _halves_of_chained(blocks, kappa)
+
+
+def _halves_of_chained(blocks: Partition, kappa: int) -> Partition:
+    """``halves_from_blocks`` for blocks already known to be in family R.
+
+    Checks: the parity of the total against kappa (DomainError); then that
+    every half is a positive integer, that the halves decrease and that
+    ``_raw_blocks`` of them rebuilds the input exactly (ContradictionError,
+    none can happen).  Rebuilding the input exactly also implies that it
+    is in family R and, at kappa=0, that the halves are in family P0.
+    """
     if blocks.size % 2 != kappa:
         raise DomainError(f"total of {blocks.text()} has the wrong parity for kappa={kappa}")
     ps = blocks.parts
@@ -185,6 +195,19 @@ class HalfSplit:
         if not is_member(self.doubled, DOUBLED):
             raise DomainError(f"p={self.doubled.text()} is not doubled (family Ptilde violated)")
 
+    @classmethod
+    def _trusted(cls, halves: Partition, doubled: Partition, kappa: int) -> "HalfSplit":
+        """Trusted constructor, like ``splits.Split._trusted``: skips ``__post_init__``.
+
+        The caller guarantees kappa in (0, 1), halves in family P0 when
+        kappa=0 and doubled in family Ptilde.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "halves", halves)
+        object.__setattr__(self, "doubled", doubled)
+        object.__setattr__(self, "kappa", kappa)
+        return self
+
     @property
     def nu(self) -> int:
         return 2 * self.halves.size + self.doubled.size + self.kappa
@@ -201,20 +224,38 @@ class HalfSplit:
             raise DomainError(
                 f"expected \"p'=<partition>;p=<partition>;k=<0|1>\", got {s!r}"
             ) from None
-        return cls(Partition.from_text(hpart[3:]), Partition.from_text(ppart[2:]), int(kpart[2:]))
+        try:
+            kappa = parse_decimal(kpart[2:])
+        except ValueError:
+            raise DomainError(f"kappa must be 0 or 1, got {kpart[2:]!r}") from None
+        return cls(Partition.from_text(hpart[3:]), Partition.from_text(ppart[2:]), kappa)
 
     def to_json(self) -> dict:
         return {"pprime": self.halves.to_json(), "p": self.doubled.to_json(), "kappa": self.kappa}
 
 
 def from_halves(x: HalfSplit) -> Split:
-    """Unpack a HalfSplit into the equivalent Split."""
-    return Split(blocks_from_halves(x.halves, x.kappa), x.doubled)
+    """Unpack a HalfSplit into the equivalent Split.
+
+    ``blocks_from_halves`` tests r for family R and a HalfSplit certifies
+    p, so neither is tested again; any other object is.
+    """
+    r = blocks_from_halves(x.halves, x.kappa)
+    if type(x) is HalfSplit:
+        return Split._trusted(r, x.doubled)
+    return Split(r, x.doubled)
 
 
 def to_halves(x: Split, kappa: int) -> HalfSplit:
-    """Inverse of from_halves for the given kappa."""
-    return HalfSplit(halves_from_blocks(x.r, kappa), x.p, kappa)
+    """Inverse of from_halves for the given kappa.
+
+    A ``type_bd.Split`` certifies families R and Ptilde, so neither is
+    tested again; any other object (a ``type_c.Split``, say) is.
+    """
+    if type(x) is not Split:
+        return HalfSplit(halves_from_blocks(x.r, kappa), x.p, kappa)
+    _require_kappa(kappa)
+    return HalfSplit._trusted(_halves_of_chained(x.r, kappa), x.p, kappa)
 
 
 def combine(x: Split) -> Partition:
@@ -277,7 +318,7 @@ def canonical_split(c: Partition) -> Split:
     r = Partition._from_sorted(tuple(sorted(r_parts, reverse=True)))
     p = Partition._from_sorted(tuple(sorted(p_parts, reverse=True)))
     out = Split(r, p)
-    if combine(out) != c:
+    if merge(r, p) != c:  # c was tested for family Q above, so equality is enough
         raise ContradictionError(f"canonical split of {c.text()} does not merge back")
     return out
 
@@ -364,8 +405,9 @@ def fiber_minimum(c: Partition) -> tuple[int | None, int, Split | None]:
     for e, q in runs:
         nxt: dict[tuple, tuple[int, int]] = {}
         back: dict[tuple, tuple[tuple, int]] = {}
+        counts = _r_counts(e, q)
         for state, (p_len, ways) in layer.items():
-            for m in _r_counts(e, q):
+            for m in counts:
                 to = _r_step(state, e, m)
                 if to is None:
                     continue

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from . import splits
-from .partitions import ALL_EVEN, ContradictionError, DomainError, Partition, SYMPLECTIC, is_member
+from .partitions import ALL_EVEN, ContradictionError, DomainError, Partition, SYMPLECTIC, is_member, merge
 
 
 @dataclass(frozen=True)
@@ -44,8 +44,9 @@ def canonical_split(c: Partition) -> Split:
     _require_symplectic(c)
     evens = tuple([v for v in c.parts if v % 2 == 0])  # sub-sequences of c: already sorted
     odds = tuple([v for v in c.parts if v % 2 == 1])
-    out = Split(Partition._from_sorted(evens), Partition._from_sorted(odds))
-    if combine(out) != c:
+    r, p = Partition._from_sorted(evens), Partition._from_sorted(odds)
+    out = Split(r, p)
+    if merge(r, p) != c:  # c was tested for family T above, so equality is enough
         raise ContradictionError(f"canonical split of {c.text()} does not merge back")
     return out
 

@@ -8,6 +8,13 @@ with the smallest fixed space, which is the unique one with the fewest
 positive cycles.  ``fixed_space_dim`` is the closed-form count (positive
 cycles); ``fixed_space_dim_from_matrix`` recomputes it as an exact matrix
 nullity and serves as the independent oracle.
+
+Checked objects are certificates: a ``JordanType``, ``Split`` or
+``HalfSplit`` has had its families tested by its public constructor, so a
+function handed one does not test them again, and one that derives such an
+object from certified data builds it with the trusted ``_trusted``.
+``psi_classical`` still checks its answer twice on purpose: both routes of
+``minimal_split`` and the ``phi`` round trip.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from .partitions import (
     is_member,
     iter_members,
     iter_partitions,
-    undouble_parts,
+    merge,
 )
 
 SERIES = ("B", "C", "D")
@@ -156,29 +163,30 @@ def encode_class(w: SignedCycleType, g: GroupKind) -> type_c.Split | type_bd.Hal
     Series C: each negative cycle of length d is one invariant 2d-cycle of
     the underlying permutation (r gets 2d); each positive cycle of length d
     is a swapped pair of d-cycles (p gets d twice).  Series B/D: halves
-    stores the negative lengths, p the doubled positive lengths.
+    stores the negative lengths, p the doubled positive lengths.  Built
+    trusted: ``_check_class`` gives series D (kappa=0) evenly many halves.
     """
     _check_class(w, g)
     if g.series == "C":
         r = Partition._from_sorted(tuple([2 * d for d in w.negative.parts]))
-        return type_c.Split(r, double_parts(w.positive))
-    return type_bd.HalfSplit(w.negative, double_parts(w.positive), g.kappa)
+        return type_c.Split._trusted(r, double_parts(w.positive))
+    return type_bd.HalfSplit._trusted(w.negative, double_parts(w.positive), g.kappa)
 
 
 def decode_class(enc: type_c.Split | type_bd.HalfSplit, g: GroupKind) -> SignedCycleType:
-    """Inverse of encode_class (split flag restored for series D)."""
+    """Inverse of encode_class (split flag restored for series D); p is certified doubled."""
     if g.series == "C":
         if not isinstance(enc, type_c.Split):
             raise DomainError("series C decodes a type_c.Split")
         neg = Partition._from_sorted(tuple([v // 2 for v in enc.r.parts]))  # r is all even
-        pos = undouble_parts(enc.p)
+        pos = Partition._from_sorted(enc.p.parts[0::2])
     else:
         if not isinstance(enc, type_bd.HalfSplit):
             raise DomainError(f"series {g.series} decodes a type_bd.HalfSplit")
         if enc.kappa != g.kappa:
             raise DomainError(f"kappa {enc.kappa} does not match series {g.series}")
         neg = enc.halves
-        pos = undouble_parts(enc.doubled)
+        pos = Partition._from_sorted(enc.doubled.parts[0::2])
     w = SignedCycleType(pos, neg)
     if is_split_class(w, g):
         w = SignedCycleType(pos, neg, split=True)
@@ -248,11 +256,12 @@ def fixed_space_dim_from_matrix(w: SignedCycleType, g: GroupKind) -> int:
 
 
 def phi_classical(w: SignedCycleType, g: GroupKind) -> JordanType:
-    """Jordan type of the unipotent class attached to a Weyl class."""
+    """Jordan type of the unipotent class attached to a Weyl class (tested by JordanType)."""
     enc = encode_class(w, g)
     if g.series == "C":
-        return JordanType(type_c.combine(enc), -1)
-    return JordanType(type_bd.combine(type_bd.from_halves(enc)), +1)
+        return JordanType(merge(enc.r, enc.p), -1)
+    x = type_bd.from_halves(enc)
+    return JordanType(merge(x.r, x.p), +1)
 
 
 def _check_jordan(j: JordanType, g: GroupKind) -> None:

@@ -5,8 +5,12 @@ every value for the r side (including counts the library prunes a priori)
 and keeps what the family predicates admit.  The signed-permutation oracle
 expands a cycle type to a concrete permutation of [1, nu] commuting with the
 flip i -> nu+1-i and reads the cycle data straight off it.
+
+``uses_by_function`` is the ``ast`` scan shared by the allowlist tests of the
+trusted constructors.
 """
 
+import ast
 from collections import Counter
 from itertools import product
 
@@ -17,7 +21,7 @@ from weyl2uni.weyl import GroupKind, SignedCycleType
 def brute_fiber(c: Partition, r_family, p_family) -> set[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Every (r, p) multiset split of c with r in r_family and p in p_family."""
     values = sorted(set(c.parts))
-    counts = [c.multiplicity(v) for v in values]
+    counts = [c.parts.count(v) for v in values]
     out = set()
     for combo in product(*(range(q + 1) for q in counts)):
         r_parts, p_parts = [], []
@@ -96,3 +100,26 @@ def cycle_split_by_flip(w: SignedCycleType, g: GroupKind) -> tuple[list[int], li
         mirrored = {nu + 1 - i for i in cyc}
         (invariant if mirrored == set(cyc) else rest).append(len(cyc))
     return sorted(invariant, reverse=True), sorted(rest, reverse=True)
+
+
+def uses_by_function(tree, name):
+    """Names of the functions whose own bodies mention ``name``; "<module>" outside any."""
+    found = set()
+
+    def walk(node, fn):
+        for child in ast.iter_child_nodes(node):
+            if (
+                isinstance(child, ast.Attribute) and child.attr == name
+                or isinstance(child, ast.Name) and child.id == name
+                or isinstance(child, ast.Constant) and child.value == name
+            ):
+                found.add(fn)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                walk(child, child.name)
+            elif isinstance(child, ast.Lambda):
+                walk(child, "<lambda>")
+            else:
+                walk(child, fn)
+
+    walk(tree, "<module>")
+    return found

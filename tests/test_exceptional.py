@@ -210,6 +210,32 @@ class TestTableCache:
         assert all(a is b for a, b in zip(first, second))
 
 
+def test_a_cache_hit_compares_bytes_and_decodes_nothing(monkeypatch, tmp_path):
+    data = tmp_path / "tables.tsv"
+    data.write_text(FAKE_G2, encoding="utf-8")
+    decodes = counting(monkeypatch, "_decode")
+    first = load_table("G2", path=str(data))
+    assert len(decodes) == 1
+    assert load_table("G2", path=str(data)) is first
+    assert len(decodes) == 1
+    # the same text with other line endings is other bytes: decoded again,
+    # and it parses to the same table
+    data.write_bytes(FAKE_G2.replace("\n", "\r\n").encode("utf-8"))
+    again = load_table("G2", path=str(data))
+    assert len(decodes) == 2 and again is not first and again == first
+
+
+def test_a_non_utf8_table_names_the_byte(tmp_path):
+    path = tmp_path / "tables.tsv"
+    head = FAKE_G2.encode("utf-8") + b"G2\tgood\t"
+    path.write_bytes(head + b"\xff\xfe\tA_0\n")
+    with pytest.raises(DomainError) as exc:
+        load_table("G2", path=str(path))
+    assert str(exc.value) == (
+        f"table file {path} is not UTF-8 text (byte {len(head)}: invalid start byte)"
+    )
+
+
 @pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
 def test_unreadable_table_file_is_a_domain_error(tmp_path, kind):
     path = tmp_path / "tables.tsv"

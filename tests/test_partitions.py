@@ -6,7 +6,7 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import value_counts
+from conftest import uses_by_function, value_counts
 from weyl2uni import (
     ALL_EVEN,
     ANY,
@@ -63,9 +63,14 @@ class TestPartition:
         assert Partition.from_text("-") == e
 
     def test_multiplicity(self):
-        assert P(3, 3).multiplicity(3) == 2
-        assert Partition().multiplicity(5) == 0
-        assert P(5, 4, 4, 3, 3, 1).multiplicity(4) == 2
+        # the count of one value lives in the tests (conftest.value_counts);
+        # the library's one-pass multiplicities() agrees, largest value first
+        assert value_counts(P(3, 3))[3] == 2
+        assert value_counts(Partition())[5] == 0
+        assert value_counts(P(5, 4, 4, 3, 3, 1))[4] == 2
+        for c in [P(3, 3), Partition(), P(5, 4, 4, 3, 3, 1)]:
+            assert c.multiplicities() == value_counts(c)
+            assert list(c.multiplicities()) == sorted(set(c.parts), reverse=True)
 
     def test_text_round_trip(self):
         for c in [P(5, 4, 4, 3, 3, 1), P(2), Partition()]:
@@ -74,6 +79,22 @@ class TestPartition:
     def test_from_text_rejects_garbage(self):
         with pytest.raises(DomainError):
             Partition.from_text("3,x")
+
+    @pytest.mark.parametrize("token", ["1_0", "+3", "-3", "\u0663", "3.0", "0x3", "3 1", ""])
+    def test_from_text_takes_only_ascii_digits(self, token):
+        # int() alone would read "1_0" as 10, "+3" as 3 and an Arabic-Indic
+        # three as 3; every rejected token gets int()'s own message
+        with pytest.raises(DomainError) as exc:
+            Partition.from_text(f"3,{token},1")
+        assert str(exc.value) == (
+            f"cannot parse partition from {f'3,{token},1'!r}: "
+            f"invalid literal for int() with base 10: {token!r}"
+        )
+
+    def test_from_text_allows_whitespace_around_each_part(self):
+        assert Partition.from_text(" 3 ,\t1 , 1 ") == P(3, 1, 1)
+        with pytest.raises(DomainError):
+            Partition.from_text("\u0663,\u0661,\u0661")
 
     def test_ordering_is_by_parts(self):
         assert P(2, 1) < P(3) and P(3) < P(3, 1)
@@ -239,32 +260,9 @@ TRUSTED_CALLERS = {
     "partitions": {"merge", "double_parts", "undouble_parts", "iter_partitions", "iter_members"},
     "splits": {"iter_fiber"},
     "type_c": {"canonical_split", "fiber_minimum"},
-    "type_bd": {"blocks_from_halves", "halves_from_blocks", "canonical_split", "fiber_minimum"},
+    "type_bd": {"blocks_from_halves", "_halves_of_chained", "canonical_split", "fiber_minimum"},
     "weyl": {"encode_class", "decode_class"},
 }
-
-
-def _uses_by_function(tree, name):
-    """Names of the functions whose own bodies mention ``name``; "<module>" outside any."""
-    found = set()
-
-    def walk(node, fn):
-        for child in ast.iter_child_nodes(node):
-            if (
-                isinstance(child, ast.Attribute) and child.attr == name
-                or isinstance(child, ast.Name) and child.id == name
-                or isinstance(child, ast.Constant) and child.value == name
-            ):
-                found.add(fn)
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                walk(child, child.name)
-            elif isinstance(child, ast.Lambda):
-                walk(child, "<lambda>")
-            else:
-                walk(child, fn)
-
-    walk(tree, "<module>")
-    return found
 
 
 class TestTrustedConstructor:
@@ -329,14 +327,17 @@ class TestTrustedConstructor:
         monkeypatch.setattr(Partition, "_from_sorted", classmethod(checked))
         assert answers() == want
         assert len(want) > 1000
-        on_path = {f for fs in TRUSTED_CALLERS.values() for f in fs} - {"iter_partitions"}
+        # undouble_parts keeps its Ptilde test, so decode_class halves its
+        # certified p directly and undouble_parts is off this path
+        off_path = {"iter_partitions", "undouble_parts"}
+        on_path = {f for fs in TRUSTED_CALLERS.values() for f in fs} - off_path
         assert callers == on_path
 
     def test_only_allowlisted_functions_use_it(self):
         src = pathlib.Path(__file__).resolve().parents[1] / "src" / "weyl2uni"
         found = {}
         for path in sorted(src.glob("*.py")):
-            uses = _uses_by_function(ast.parse(path.read_text(), str(path)), "_from_sorted")
+            uses = uses_by_function(ast.parse(path.read_text(), str(path)), "_from_sorted")
             if uses:
                 found[path.stem] = uses
         assert found == TRUSTED_CALLERS

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import brute_fiber
+from conftest import brute_fiber, value_counts
 from weyl2uni import (
     CHAINED,
     ContradictionError,
@@ -173,7 +173,7 @@ class TestMinimalSplit:
             canon = type_bd.canonical_split(c)
             for other in type_bd.iter_fiber(c):
                 for e in set(c.parts):
-                    assert other.p.multiplicity(e) >= canon.p.multiplicity(e)
+                    assert value_counts(other.p)[e] >= value_counts(canon.p)[e]
 
     def test_disagreement_reports_contradiction(self, monkeypatch):
         # a genuine fiber element, but not the minimum
@@ -213,6 +213,18 @@ class TestHalfSplit:
         h = type_bd.HalfSplit(P(2, 1), P(3, 3), 1)
         assert type_bd.HalfSplit.from_text(h.text()) == h
         assert h.text() == "p'=2,1;p=3,3;k=1"
+
+    @pytest.mark.parametrize("token", ["x", "+1", "1_0", "", "\u0661"])
+    def test_from_text_names_a_bad_kappa_token(self, token):
+        with pytest.raises(DomainError) as exc:
+            type_bd.HalfSplit.from_text(f"p'=1;p=-;k={token}")
+        assert str(exc.value) == f"kappa must be 0 or 1, got {token!r}"
+
+    def test_from_text_kappa_is_checked_after_parsing(self):
+        assert type_bd.HalfSplit.from_text("p'=1;p=-;k= 1 ").kappa == 1
+        with pytest.raises(DomainError) as exc:
+            type_bd.HalfSplit.from_text("p'=1;p=-;k=2")
+        assert str(exc.value) == "kappa must be 0 or 1, got 2"
 
 
 class TestClassifyD:
