@@ -2,13 +2,17 @@
 
 A split of a Jordan type c is a pair (r, p) that merges back to c, with p
 doubled (family Ptilde) and r in the side's r-family: S (all even) for C, R
-(chained) for B and D.  Both sides find ``psi`` the same way: list the
-splits, take the unique one with the fewest parts in p and check it against
-a closed-form routing.  This module holds that machinery once: ``Split``,
-``combine``, ``iter_fiber``, ``fiber`` and the dual-route guard
-``minimal_split``.  ``type_c`` and ``type_bd`` keep only their rules (a
-``Split`` subclass naming the r-family, ``_r_counts``, ``canonical_split``
-and ``fiber_minimum``) and call in here with one line per public function.
+(chained) for B and D.  Both sides find ``psi`` the same way: the fiber
+minimum of the side's ``fiber_minimum``, checked against a closed-form
+routing by ``minimal_split``.  This module holds that machinery once:
+``Split``, ``combine``, the listing ``iter_fiber`` and ``fiber``, and the
+dual-route guard ``minimal_split``.  ``type_c`` and ``type_bd`` keep only
+their rules (a ``Split`` subclass naming the r-family, ``_r_counts``,
+``canonical_split`` and ``fiber_minimum``, and for B/D the family-R
+automaton that ``iter_fiber`` walks) and call in here with one line per
+public function.  The listing costs time in proportion to its output on
+both sides: C lists the plain product of its choices, every one a split,
+and B/D walk the automaton, pruning dead states.
 
 A ``Split`` is a certificate: its public constructor and ``from_text`` test
 r for the r-family and p for family Ptilde, so a function handed a Split
@@ -87,28 +91,87 @@ def combine(x: Split, jordan_family: str) -> Partition:
     return c
 
 
-def iter_fiber(split_cls, c: Partition, r_counts, keep: str | None = None) -> Iterator[Split]:
-    """Lazily enumerate the splits of c, one per combination of per-value choices.
+def iter_fiber(split_cls, c: Partition, r_counts, automaton=None) -> Iterator[Split]:
+    """Lazily enumerate the splits of c, one per admitted combination of per-value choices.
 
     ``r_counts(e, q)`` lists how many copies of a value e of multiplicity q
-    may go to r; the rest go to p.  When ``keep`` names a family, a
-    candidate whose r is not in it is skipped.  That filter is the only
-    family test: ``r_counts`` leaves an even count of every value in p and,
-    without ``keep``, admits only r-family counts, so the splits are built
-    trusted.  Both sides are built from the runs of c, largest value first,
-    so they are already sorted and skip the re-sort of the validating
-    constructor.
+    may go to r; the rest go to p, and every count leaves p doubled.  With
+    no ``automaton`` every combination is a split (``r_counts`` admits only
+    r-family counts) and the product is listed as it stands.  Otherwise
+    ``automaton`` is ``(start, step, accepts)``, a finite automaton for the
+    r-family read largest value first, and ``_walk`` lists only the
+    combinations it accepts, in product order, at a cost that follows the
+    output.  Each r it lists is tested once for the r-family: a failure is a
+    ContradictionError (the automaton and the family disagree), never a
+    silent skip.  Either way the splits are built trusted, from the runs of
+    c, largest value first, so both sides are already sorted and skip the
+    re-sort of the validating constructor.
     """
     runs = list(c.multiplicities().items())
-    for ms in itertools.product(*(r_counts(e, q) for e, q in runs)):
-        r_parts: list[int] = []
-        p_parts: list[int] = []
-        for (e, q), m in zip(runs, ms):
-            r_parts += [e] * m
-            p_parts += [e] * (q - m)
-        r = Partition._from_sorted(tuple(r_parts))
-        if keep is None or is_member(r, keep):
-            yield split_cls._trusted(r, Partition._from_sorted(tuple(p_parts)))
+    if automaton is None:
+        for ms in itertools.product(*(r_counts(e, q) for e, q in runs)):
+            r_parts: list[int] = []
+            p_parts: list[int] = []
+            for (e, q), m in zip(runs, ms):
+                r_parts += [e] * m
+                p_parts += [e] * (q - m)
+            yield split_cls._trusted(
+                Partition._from_sorted(tuple(r_parts)), Partition._from_sorted(tuple(p_parts))
+            )
+        return
+    for r_parts, p_parts in _walk(runs, r_counts, *automaton):
+        r = Partition._from_sorted(r_parts)
+        if not is_member(r, split_cls.R_FAMILY):
+            raise ContradictionError(
+                f"fiber walk over {c.text()} accepted r={r.text()} "
+                f"outside family {split_cls.R_FAMILY}"
+            )
+        yield split_cls._trusted(r, Partition._from_sorted(p_parts))
+
+
+def _walk(runs, r_counts, start, step, accepts) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The (r, p) parts of the choices the automaton accepts, in the order of the product.
+
+    A depth-first walk over the runs, trying the choices of each in
+    ``r_counts`` order: a choice m for which ``step(state, value, m)`` is
+    None is not followed, and a leaf is listed when ``accepts`` holds after
+    the last run.  A state is all that later runs need to know, so a
+    (depth, state) whose subtree listed nothing is dead wherever it is
+    reached: it is remembered and never entered again.  Each depth thus
+    enters at most one node per listed leaf plus one per dead state, and
+    each node tries its value's choices once.
+    """
+    if not runs:
+        if accepts(start):
+            yield (), ()
+        return
+    counts = [r_counts(e, q) for e, q in runs]
+    depth = len(runs)
+    dead: set[tuple[int, object]] = set()
+    listed = 0
+    # per entered node: its state, the r and p parts so far, its untried
+    # choices and the number of leaves listed before it was entered
+    frames = [(start, (), (), iter(counts[0]), 0)]
+    while frames:
+        i = len(frames) - 1
+        state, r, p, untried, listed_before = frames[i]
+        e, q = runs[i]
+        for m in untried:
+            to = step(state, e, m)
+            if to is None or (i + 1, to) in dead:
+                continue
+            if i + 1 < depth:
+                frames.append(
+                    (to, r + (e,) * m, p + (e,) * (q - m), iter(counts[i + 1]), listed)
+                )
+                break
+            if accepts(to):
+                listed += 1
+                yield r + (e,) * m, p + (e,) * (q - m)
+        else:
+            frames.pop()
+            if listed == listed_before:
+                dead.add((i, state))
 
 
 def fiber(xs: Iterable[Split]) -> list[Split]:

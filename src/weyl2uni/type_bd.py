@@ -12,13 +12,16 @@ it.  ``halves_from_blocks`` inverts it exactly; ``HalfSplit`` is the
 Over the engine in ``splits``, the split rules of series B and D, where r is
 drawn from family R: ``Split`` (``R_FAMILY = CHAINED``), ``_r_counts`` (an
 odd value sends 0, 1 or 2 copies to r, an even value keeps an even count for
-p; the engine keeps a candidate only when r is in R), the routing
-``canonical_split`` (rules 1-5 below, with ``_star``) and ``fiber_minimum``,
-which finds the minimum without that routing: a dynamic program over the
-distinct values whose states come from the definition of family R
-(``_r_step``).  ``combine``, ``iter_fiber``, ``fiber`` and ``minimal_split``
-are one-line calls into the engine.  ``classify_d`` tells very even types of
-series D apart.
+p), the routing ``canonical_split`` (rules 1-5 below, with ``_star``) and a
+finite automaton for family R read largest value first (``_R_START``,
+``_r_step``, ``_r_accepts``), whose states come from the definition of R.
+Two things run on that automaton: ``fiber_minimum``, a dynamic program over
+the distinct values that finds the minimum without the routing, and
+``iter_fiber``, which the engine lists by walking the automaton, so its cost
+follows the number of splits rather than the product of the choice counts.
+``combine``, ``iter_fiber``, ``fiber`` and ``minimal_split`` are one-line
+calls into the engine.  ``classify_d`` tells very even types of series D
+apart.
 
 Routing rules of ``canonical_split`` for a value e with multiplicity q in c
 (writing d for the 1-based position where e's run starts inside the odd
@@ -335,25 +338,10 @@ def _r_counts(e: int, q: int) -> list[int]:
     return list(range(q, -1, -2))
 
 
-def iter_fiber(c: Partition) -> Iterator[Split]:
-    """Lazily enumerate every split of c (checked for family Q at the call).
-
-    Every combination of ``_r_counts`` is tried and kept when r is in
-    family R; p is doubled by construction.
-    """
-    _require_orthogonal(c)
-    return splits.iter_fiber(Split, c, _r_counts, keep=CHAINED)
-
-
-def fiber(c: Partition) -> list[Split]:
-    """All splits of c, minimal p-length first, deterministically ordered."""
-    return splits.fiber(iter_fiber(c))
-
-
 # Family-R states of an r built from the largest value down:
 # (odd entries so far, coded 0 = none, 1 = an odd number, 2 = an even number;
 #  whether an even part sits below an odd entry at an even position;
-#  len(r) mod 2; parity of the smallest part so far).
+#  len(r) mod 2; parity of the smallest part so far): at most 3*2*2*2 = 24.
 _R_START = (0, False, 0, 0)
 
 
@@ -362,9 +350,10 @@ def _r_step(state: tuple, e: int, m: int) -> tuple | None:
 
     None when family R forbids it.  The rules restate the definition of R
     (``partitions._check_chained``), not the routing of ``canonical_split``:
-    the largest part is odd, odd entries at positions (2v-1, 2v) of the odd
-    subsequence strictly drop, and no part lies strictly inside the gap
-    between positions 2v and 2v+1.
+    the largest part is odd, each even value occurs an even number of times,
+    odd entries at positions (2v-1, 2v) of the odd subsequence strictly
+    drop, and no part lies strictly inside the gap between positions 2v and
+    2v+1.
     """
     if m == 0:
         return state
@@ -372,20 +361,41 @@ def _r_step(state: tuple, e: int, m: int) -> tuple | None:
     if e % 2 == 0:
         if odds == 0:
             return None  # an even part would be the largest
-        return (odds, gap_used or odds == 2, (length + m) % 2, 0)
+        if m % 2:
+            return None  # family Q, inside R: an even value occurs in pairs
+        return (odds, gap_used or odds == 2, length, 0)
     if gap_used:
         return None  # the even part above would sit inside an even-position gap
-    if m == 2:
-        if odds != 1:
-            return None  # equal odd entries must sit at positions (2v, 2v+1)
-        return (1, False, length, 1)
-    return (2 if odds == 1 else 1, False, 1 - length, 1)  # one more odd entry
+    if m == 1:
+        return (2 if odds == 1 else 1, False, 1 - length, 1)  # one more odd entry
+    if m != 2 or odds != 1:
+        # equal odd entries must sit at positions (2v, 2v+1), so at most two
+        return None
+    return (1, False, length, 1)
 
 
 def _r_accepts(state: tuple) -> bool:
     """Family R at the end: r is empty, has odd length, or ends on an odd part."""
     odds, _, length, low = state
     return odds == 0 or length == 1 or low == 1
+
+
+def iter_fiber(c: Partition) -> Iterator[Split]:
+    """Lazily enumerate every split of c (checked for family Q at the call).
+
+    The engine walks the family-R automaton (``_R_START``, ``_r_step``,
+    ``_r_accepts``) over the choices of ``_r_counts``, so the cost follows
+    the number of splits, not the product of the choice counts; the order
+    is that product's.  p is doubled by construction and each r is tested
+    once for family R.
+    """
+    _require_orthogonal(c)
+    return splits.iter_fiber(Split, c, _r_counts, automaton=(_R_START, _r_step, _r_accepts))
+
+
+def fiber(c: Partition) -> list[Split]:
+    """All splits of c, minimal p-length first, deterministically ordered."""
+    return splits.fiber(iter_fiber(c))
 
 
 def fiber_minimum(c: Partition) -> tuple[int | None, int, Split | None]:
@@ -395,8 +405,8 @@ def fiber_minimum(c: Partition) -> tuple[int | None, int, Split | None]:
     value sends one of its ``_r_counts`` to r, and the family-R state of
     ``_r_step`` is all that later values need to know.  Each state keeps its
     least p-length, how many choice sequences reach it and a backpointer, so
-    the cost is linear in the number of distinct values where listing the
-    fiber is exponential.  An empty fiber gives (None, 0, None).
+    the cost is linear in the number of distinct values, whatever the size
+    of the fiber.  An empty fiber gives (None, 0, None).
     """
     _require_orthogonal(c)
     runs = list(c.multiplicities().items())

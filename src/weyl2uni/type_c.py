@@ -56,7 +56,9 @@ def _r_counts(e: int, q: int) -> list[int]:
 
     An odd value may only sit in p (in an even count, c being in family T);
     an even value keeps an even number of copies for p.  So r is all even
-    and p doubled by construction, and the engine needs no filter.
+    and p doubled by construction: every combination is a split, and the
+    engine lists the plain product, which is already in proportion to the
+    output.
     """
     return [0] if e % 2 else list(range(q, -1, -2))
 

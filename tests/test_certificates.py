@@ -306,9 +306,9 @@ def test_lost_parts_in_canonical_split_are_caught_by_the_merge_check(side):
 def test_bad_choices_in_iter_fiber_are_caught_by_the_brute_oracle(
     monkeypatch, side, r_family, bad_counts
 ):
-    # iter_fiber builds its splits trusted: the keep filter tests r, and the
-    # side's _r_counts guarantees the rest; the brute-force fiber catches a
-    # wrong _r_counts
+    # iter_fiber builds its splits trusted: the B/D automaton admits only r
+    # in family R, and the side's _r_counts guarantees the rest; the
+    # brute-force fiber catches a wrong _r_counts
     c = P(4, 4, 3, 3, 2, 2, 1, 1)
     want = brute_fiber(c, r_family, DOUBLED)
     assert {(x.r.parts, x.p.parts) for x in side.iter_fiber(c)} == want

@@ -1,0 +1,208 @@
+"""The B/D fiber listing walks the family-R automaton.
+
+``type_bd.iter_fiber`` lists only the choice sequences the automaton
+(``_R_START``, ``_r_step``, ``_r_accepts``) accepts, pruning dead states,
+instead of filtering the product of ``_r_counts``.  These tests pin what the
+walk must keep: the same splits in the same order as the product filter, a
+total over each rank that equals the class count of the Weyl group, work in
+proportion to the output on inputs whose product is astronomically large,
+and a family-R guard that turns a wrong automaton into a ContradictionError.
+"""
+
+import contextlib
+import itertools
+
+import pytest
+
+from conftest import brute_fiber
+from weyl2uni import (
+    CHAINED,
+    ContradictionError,
+    DOUBLED,
+    ORTHOGONAL,
+    Partition,
+    SYMPLECTIC,
+    is_member,
+    iter_partitions,
+    type_bd,
+    type_c,
+)
+from weyl2uni.partitions import iter_members
+
+MAX_RANK = 12
+
+
+def product_and_filter(c):
+    """The listing before the walk: every ``_r_counts`` combination, kept when r is in R."""
+    runs = list(c.multiplicities().items())
+    out = []
+    for ms in itertools.product(*(type_bd._r_counts(e, q) for e, q in runs)):
+        r_parts, p_parts = [], []
+        for (e, q), m in zip(runs, ms):
+            r_parts += [e] * m
+            p_parts += [e] * (q - m)
+        if is_member(Partition(r_parts), CHAINED):
+            out.append((tuple(r_parts), tuple(p_parts)))
+    return out
+
+
+def listing(c):
+    return [(x.r.parts, x.p.parts) for x in type_bd.iter_fiber(c)]
+
+
+def test_walk_lists_the_product_filter_in_its_order():
+    seen = 0
+    for nu in range(23):
+        for c in iter_members(nu, ORTHOGONAL):
+            assert listing(c) == product_and_filter(c), c.text()
+            seen += 1
+    assert seen > 1000
+
+
+def test_the_automaton_accepts_exactly_family_r():
+    # fed whole runs of any multiplicity, not only the counts _r_counts offers
+    for n in range(19):
+        for r in iter_partitions(n):
+            state = type_bd._R_START
+            for e, q in r.multiplicities().items():
+                state = type_bd._r_step(state, e, q)
+                if state is None:
+                    break
+            accepted = state is not None and type_bd._r_accepts(state)
+            assert accepted == is_member(r, CHAINED), r.text()
+
+
+# ---------------------------------------------------------------------------
+# Count identity: the fibers over a rank partition the classes of W
+
+
+def _series_product(a, b):
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(len(a))]
+
+
+def _euler(sign):
+    """Coefficients of prod_k 1/(1 - sign*x^k) up to x^MAX_RANK."""
+    out = [1] + [0] * MAX_RANK
+    for k in range(1, MAX_RANK + 1):
+        for i in range(k, MAX_RANK + 1):
+            out[i] += sign * out[i - k]
+    return out
+
+
+def class_counts(series):
+    """Classes of W(B_n) = W(C_n) (bipartitions of n), or the W(B_n) classes in W(D_n).
+
+    D keeps the bipartitions whose negative part has even length: partitions
+    with an even number of parts have the generating function
+    (prod 1/(1-x^k) + prod 1/(1+x^k)) / 2.
+    """
+    plain = _euler(1)
+    if series in "BC":
+        return _series_product(plain, plain)
+    even_length = [(a + b) // 2 for a, b in zip(plain, _euler(-1))]
+    return _series_product(plain, even_length)
+
+
+def fiber_totals(series):
+    """Sum of the fiber sizes over every Jordan type of each rank n <= MAX_RANK."""
+    side, family = (type_c, SYMPLECTIC) if series == "C" else (type_bd, ORTHOGONAL)
+    extra = 1 if series == "B" else 0
+    return [
+        sum(sum(1 for _ in side.iter_fiber(c)) for c in iter_members(2 * n + extra, family))
+        for n in range(MAX_RANK + 1)
+    ]
+
+
+def test_class_counts_match_known_values():
+    assert class_counts("B")[:7] == [1, 2, 5, 10, 20, 36, 65]
+    assert class_counts("D")[:7] == [1, 1, 3, 5, 11, 18, 34]
+
+
+@pytest.mark.parametrize("series", ["B", "C", "D"])
+def test_fiber_sizes_add_up_to_the_class_count(series):
+    assert fiber_totals(series) == class_counts(series)
+
+
+# ---------------------------------------------------------------------------
+# Seeded faults in the automaton
+
+
+def oracle_mismatches(max_nu):
+    return [
+        c.text()
+        for nu in range(max_nu + 1)
+        for c in iter_members(nu, ORTHOGONAL)
+        if set(listing(c)) != brute_fiber(c, CHAINED, DOUBLED)
+    ]
+
+
+def test_a_too_strict_automaton_fails_the_oracle_and_the_count(monkeypatch):
+    assert oracle_mismatches(12) == []
+    original = type_bd._r_step
+    monkeypatch.setattr(
+        type_bd, "_r_step", lambda state, e, m: None if m == 2 else original(state, e, m)
+    )
+    assert oracle_mismatches(12)
+    for series in "BD":
+        assert fiber_totals(series) != class_counts(series)
+
+
+def candidate_count(c):
+    out = 1
+    for e, q in c.multiplicities().items():
+        out *= len(type_bd._r_counts(e, q))
+    return out
+
+
+def test_a_too_loose_automaton_trips_the_family_r_guard(monkeypatch):
+    # every step and every end accepted: the walk offers the whole product,
+    # and the first r outside family R is an error, never a split or a skip
+    want = {}
+    for nu in range(17):
+        for c in iter_members(nu, ORTHOGONAL):
+            want[c] = len(product_and_filter(c)) < candidate_count(c)
+    monkeypatch.setattr(type_bd, "_r_step", lambda state, e, m: state)
+    monkeypatch.setattr(type_bd, "_r_accepts", lambda state: True)
+    for c, has_non_r in want.items():
+        yielded = []
+        guard = pytest.raises(ContradictionError, match="outside family R")
+        with guard if has_non_r else contextlib.nullcontext():
+            for x in type_bd.iter_fiber(c):
+                yielded.append(x)
+        assert all(is_member(x.r, CHAINED) for x in yielded), c.text()
+    assert sum(want.values()) > 100
+
+
+# ---------------------------------------------------------------------------
+# Adversarial listings: one split out of 2^20 to 2^30 candidates
+
+
+def odd_pairs(top):
+    return [v for k in range(top, 0, -2) for v in (k, k)]
+
+
+ADVERSARIAL = {
+    "D odd pairs 59,59,...,1,1": odd_pairs(59),
+    "B odd pairs with one extra 1": odd_pairs(59) + [1],
+    "83,81 over 20 doubled even values": [83, 81] + [v for k in range(40, 0, -2) for v in (k, k)],
+}
+
+
+@pytest.mark.parametrize("name", ADVERSARIAL)
+def test_adversarial_listing_is_output_sensitive(monkeypatch, name):
+    c = Partition(ADVERSARIAL[name])
+    assert candidate_count(c) >= 2**20
+    steps = 0
+    original = type_bd._r_step
+
+    def counting(state, e, m):
+        nonlocal steps
+        steps += 1
+        return original(state, e, m)
+
+    monkeypatch.setattr(type_bd, "_r_step", counting)
+    found = type_bd.fiber(c)
+    d = len(c.multiplicities())
+    assert steps <= 3 * d * (len(found) + 24)
+    monkeypatch.setattr(type_bd, "_r_step", original)
+    assert found == [type_bd.minimal_split(c)]
