@@ -69,11 +69,11 @@ class Partition:
         scans the source and fails on any caller missing from its
         ``TRUSTED_CALLERS``:
 
-        * ``merge``, ``double_parts``, ``undouble_parts``,
-          ``iter_partitions`` and ``iter_members`` here;
-        * the fiber assembly ``splits.iter_fiber``;
-        * ``canonical_split`` and ``fiber_minimum`` of ``type_c`` and
-          ``type_bd``;
+        * ``merge``, ``double_parts``, ``iter_partitions`` and
+          ``iter_members`` here;
+        * the fiber assembly ``splits.iter_fiber`` and the argmin rebuild
+          of ``splits.fiber_minimum``;
+        * ``canonical_split`` of ``type_c`` and ``type_bd``;
         * ``type_bd.blocks_from_halves`` and ``_halves_of_chained``;
         * ``weyl.encode_class`` and ``decode_class`` (series C).
 
@@ -170,13 +170,6 @@ def merge(a: Partition, b: Partition) -> Partition:
 def double_parts(a: Partition) -> Partition:
     """Each part repeated twice; always lands in the DOUBLED family."""
     return Partition._from_sorted(tuple([p for p in a.parts for _ in (0, 1)]))
-
-
-def undouble_parts(a: Partition) -> Partition:
-    """Inverse of double_parts; rejects partitions that are not doubled."""
-    if not is_member(a, DOUBLED):
-        raise DomainError(f"{a.text()} is not doubled (family Ptilde)")
-    return Partition._from_sorted(a.parts[0::2])
 
 
 def iter_partitions(total: int) -> Iterator[Partition]:

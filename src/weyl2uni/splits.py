@@ -2,17 +2,16 @@
 
 A split of a Jordan type c is a pair (r, p) that merges back to c, with p
 doubled (family Ptilde) and r in the side's r-family: S (all even) for C, R
-(chained) for B and D.  Both sides find ``psi`` the same way: the fiber
-minimum of the side's ``fiber_minimum``, checked against a closed-form
-routing by ``minimal_split``.  This module holds that machinery once:
-``Split``, ``combine``, the listing ``iter_fiber`` and ``fiber``, and the
-dual-route guard ``minimal_split``.  ``type_c`` and ``type_bd`` keep only
-their rules (a ``Split`` subclass naming the r-family, ``_r_counts``,
-``canonical_split`` and ``fiber_minimum``, and for B/D the family-R
-automaton that ``iter_fiber`` walks) and call in here with one line per
-public function.  The listing costs time in proportion to its output on
-both sides: C lists the plain product of its choices, every one a split,
-and B/D walk the automaton, pruning dead states.
+(chained) for B and D.  Each side reads its r-family with a finite
+automaton over the runs of c, largest value first: one state for S, at most
+24 for R.  This module holds the machinery once: ``Split``, ``combine``,
+the listing ``iter_fiber`` (a walk of the automaton that prunes dead
+states) and ``fiber``, the dynamic program ``fiber_minimum`` on the same
+automaton, and the dual-route guard ``minimal_split``, which checks that
+minimum against a closed-form routing.
+``type_c`` and ``type_bd`` keep only their rules (a ``Split`` subclass
+naming the r-family, ``_r_counts``, the automaton and ``canonical_split``)
+and call in here with one line per public function.
 
 A ``Split`` is a certificate: its public constructor and ``from_text`` test
 r for the r-family and p for family Ptilde, so a function handed a Split
@@ -22,7 +21,6 @@ both families builds its split with the trusted ``Split._trusted``.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import ClassVar, Iterable, Iterator
 
@@ -55,7 +53,8 @@ class Split:
 
         The caller guarantees r in ``R_FAMILY`` and p in family Ptilde.
         Only ``iter_fiber``, ``type_bd.from_halves`` and
-        ``weyl.encode_class`` call it, an allowlist that
+        ``weyl.encode_class`` call it (``fiber_minimum`` builds its argmin
+        with the validating constructor), an allowlist that
         ``tests/test_certificates.py`` checks by scanning the source.
         """
         self = object.__new__(cls)
@@ -91,34 +90,19 @@ def combine(x: Split, jordan_family: str) -> Partition:
     return c
 
 
-def iter_fiber(split_cls, c: Partition, r_counts, automaton=None) -> Iterator[Split]:
-    """Lazily enumerate the splits of c, one per admitted combination of per-value choices.
+def iter_fiber(split_cls, c: Partition, r_counts, automaton) -> Iterator[Split]:
+    """Lazily enumerate the splits of c: the choice sequences the automaton accepts.
 
     ``r_counts(e, q)`` lists how many copies of a value e of multiplicity q
-    may go to r; the rest go to p, and every count leaves p doubled.  With
-    no ``automaton`` every combination is a split (``r_counts`` admits only
-    r-family counts) and the product is listed as it stands.  Otherwise
+    may go to r, the rest going to p, each count leaving p doubled;
     ``automaton`` is ``(start, step, accepts)``, a finite automaton for the
-    r-family read largest value first, and ``_walk`` lists only the
-    combinations it accepts, in product order, at a cost that follows the
-    output.  Each r it lists is tested once for the r-family: a failure is a
-    ContradictionError (the automaton and the family disagree), never a
-    silent skip.  Either way the splits are built trusted, from the runs of
-    c, largest value first, so both sides are already sorted and skip the
-    re-sort of the validating constructor.
+    r-family read largest value first.  ``_walk`` lists the accepted
+    sequences in product order.  Each r is tested once for the r-family, and
+    a failure is a ContradictionError (automaton and family disagree), never
+    a skip.  The splits are built trusted from the runs of c, both sides
+    already sorted.
     """
     runs = list(c.multiplicities().items())
-    if automaton is None:
-        for ms in itertools.product(*(r_counts(e, q) for e, q in runs)):
-            r_parts: list[int] = []
-            p_parts: list[int] = []
-            for (e, q), m in zip(runs, ms):
-                r_parts += [e] * m
-                p_parts += [e] * (q - m)
-            yield split_cls._trusted(
-                Partition._from_sorted(tuple(r_parts)), Partition._from_sorted(tuple(p_parts))
-            )
-        return
     for r_parts, p_parts in _walk(runs, r_counts, *automaton):
         r = Partition._from_sorted(r_parts)
         if not is_member(r, split_cls.R_FAMILY):
@@ -137,9 +121,10 @@ def _walk(runs, r_counts, start, step, accepts) -> Iterator[tuple[tuple[int, ...
     None is not followed, and a leaf is listed when ``accepts`` holds after
     the last run.  A state is all that later runs need to know, so a
     (depth, state) whose subtree listed nothing is dead wherever it is
-    reached: it is remembered and never entered again.  Each depth thus
-    enters at most one node per listed leaf plus one per dead state, and
-    each node tries its value's choices once.
+    reached: it is remembered and never entered again.  A depth enters at
+    most one node per listed leaf plus one per dead state, and each node
+    tries all its value's choices, so ``step`` runs at most (choices of the
+    value) x (splits listed + dead states) times per depth.
     """
     if not runs:
         if accepts(start):
@@ -172,6 +157,58 @@ def _walk(runs, r_counts, start, step, accepts) -> Iterator[tuple[tuple[int, ...
             frames.pop()
             if listed == listed_before:
                 dead.add((i, state))
+
+
+def fiber_minimum(split_cls, c: Partition, r_counts, automaton) -> tuple[int | None, int, Split | None]:
+    """(minimal p-length, number of splits reaching it, the minimiser if unique).
+
+    A dynamic program over the runs of c, largest value first, on the
+    choices and automaton of ``iter_fiber``.  Each state keeps its least
+    p-length, how many choice sequences reach it and one of them as a
+    linked (previous, m) pair, so the cost is linear in the number of
+    distinct values.  An empty fiber gives (None, 0, None); a minimiser the
+    validating ``split_cls`` refuses is a ContradictionError.
+    """
+    start, step, accepts = automaton
+    runs = list(c.multiplicities().items())
+    layer: dict[object, tuple] = {start: (0, 1, None)}
+    for e, q in runs:
+        nxt: dict[object, tuple] = {}
+        counts = r_counts(e, q)
+        for state, (p_len, ways, path) in layer.items():
+            for m in counts:
+                to = step(state, e, m)
+                if to is None:
+                    continue
+                cand = p_len + q - m
+                have = nxt.get(to)
+                if have is None or cand < have[0]:
+                    nxt[to] = (cand, ways, (path, m))
+                elif cand == have[0]:
+                    nxt[to] = (cand, have[1] + ways, have[2])
+        layer = nxt
+    ends = [end for state, end in layer.items() if accepts(state)]
+    if not ends:
+        return None, 0, None
+    p_len = min(end[0] for end in ends)
+    least = [end for end in ends if end[0] == p_len]
+    ties = sum(end[1] for end in least)
+    if ties != 1:
+        return p_len, ties, None
+    path = least[0][2]
+    r_parts: list[int] = []
+    p_parts: list[int] = []
+    for e, q in reversed(runs):
+        path, m = path
+        r_parts += [e] * m
+        p_parts += [e] * (q - m)
+    # rebuilt smallest value first: reversed, both sides are sorted
+    r = Partition._from_sorted(tuple(r_parts[::-1]))
+    p = Partition._from_sorted(tuple(p_parts[::-1]))
+    try:  # the validating constructor re-checks both families on the argmin
+        return p_len, 1, split_cls(r, p)
+    except DomainError as exc:
+        raise ContradictionError(f"fiber minimum over {c.text()} is not a split: {exc}") from None
 
 
 def fiber(xs: Iterable[Split]) -> list[Split]:

@@ -15,13 +15,12 @@ odd value sends 0, 1 or 2 copies to r, an even value keeps an even count for
 p), the routing ``canonical_split`` (rules 1-5 below, with ``_star``) and a
 finite automaton for family R read largest value first (``_R_START``,
 ``_r_step``, ``_r_accepts``), whose states come from the definition of R.
-Two things run on that automaton: ``fiber_minimum``, a dynamic program over
-the distinct values that finds the minimum without the routing, and
-``iter_fiber``, which the engine lists by walking the automaton, so its cost
-follows the number of splits rather than the product of the choice counts.
-``combine``, ``iter_fiber``, ``fiber`` and ``minimal_split`` are one-line
-calls into the engine.  ``classify_d`` tells very even types of series D
-apart.
+The engine runs its dynamic program ``fiber_minimum`` and its listing walk
+``iter_fiber`` on that automaton, so the minimum needs no routing and the
+listing costs time in proportion to the number of splits.  ``combine``,
+``iter_fiber``, ``fiber``, ``fiber_minimum`` and ``minimal_split`` are
+one-line calls into the engine.  ``classify_d`` tells very even types of
+series D apart.
 
 Routing rules of ``canonical_split`` for a value e with multiplicity q in c
 (writing d for the 1-based position where e's run starts inside the odd
@@ -381,16 +380,9 @@ def _r_accepts(state: tuple) -> bool:
 
 
 def iter_fiber(c: Partition) -> Iterator[Split]:
-    """Lazily enumerate every split of c (checked for family Q at the call).
-
-    The engine walks the family-R automaton (``_R_START``, ``_r_step``,
-    ``_r_accepts``) over the choices of ``_r_counts``, so the cost follows
-    the number of splits, not the product of the choice counts; the order
-    is that product's.  p is doubled by construction and each r is tested
-    once for family R.
-    """
+    """Lazily enumerate every split of c (checked for family Q at the call)."""
     _require_orthogonal(c)
-    return splits.iter_fiber(Split, c, _r_counts, automaton=(_R_START, _r_step, _r_accepts))
+    return splits.iter_fiber(Split, c, _r_counts, (_R_START, _r_step, _r_accepts))
 
 
 def fiber(c: Partition) -> list[Split]:
@@ -399,58 +391,9 @@ def fiber(c: Partition) -> list[Split]:
 
 
 def fiber_minimum(c: Partition) -> tuple[int | None, int, Split | None]:
-    """(minimal p-length, number of splits reaching it, the minimiser if unique).
-
-    A dynamic program over the distinct values of c, largest first: each
-    value sends one of its ``_r_counts`` to r, and the family-R state of
-    ``_r_step`` is all that later values need to know.  Each state keeps its
-    least p-length, how many choice sequences reach it and a backpointer, so
-    the cost is linear in the number of distinct values, whatever the size
-    of the fiber.  An empty fiber gives (None, 0, None).
-    """
+    """(least p-length, splits reaching it, the minimiser if unique): ``splits.fiber_minimum``."""
     _require_orthogonal(c)
-    runs = list(c.multiplicities().items())
-    layer: dict[tuple, tuple[int, int]] = {_R_START: (0, 1)}
-    backs: list[dict[tuple, tuple[tuple, int]]] = []
-    for e, q in runs:
-        nxt: dict[tuple, tuple[int, int]] = {}
-        back: dict[tuple, tuple[tuple, int]] = {}
-        counts = _r_counts(e, q)
-        for state, (p_len, ways) in layer.items():
-            for m in counts:
-                to = _r_step(state, e, m)
-                if to is None:
-                    continue
-                cand = p_len + q - m
-                have = nxt.get(to)
-                if have is None or cand < have[0]:
-                    nxt[to] = (cand, ways)
-                    back[to] = (state, m)
-                elif cand == have[0]:
-                    nxt[to] = (cand, have[1] + ways)
-        layer = nxt
-        backs.append(back)
-    ends = [(p_len, ways, state) for state, (p_len, ways) in layer.items() if _r_accepts(state)]
-    if not ends:
-        return None, 0, None
-    p_len = min(end[0] for end in ends)
-    ties = sum(ways for low, ways, _ in ends if low == p_len)
-    if ties != 1:
-        return p_len, ties, None
-    state = next(state for low, _, state in ends if low == p_len)
-    r_parts: list[int] = []
-    p_parts: list[int] = []
-    for (e, q), back in zip(reversed(runs), reversed(backs)):
-        state, m = back[state]
-        r_parts += [e] * m
-        p_parts += [e] * (q - m)
-    # rebuilt smallest value first: reversed, both sides are sorted
-    r = Partition._from_sorted(tuple(r_parts[::-1]))
-    p = Partition._from_sorted(tuple(p_parts[::-1]))
-    try:  # Split re-checks families R and Ptilde on the rebuilt argmin
-        return p_len, 1, Split(r, p)
-    except DomainError as exc:
-        raise ContradictionError(f"fiber minimum over {c.text()} is not a split: {exc}") from None
+    return splits.fiber_minimum(Split, c, _r_counts, (_R_START, _r_step, _r_accepts))
 
 
 def minimal_split(c: Partition) -> Split:

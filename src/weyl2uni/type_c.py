@@ -3,10 +3,11 @@
 Series C draws r from family S (all even).  Over the engine in ``splits``
 this module keeps only its rules: ``Split`` (``R_FAMILY = ALL_EVEN``),
 ``_r_counts`` (an odd value goes wholly to p, an even value keeps an even
-count for p), the routing ``canonical_split`` (odd parts to p, even parts to
-r) and ``fiber_minimum``, a per-value argmin that finds the minimum without
-that routing.  ``combine``, ``iter_fiber``, ``fiber`` and ``minimal_split``
-are one-line calls into the engine.
+count for p), the one-state automaton for family S (``_R_START``,
+``_r_step``, ``_r_accepts``) and the routing ``canonical_split`` (odd parts
+to p, even parts to r).  ``combine``, ``iter_fiber``, ``fiber``,
+``fiber_minimum`` and ``minimal_split`` are one-line calls into the engine,
+which lists and minimises over the automaton exactly as for B and D.
 """
 
 from __future__ import annotations
@@ -56,17 +57,30 @@ def _r_counts(e: int, q: int) -> list[int]:
 
     An odd value may only sit in p (in an even count, c being in family T);
     an even value keeps an even number of copies for p.  So r is all even
-    and p doubled by construction: every combination is a split, and the
-    engine lists the plain product, which is already in proportion to the
-    output.
+    and p doubled by construction: every combination is a split.
     """
     return [0] if e % 2 else list(range(q, -1, -2))
+
+
+# Family S puts no constraint between values, so its automaton, read
+# largest value first like family R's in ``type_bd``, has one state.
+_R_START = 0
+
+
+def _r_step(state: int, e: int, m: int) -> int | None:
+    """The state after m copies of e join r; None for any copy of an odd value."""
+    return None if m and e % 2 else state
+
+
+def _r_accepts(state: int) -> bool:
+    """Family S puts no condition on the end: every state accepts."""
+    return True
 
 
 def iter_fiber(c: Partition) -> Iterator[Split]:
     """Lazily enumerate every split of c (checked for family T at the call)."""
     _require_symplectic(c)
-    return splits.iter_fiber(Split, c, _r_counts)
+    return splits.iter_fiber(Split, c, _r_counts, (_R_START, _r_step, _r_accepts))
 
 
 def fiber(c: Partition) -> list[Split]:
@@ -75,27 +89,9 @@ def fiber(c: Partition) -> list[Split]:
 
 
 def fiber_minimum(c: Partition) -> tuple[int | None, int, Split | None]:
-    """(minimal p-length, number of splits reaching it, the minimiser if unique).
-
-    The one-state case of the family-R dynamic program of ``type_bd``:
-    family S puts no constraint between values, so each value keeps the
-    most copies ``_r_counts`` allows in r, and the number of minimisers is
-    the product of the per-value tie counts.  Linear in the length of c.
-    """
+    """(least p-length, splits reaching it, the minimiser if unique): ``splits.fiber_minimum``."""
     _require_symplectic(c)
-    p_len, ties = 0, 1
-    r_parts: list[int] = []
-    p_parts: list[int] = []
-    for e, q in c.multiplicities().items():
-        ms = _r_counts(e, q)
-        m = max(ms)
-        p_len += q - m
-        ties *= ms.count(m)
-        r_parts += [e] * m
-        p_parts += [e] * (q - m)
-    # built from the runs of c, largest value first: both sides are already sorted
-    r, p = Partition._from_sorted(tuple(r_parts)), Partition._from_sorted(tuple(p_parts))
-    return p_len, ties, Split(r, p) if ties == 1 else None
+    return splits.fiber_minimum(Split, c, _r_counts, (_R_START, _r_step, _r_accepts))
 
 
 def minimal_split(c: Partition) -> Split:

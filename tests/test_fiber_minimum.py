@@ -1,10 +1,11 @@
 """The polynomial fiber minimum behind minimal_split, against brute force.
 
-``fiber_minimum`` in type_c (per-value argmin) and type_bd (family-R dynamic
-program) must agree with the position-blind oracle of conftest on the
-minimal p-length and on how many splits reach it, and ``minimal_split`` must
-keep its guards: an empty fiber, a tied minimum or a disagreement with the
-canonical split all raise ContradictionError.
+``fiber_minimum`` in type_c and type_bd (the dynamic program of
+``splits.fiber_minimum`` on the family-S and family-R automata) must agree
+with the position-blind oracle of conftest on the minimal p-length and on
+how many splits reach it, and ``minimal_split`` must keep its guards: an
+empty fiber, a tied minimum or a disagreement with the canonical split all
+raise ContradictionError.
 """
 
 import pytest

@@ -1,12 +1,14 @@
-"""The B/D fiber listing walks the family-R automaton.
+"""Both fiber listings walk their side's r-family automaton.
 
-``type_bd.iter_fiber`` lists only the choice sequences the automaton
-(``_R_START``, ``_r_step``, ``_r_accepts``) accepts, pruning dead states,
-instead of filtering the product of ``_r_counts``.  These tests pin what the
-walk must keep: the same splits in the same order as the product filter, a
-total over each rank that equals the class count of the Weyl group, work in
-proportion to the output on inputs whose product is astronomically large,
-and a family-R guard that turns a wrong automaton into a ContradictionError.
+``splits.iter_fiber`` lists only the choice sequences the automaton
+(``_R_START``, ``_r_step``, ``_r_accepts`` of ``type_bd`` for family R, of
+``type_c`` for family S) accepts, pruning dead states, instead of filtering
+the product of ``_r_counts``.  These tests pin what the walk must keep: the
+same splits in the same order as the product (filtered by family R for
+B/D; C's product is all splits), a total over each rank that equals the
+class count of the Weyl group, work bounded by the choice counts times the
+output on inputs whose product is astronomically large, and a per-r family
+guard that turns a wrong automaton into a ContradictionError.
 """
 
 import contextlib
@@ -16,6 +18,7 @@ import pytest
 
 from conftest import brute_fiber
 from weyl2uni import (
+    ALL_EVEN,
     CHAINED,
     ContradictionError,
     DOUBLED,
@@ -32,22 +35,26 @@ from weyl2uni.partitions import iter_members
 MAX_RANK = 12
 
 
-def product_and_filter(c):
-    """The listing before the walk: every ``_r_counts`` combination, kept when r is in R."""
+def product(module, c):
+    """Every combination of the module's ``_r_counts`` choices, as (r parts, p parts), in order."""
     runs = list(c.multiplicities().items())
     out = []
-    for ms in itertools.product(*(type_bd._r_counts(e, q) for e, q in runs)):
+    for ms in itertools.product(*(module._r_counts(e, q) for e, q in runs)):
         r_parts, p_parts = [], []
         for (e, q), m in zip(runs, ms):
             r_parts += [e] * m
             p_parts += [e] * (q - m)
-        if is_member(Partition(r_parts), CHAINED):
-            out.append((tuple(r_parts), tuple(p_parts)))
+        out.append((tuple(r_parts), tuple(p_parts)))
     return out
 
 
-def listing(c):
-    return [(x.r.parts, x.p.parts) for x in type_bd.iter_fiber(c)]
+def product_and_filter(c):
+    """The B/D listing before the walk: the product, kept when r is in R."""
+    return [(r, p) for r, p in product(type_bd, c) if is_member(Partition(r), CHAINED)]
+
+
+def listing(c, module=type_bd):
+    return [(x.r.parts, x.p.parts) for x in module.iter_fiber(c)]
 
 
 def test_walk_lists_the_product_filter_in_its_order():
@@ -59,17 +66,37 @@ def test_walk_lists_the_product_filter_in_its_order():
     assert seen > 1000
 
 
+def test_c_walk_lists_the_whole_product_in_its_order():
+    # every combination of C's choices is a split: the walk drops none
+    seen = 0
+    for nu in range(23):
+        for c in iter_members(nu, SYMPLECTIC):
+            assert listing(c, type_c) == product(type_c, c), c.text()
+            seen += 1
+    assert seen == 987  # the C Jordan types of rank 0 to 11
+
+
+def accepted(module, r):
+    """Whether the module's automaton accepts r, fed whole runs of any multiplicity."""
+    state = module._R_START
+    for e, q in r.multiplicities().items():
+        state = module._r_step(state, e, q)
+        if state is None:
+            return False
+    return module._r_accepts(state)
+
+
 def test_the_automaton_accepts_exactly_family_r():
     # fed whole runs of any multiplicity, not only the counts _r_counts offers
     for n in range(19):
         for r in iter_partitions(n):
-            state = type_bd._R_START
-            for e, q in r.multiplicities().items():
-                state = type_bd._r_step(state, e, q)
-                if state is None:
-                    break
-            accepted = state is not None and type_bd._r_accepts(state)
-            assert accepted == is_member(r, CHAINED), r.text()
+            assert accepted(type_bd, r) == is_member(r, CHAINED), r.text()
+
+
+def test_the_c_automaton_accepts_exactly_family_s():
+    for n in range(19):
+        for r in iter_partitions(n):
+            assert accepted(type_c, r) == is_member(r, ALL_EVEN), r.text()
 
 
 # ---------------------------------------------------------------------------
@@ -173,25 +200,56 @@ def test_a_too_loose_automaton_trips_the_family_r_guard(monkeypatch):
     assert sum(want.values()) > 100
 
 
+def test_an_odd_copy_in_r_trips_the_family_s_guard(monkeypatch):
+    # _r_counts offers one copy of each odd value to r: the family-S automaton
+    # refuses it on its own, and with a step that refuses nothing the per-r
+    # guard stops the first such r, never yielding it or skipping it
+    types = [c for nu in range(0, 17, 2) for c in iter_members(nu, SYMPLECTIC)]
+    want = [listing(c, type_c) for c in types]
+    original = type_c._r_counts
+
+    def with_an_odd_copy(e, q):
+        return [1] + original(e, q) if e % 2 else original(e, q)
+
+    monkeypatch.setattr(type_c, "_r_counts", with_an_odd_copy)
+    assert [listing(c, type_c) for c in types] == want
+    monkeypatch.setattr(type_c, "_r_step", lambda state, e, m: state)
+    tripped = 0
+    for c in types:
+        if any(e % 2 for e in c.parts):
+            with pytest.raises(ContradictionError, match="outside family S"):
+                listing(c, type_c)
+            tripped += 1
+        else:
+            assert listing(c, type_c) == product(type_c, c)
+    assert tripped > 100
+
+
 # ---------------------------------------------------------------------------
-# Adversarial listings: one split out of 2^20 to 2^30 candidates
+# Adversarial listings: one split out of 2^20 to 2^30 candidates, or out of
+# the 1,001 choices of one value
 
 
 def odd_pairs(top):
     return [v for k in range(top, 0, -2) for v in (k, k)]
 
 
+# name: (parts, least number of candidates)
 ADVERSARIAL = {
-    "D odd pairs 59,59,...,1,1": odd_pairs(59),
-    "B odd pairs with one extra 1": odd_pairs(59) + [1],
-    "83,81 over 20 doubled even values": [83, 81] + [v for k in range(40, 0, -2) for v in (k, k)],
+    "D odd pairs 59,59,...,1,1": (odd_pairs(59), 2**20),
+    "B odd pairs with one extra 1": (odd_pairs(59) + [1], 2**20),
+    "83,81 over 20 doubled even values": (
+        [83, 81] + [v for k in range(40, 0, -2) for v in (k, k)], 2**20
+    ),
+    "7,5,4^2000,1": ([7, 5] + [4] * 2000 + [1], 1001),
 }
 
 
 @pytest.mark.parametrize("name", ADVERSARIAL)
 def test_adversarial_listing_is_output_sensitive(monkeypatch, name):
-    c = Partition(ADVERSARIAL[name])
-    assert candidate_count(c) >= 2**20
+    parts, least_candidates = ADVERSARIAL[name]
+    c = Partition(parts)
+    assert candidate_count(c) >= least_candidates
     steps = 0
     original = type_bd._r_step
 
@@ -202,7 +260,8 @@ def test_adversarial_listing_is_output_sensitive(monkeypatch, name):
 
     monkeypatch.setattr(type_bd, "_r_step", counting)
     found = type_bd.fiber(c)
-    d = len(c.multiplicities())
-    assert steps <= 3 * d * (len(found) + 24)
+    # per depth: the value's choices times (splits listed + at most 24 dead states)
+    choices = sum(len(type_bd._r_counts(e, q)) for e, q in c.multiplicities().items())
+    assert steps <= choices * (len(found) + 24)
     monkeypatch.setattr(type_bd, "_r_step", original)
     assert found == [type_bd.minimal_split(c)]

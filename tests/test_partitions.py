@@ -25,7 +25,7 @@ from weyl2uni import (
     type_bd,
     type_c,
 )
-from weyl2uni.partitions import double_parts, undouble_parts
+from weyl2uni.partitions import double_parts
 from weyl2uni.weyl import (
     GroupKind,
     SignedCycleType,
@@ -213,12 +213,6 @@ def test_chained_single_pass_matches_quadratic_definition():
 class TestDoubling:
     def test_round_trip(self):
         assert double_parts(P(3, 1)) == P(3, 3, 1, 1)
-        assert undouble_parts(P(3, 3, 1, 1)) == P(3, 1)
-        assert undouble_parts(double_parts(Partition())) == Partition()
-
-    def test_undouble_rejects(self):
-        with pytest.raises(DomainError):
-            undouble_parts(P(3, 1))
 
 
 def test_partition_counts():
@@ -257,10 +251,10 @@ class TestIterMembers:
 # Parsers (``from_text``) and the ``__init__`` of public dataclasses must
 # never appear here.
 TRUSTED_CALLERS = {
-    "partitions": {"merge", "double_parts", "undouble_parts", "iter_partitions", "iter_members"},
-    "splits": {"iter_fiber"},
-    "type_c": {"canonical_split", "fiber_minimum"},
-    "type_bd": {"blocks_from_halves", "_halves_of_chained", "canonical_split", "fiber_minimum"},
+    "partitions": {"merge", "double_parts", "iter_partitions", "iter_members"},
+    "splits": {"iter_fiber", "fiber_minimum"},
+    "type_c": {"canonical_split"},
+    "type_bd": {"blocks_from_halves", "_halves_of_chained", "canonical_split"},
     "weyl": {"encode_class", "decode_class"},
 }
 
@@ -327,9 +321,7 @@ class TestTrustedConstructor:
         monkeypatch.setattr(Partition, "_from_sorted", classmethod(checked))
         assert answers() == want
         assert len(want) > 1000
-        # undouble_parts keeps its Ptilde test, so decode_class halves its
-        # certified p directly and undouble_parts is off this path
-        off_path = {"iter_partitions", "undouble_parts"}
+        off_path = {"iter_partitions"}
         on_path = {f for fs in TRUSTED_CALLERS.values() for f in fs} - off_path
         assert callers == on_path
 
