@@ -7,7 +7,7 @@ diagram rank, i.e. strictly minimal fixed-space dimension, which is why the
 section can simply read off the head of the line.
 """
 
-from weyl2uni.exceptional import carter_rank, load_table
+from weyl2uni.exceptional import load_table
 
 print("== F4 in good characteristic ==")
 f4 = load_table("F4")
@@ -20,7 +20,7 @@ print()
 print("== ranks mechanize the first-is-minimal inspection ==")
 line = next(l for l in f4.lines if l.name == "A_1+Ã_1")
 for label in line.labels:
-    print(f"  {str(label):10} rank {carter_rank(label)}  fixed-space dim {f4.fixed_space_dim(label)}")
+    print(f"  {str(label):10} rank {label.rank}  fixed-space dim {f4.fixed_space_dim(label)}")
 
 print()
 print("== lookups ==")

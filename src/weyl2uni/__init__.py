@@ -8,7 +8,7 @@ fixed space on the reflection module is smallest.
 """
 
 from . import exceptional, type_bd, type_c, verify, weyl
-from .exceptional import CarterLabel, MapTable, UnknownLabel, carter_rank, load_table, verify_table
+from .exceptional import CarterLabel, MapTable, UnknownLabel, load_table, verify_table
 from .partitions import (
     ALL_EVEN,
     ANY,
@@ -61,7 +61,6 @@ __all__ = [
     "SweepConfig",
     "UnknownLabel",
     "VerificationReport",
-    "carter_rank",
     "encode_class",
     "enumerate_classes",
     "exceptional",

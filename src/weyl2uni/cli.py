@@ -92,7 +92,7 @@ def _cmd_psi(args, parser) -> int:
 
 def _cmd_fiber(args, parser) -> int:
     _need(args, parser, "series", "jordan")
-    j, g = _parse_jordan(args.series, args.jordan, None)
+    j, g = _parse_jordan(args.series, args.jordan, args.nu)
     splits = type_c.fiber(j.parts) if g.series == "C" else type_bd.fiber(j.parts)
     if args.format == "json":
         print(json.dumps([s.to_json() for s in splits], ensure_ascii=False))
@@ -105,8 +105,13 @@ def _cmd_fiber(args, parser) -> int:
 def _cmd_encode(args, parser) -> int:
     _need(args, parser, "series", "class")
     w = SignedCycleType.from_text(getattr(args, "class"))
-    enc = encode_class(w, GroupKind(args.series, w.rank))
-    _emit(args, enc.text(), enc.to_json())
+    g = GroupKind(args.series, w.rank)
+    x = encode_class(w, g)
+    if g.series == "C":
+        _emit(args, x.text(), x.to_json())
+    else:  # the halves form: the negative cycle lengths stand in for r
+        _emit(args, f"p'={w.negative.text()};p={x.p.text()};k={g.kappa}",
+              {"pprime": w.negative.to_json(), "p": x.p.to_json(), "kappa": g.kappa})
     return 0
 
 

@@ -112,13 +112,6 @@ class CarterLabel:
         return self.raw
 
 
-def carter_rank(label: CarterLabel | str) -> int:
-    """Diagram rank of a Carter label (A_0 has rank 0)."""
-    if isinstance(label, str):
-        label = CarterLabel.parse(label)
-    return label.rank
-
-
 @dataclass(frozen=True)
 class TableLine:
     """One fiber: ordered labels and the unipotent name they map to."""
@@ -168,8 +161,13 @@ class MapTable:
         return line.labels[0]
 
     def fixed_space_dim(self, label: CarterLabel | str) -> int:
-        """Weyl rank minus diagram rank; any parseable label, listed or not."""
-        return self.weyl_rank - carter_rank(label)
+        """Weyl rank minus diagram rank; any parseable label of rank <= the Weyl rank."""
+        if isinstance(label, str):
+            label = CarterLabel.parse(label)
+        rank = label.rank
+        if rank > self.weyl_rank:
+            raise DomainError(f"label {label.raw} has rank {rank} above the Weyl rank")
+        return self.weyl_rank - rank
 
 
 @dataclass

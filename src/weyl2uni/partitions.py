@@ -75,7 +75,7 @@ class Partition:
           of ``splits.fiber_minimum``;
         * ``canonical_split`` of ``type_c`` and ``type_bd``;
         * ``type_bd.blocks_from_halves`` and ``_halves_of_chained``;
-        * ``weyl.encode_class`` and ``decode_class`` (series C).
+        * ``weyl.encode_class`` (series C) and ``decode_class``.
 
         Outside input (``from_text``, the ``__init__`` of the public
         dataclasses) always goes through ``__init__``.

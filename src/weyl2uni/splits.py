@@ -4,11 +4,11 @@ A split of a Jordan type c is a pair (r, p) that merges back to c, with p
 doubled (family Ptilde) and r in the side's r-family: S (all even) for C, R
 (chained) for B and D.  Each side reads its r-family with a finite
 automaton over the runs of c, largest value first: one state for S, at most
-24 for R.  This module holds the machinery once: ``Split``, ``combine``,
-the listing ``iter_fiber`` (a walk of the automaton that prunes dead
-states) and ``fiber``, the dynamic program ``fiber_minimum`` on the same
-automaton, and the dual-route guard ``minimal_split``, which checks that
-minimum against a closed-form routing.
+24 for R.  This module holds the machinery once: ``Split``, the listing
+``iter_fiber`` (a walk of the automaton that prunes dead states) and
+``fiber``, the dynamic program ``fiber_minimum`` on the same automaton, and
+the dual-route guard ``minimal_split``, which checks that minimum against a
+closed-form routing.  ``partitions.merge(x.r, x.p)`` merges a split back.
 ``type_c`` and ``type_bd`` keep only their rules (a ``Split`` subclass
 naming the r-family, ``_r_counts``, the automaton and ``canonical_split``)
 and call in here with one line per public function.
@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import ClassVar, Iterable, Iterator
 
-from .partitions import ContradictionError, DOUBLED, DomainError, Partition, is_member, merge
+from .partitions import ContradictionError, DOUBLED, DomainError, Partition, is_member
 
 
 @dataclass(frozen=True)
@@ -52,10 +52,10 @@ class Split:
         """Trusted constructor: skips both family tests of ``__post_init__``.
 
         The caller guarantees r in ``R_FAMILY`` and p in family Ptilde.
-        Only ``iter_fiber``, ``type_bd.from_halves`` and
-        ``weyl.encode_class`` call it (``fiber_minimum`` builds its argmin
-        with the validating constructor), an allowlist that
-        ``tests/test_certificates.py`` checks by scanning the source.
+        Only ``iter_fiber`` and ``weyl.encode_class`` call it
+        (``fiber_minimum`` builds its argmin with the validating
+        constructor), an allowlist that ``tests/test_certificates.py``
+        checks by scanning the source.
         """
         self = object.__new__(cls)
         object.__setattr__(self, "r", r)
@@ -80,14 +80,6 @@ class Split:
 
     def to_json(self) -> dict:
         return {"r": self.r.to_json(), "p": self.p.to_json()}
-
-
-def combine(x: Split, jordan_family: str) -> Partition:
-    """Merge the two sides of x into a Jordan type of ``jordan_family`` (T or Q)."""
-    c = merge(x.r, x.p)
-    if not is_member(c, jordan_family):  # cannot happen: each side's rules keep c there
-        raise ContradictionError(f"combine({x.text()}) left family {jordan_family}")
-    return c
 
 
 def iter_fiber(split_cls, c: Partition, r_counts, automaton) -> Iterator[Split]:

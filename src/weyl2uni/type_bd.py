@@ -6,8 +6,9 @@ The block/halves bijection: ``blocks_from_halves`` stretches a partition of
 half-lengths into a member of the chained family R by doubling each part and
 adding +1/-1 at strict descents (odd positions gain one, even positions give
 one up), appending a trailing 1 when the length-plus-kappa parity calls for
-it.  ``halves_from_blocks`` inverts it exactly; ``HalfSplit`` is the
-(halves, doubled, kappa) packaging of a split.
+it.  ``halves_from_blocks`` inverts it exactly.  ``weyl.encode_class``
+builds the r of a class's split from its negative cycle lengths this way,
+and ``weyl.decode_class`` reads them back.
 
 Over the engine in ``splits``, the split rules of series B and D, where r is
 drawn from family R: ``Split`` (``R_FAMILY = CHAINED``), ``_r_counts`` (an
@@ -17,10 +18,9 @@ finite automaton for family R read largest value first (``_R_START``,
 ``_r_step``, ``_r_accepts``), whose states come from the definition of R.
 The engine runs its dynamic program ``fiber_minimum`` and its listing walk
 ``iter_fiber`` on that automaton, so the minimum needs no routing and the
-listing costs time in proportion to the number of splits.  ``combine``,
-``iter_fiber``, ``fiber``, ``fiber_minimum`` and ``minimal_split`` are
-one-line calls into the engine.  ``classify_d`` tells very even types of
-series D apart.
+listing costs time in proportion to the number of splits.  ``iter_fiber``,
+``fiber``, ``fiber_minimum`` and ``minimal_split`` are one-line calls into
+the engine.  ``classify_d`` tells very even types of series D apart.
 
 Routing rules of ``canonical_split`` for a value e with multiplicity q in c
 (writing d for the 1-based position where e's run starts inside the odd
@@ -43,15 +43,12 @@ from . import splits
 from .partitions import (
     CHAINED,
     ContradictionError,
-    DOUBLED,
     DOUBLED_EVEN,
     DomainError,
-    EVEN_LENGTH,
     ORTHOGONAL,
     Partition,
     is_member,
     merge,
-    parse_decimal,
 )
 
 
@@ -175,94 +172,6 @@ class Split(splits.Split):
 
     R_FAMILY = CHAINED
     R_VIOLATION = "is not in family R"
-
-
-@dataclass(frozen=True)
-class HalfSplit:
-    """(halves, doubled, kappa): the compressed form of a Split.
-
-    halves carries the half-lengths feeding blocks_from_halves (even length
-    required when kappa=0); doubled is the p side unchanged.  Total size is
-    2*halves.size + doubled.size + kappa.
-    """
-
-    halves: Partition
-    doubled: Partition
-    kappa: int
-
-    def __post_init__(self):
-        _require_kappa(self.kappa)
-        if self.kappa == 0 and not is_member(self.halves, EVEN_LENGTH):
-            raise DomainError("kappa=0 requires an even number of halves (family P0)")
-        if not is_member(self.doubled, DOUBLED):
-            raise DomainError(f"p={self.doubled.text()} is not doubled (family Ptilde violated)")
-
-    @classmethod
-    def _trusted(cls, halves: Partition, doubled: Partition, kappa: int) -> "HalfSplit":
-        """Trusted constructor, like ``splits.Split._trusted``: skips ``__post_init__``.
-
-        The caller guarantees kappa in (0, 1), halves in family P0 when
-        kappa=0 and doubled in family Ptilde.
-        """
-        self = object.__new__(cls)
-        object.__setattr__(self, "halves", halves)
-        object.__setattr__(self, "doubled", doubled)
-        object.__setattr__(self, "kappa", kappa)
-        return self
-
-    @property
-    def nu(self) -> int:
-        return 2 * self.halves.size + self.doubled.size + self.kappa
-
-    def text(self) -> str:
-        return f"p'={self.halves.text()};p={self.doubled.text()};k={self.kappa}"
-
-    @classmethod
-    def from_text(cls, s: str) -> "HalfSplit":
-        try:
-            hpart, ppart, kpart = s.split(";")
-            assert hpart.startswith("p'=") and ppart.startswith("p=") and kpart.startswith("k=")
-        except (ValueError, AssertionError):
-            raise DomainError(
-                f"expected \"p'=<partition>;p=<partition>;k=<0|1>\", got {s!r}"
-            ) from None
-        try:
-            kappa = parse_decimal(kpart[2:])
-        except ValueError:
-            raise DomainError(f"kappa must be 0 or 1, got {kpart[2:]!r}") from None
-        return cls(Partition.from_text(hpart[3:]), Partition.from_text(ppart[2:]), kappa)
-
-    def to_json(self) -> dict:
-        return {"pprime": self.halves.to_json(), "p": self.doubled.to_json(), "kappa": self.kappa}
-
-
-def from_halves(x: HalfSplit) -> Split:
-    """Unpack a HalfSplit into the equivalent Split.
-
-    ``blocks_from_halves`` tests r for family R and a HalfSplit certifies
-    p, so neither is tested again; any other object is.
-    """
-    r = blocks_from_halves(x.halves, x.kappa)
-    if type(x) is HalfSplit:
-        return Split._trusted(r, x.doubled)
-    return Split(r, x.doubled)
-
-
-def to_halves(x: Split, kappa: int) -> HalfSplit:
-    """Inverse of from_halves for the given kappa.
-
-    A ``type_bd.Split`` certifies families R and Ptilde, so neither is
-    tested again; any other object (a ``type_c.Split``, say) is.
-    """
-    if type(x) is not Split:
-        return HalfSplit(halves_from_blocks(x.r, kappa), x.p, kappa)
-    _require_kappa(kappa)
-    return HalfSplit._trusted(_halves_of_chained(x.r, kappa), x.p, kappa)
-
-
-def combine(x: Split) -> Partition:
-    """Merge the two sides into an orthogonal Jordan type."""
-    return splits.combine(x, ORTHOGONAL)
 
 
 def _star(odds: tuple[int, ...], e: int) -> bool:

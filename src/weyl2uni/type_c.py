@@ -5,9 +5,9 @@ this module keeps only its rules: ``Split`` (``R_FAMILY = ALL_EVEN``),
 ``_r_counts`` (an odd value goes wholly to p, an even value keeps an even
 count for p), the one-state automaton for family S (``_R_START``,
 ``_r_step``, ``_r_accepts``) and the routing ``canonical_split`` (odd parts
-to p, even parts to r).  ``combine``, ``iter_fiber``, ``fiber``,
-``fiber_minimum`` and ``minimal_split`` are one-line calls into the engine,
-which lists and minimises over the automaton exactly as for B and D.
+to p, even parts to r).  ``iter_fiber``, ``fiber``, ``fiber_minimum`` and
+``minimal_split`` are one-line calls into the engine, which lists and
+minimises over the automaton exactly as for B and D.
 """
 
 from __future__ import annotations
@@ -33,11 +33,6 @@ def _require_symplectic(c: Partition) -> None:
             f"{c.text()} is not a symplectic Jordan type (family T): "
             "some odd value occurs an odd number of times"
         )
-
-
-def combine(x: Split) -> Partition:
-    """Merge the two sides into a symplectic Jordan type."""
-    return splits.combine(x, SYMPLECTIC)
 
 
 def canonical_split(c: Partition) -> Split:

@@ -180,8 +180,7 @@ def check_bridge(cfg: SweepConfig) -> VerificationReport:
                 result.scanned += 1
                 formula = fixed_space_dim(w)
                 oracle = fixed_space_dim_from_matrix(w, g)
-                enc = encode_class(w, g)
-                halved = len(enc.p if series == "C" else enc.doubled) // 2
+                halved = len(encode_class(w, g).p) // 2
                 if not formula == oracle == halved:
                     result.counterexamples.append(
                         {

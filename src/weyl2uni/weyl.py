@@ -9,12 +9,17 @@ positive cycles.  ``fixed_space_dim`` is the closed-form count (positive
 cycles); ``fixed_space_dim_from_matrix`` recomputes it as an exact matrix
 nullity and serves as the independent oracle.
 
-Checked objects are certificates: a ``JordanType``, ``Split`` or
-``HalfSplit`` has had its families tested by its public constructor, so a
-function handed one does not test them again, and one that derives such an
-object from certified data builds it with the trusted ``_trusted``.
-``psi_classical`` still checks its answer twice on purpose: both routes of
-``minimal_split`` and the ``phi`` round trip.
+A class has one encoded form, its split (r, p): ``encode_class`` returns
+it on every series and ``decode_class`` inverts it, so ``phi_classical``
+merges the two sides and ``psi_classical`` decodes the minimal split, with
+no series branch.
+
+Checked objects are certificates: a ``JordanType`` or ``Split`` has had its
+families tested by its public constructor, so a function handed one does
+not test them again, and one that derives such an object from certified
+data builds it with the trusted ``_trusted``.  ``psi_classical`` still
+checks its answer twice on purpose: both routes of ``minimal_split`` and
+the ``phi`` round trip.
 """
 
 from __future__ import annotations
@@ -157,36 +162,40 @@ def is_split_class(w: SignedCycleType, g: GroupKind) -> bool:
     )
 
 
-def encode_class(w: SignedCycleType, g: GroupKind) -> type_c.Split | type_bd.HalfSplit:
-    """Partition-pair form of a class.
+def encode_class(w: SignedCycleType, g: GroupKind) -> type_c.Split | type_bd.Split:
+    """The split (r, p) of a class: each positive cycle of length d gives p two parts d.
 
     Series C: each negative cycle of length d is one invariant 2d-cycle of
-    the underlying permutation (r gets 2d); each positive cycle of length d
-    is a swapped pair of d-cycles (p gets d twice).  Series B/D: halves
-    stores the negative lengths, p the doubled positive lengths.  Built
-    trusted: ``_check_class`` gives series D (kappa=0) evenly many halves.
+    the underlying permutation (r gets 2d).  Series B/D: r is
+    ``type_bd.blocks_from_halves`` of the negative lengths, which tests r
+    for family R (``_check_class`` gives series D, kappa=0, evenly many).
+    Built trusted: p is doubled and a C r all even by construction.
     """
     _check_class(w, g)
+    p = double_parts(w.positive)
     if g.series == "C":
         r = Partition._from_sorted(tuple([2 * d for d in w.negative.parts]))
-        return type_c.Split._trusted(r, double_parts(w.positive))
-    return type_bd.HalfSplit._trusted(w.negative, double_parts(w.positive), g.kappa)
+        return type_c.Split._trusted(r, p)
+    return type_bd.Split._trusted(type_bd.blocks_from_halves(w.negative, g.kappa), p)
 
 
-def decode_class(enc: type_c.Split | type_bd.HalfSplit, g: GroupKind) -> SignedCycleType:
-    """Inverse of encode_class (split flag restored for series D); p is certified doubled."""
+def decode_class(x: type_c.Split | type_bd.Split, g: GroupKind) -> SignedCycleType:
+    """Inverse of encode_class (split flag restored for series D).
+
+    x must be a ``Split`` of g's side, else DomainError.  It certifies its
+    families, so p is halved and a C r divided by 2 directly; a B/D r goes
+    through ``type_bd._halves_of_chained``, which checks the parity of its
+    total against kappa and that the halves rebuild r exactly.
+    """
     if g.series == "C":
-        if not isinstance(enc, type_c.Split):
+        if not isinstance(x, type_c.Split):
             raise DomainError("series C decodes a type_c.Split")
-        neg = Partition._from_sorted(tuple([v // 2 for v in enc.r.parts]))  # r is all even
-        pos = Partition._from_sorted(enc.p.parts[0::2])
+        neg = Partition._from_sorted(tuple([v // 2 for v in x.r.parts]))  # r is all even
     else:
-        if not isinstance(enc, type_bd.HalfSplit):
-            raise DomainError(f"series {g.series} decodes a type_bd.HalfSplit")
-        if enc.kappa != g.kappa:
-            raise DomainError(f"kappa {enc.kappa} does not match series {g.series}")
-        neg = enc.halves
-        pos = Partition._from_sorted(enc.doubled.parts[0::2])
+        if not isinstance(x, type_bd.Split):
+            raise DomainError(f"series {g.series} decodes a type_bd.Split")
+        neg = type_bd._halves_of_chained(x.r, g.kappa)
+    pos = Partition._from_sorted(x.p.parts[0::2])
     w = SignedCycleType(pos, neg)
     if is_split_class(w, g):
         w = SignedCycleType(pos, neg, split=True)
@@ -257,11 +266,8 @@ def fixed_space_dim_from_matrix(w: SignedCycleType, g: GroupKind) -> int:
 
 def phi_classical(w: SignedCycleType, g: GroupKind) -> JordanType:
     """Jordan type of the unipotent class attached to a Weyl class (tested by JordanType)."""
-    enc = encode_class(w, g)
-    if g.series == "C":
-        return JordanType(merge(enc.r, enc.p), -1)
-    x = type_bd.from_halves(enc)
-    return JordanType(merge(x.r, x.p), +1)
+    x = encode_class(w, g)
+    return JordanType(merge(x.r, x.p), g.epsilon)
 
 
 def _check_jordan(j: JordanType, g: GroupKind) -> None:
@@ -278,11 +284,8 @@ def psi_classical(j: JordanType, g: GroupKind) -> SignedCycleType:
     round-tripped through phi_classical before being returned.
     """
     _check_jordan(j, g)
-    if g.series == "C":
-        w = decode_class(type_c.minimal_split(j.parts), g)
-    else:
-        s = type_bd.minimal_split(j.parts)
-        w = decode_class(type_bd.to_halves(s, g.kappa), g)
+    side = type_c if g.series == "C" else type_bd
+    w = decode_class(side.minimal_split(j.parts), g)
     if phi_classical(w, g).parts != j.parts:
         raise ContradictionError(f"psi of {j.text()} does not round-trip through phi")
     return w

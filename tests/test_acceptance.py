@@ -17,9 +17,10 @@ from weyl2uni import (
     SYMPLECTIC,
     is_member,
     iter_partitions,
+    merge,
 )
 from weyl2uni import exceptional, type_bd, type_c
-from weyl2uni.exceptional import load_table
+from weyl2uni.exceptional import CarterLabel, load_table
 from weyl2uni.weyl import (
     GroupKind,
     encode_class,
@@ -96,12 +97,14 @@ def test_criterion_3_bijections_are_exact():
                 assert type_bd.blocks_from_halves(halves, kappa) == c
                 checked += 1
             if is_member(c, ORTHOGONAL):
-                assert type_bd.combine(type_bd.canonical_split(c)) == c
+                x = type_bd.canonical_split(c)
+                assert merge(x.r, x.p) == c
                 checked += 1
     for nu in range(0, 31, 2):
         for c in iter_partitions(nu):
             if is_member(c, SYMPLECTIC):
-                assert type_c.combine(type_c.canonical_split(c)) == c
+                x = type_c.canonical_split(c)
+                assert merge(x.r, x.p) == c
                 checked += 1
     report("criterion 3: bijection round trips, exact", True, f"{checked} round trips")
 
@@ -157,12 +160,12 @@ def test_criterion_6_exceptional_tables():
                 assert t.phi(t.psi(line.name)) == line.name
                 head = line.labels[0]
                 for other in line.labels[1:]:
-                    assert exceptional.carter_rank(head) > exceptional.carter_rank(other)
+                    assert head.rank > other.rank
     f4 = load_table("F4")
     line = next(l for l in f4.lines if l.name == "A_1+Ã_1")
     fiber = [str(lab) for lab in line.labels]
     assert fiber == ["4A_1", "3A_1", "2A_1+Ã_1", "A_1+Ã_1"]
-    assert [exceptional.carter_rank(lab) for lab in fiber] == [4, 3, 3, 2]
+    assert [CarterLabel.parse(lab).rank for lab in fiber] == [4, 3, 3, 2]
     report("criterion 6: exceptional tables", ok, "; ".join(details))
 
 

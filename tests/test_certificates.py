@@ -1,6 +1,6 @@
 """Checked splits and Jordan types are certificates.
 
-A ``Split``, ``HalfSplit`` or ``JordanType`` built by its public constructor
+A ``Split`` or ``JordanType`` built by its public constructor
 has been tested for its families, so the functions of the phi/psi round trip
 do not test the same fact again.  These tests pin that contract: the trusted
 ``_trusted`` constructors are reached only from an allowlist and only ever
@@ -21,7 +21,6 @@ from weyl2uni import (
     ContradictionError,
     DOUBLED,
     DomainError,
-    EVEN_LENGTH,
     Partition,
     is_member,
     iter_partitions,
@@ -41,12 +40,11 @@ from weyl2uni.weyl import (
     psi_classical,
 )
 
-# The only functions of src/weyl2uni allowed to call a trusted split
-# constructor (``splits.Split._trusted``, ``type_bd.HalfSplit._trusted``):
-# each builds a split whose families its own derivation guarantees.
+# The only functions of src/weyl2uni allowed to call the trusted split
+# constructor ``splits.Split._trusted``: each builds a split whose families
+# its own derivation guarantees.
 TRUSTED_SPLIT_CALLERS = {
     "splits": {"iter_fiber"},
-    "type_bd": {"from_halves", "to_halves"},
     "weyl": {"encode_class"},
 }
 
@@ -86,7 +84,6 @@ def test_trusted_splits_certify_only_true_facts(monkeypatch):
 
     want = answers()
     split_trusted = splits.Split.__dict__["_trusted"].__func__
-    half_trusted = type_bd.HalfSplit.__dict__["_trusted"].__func__
     callers = Counter()
 
     def checked_split(cls, r, p):
@@ -94,29 +91,26 @@ def test_trusted_splits_certify_only_true_facts(monkeypatch):
         callers[sys._getframe(1).f_code.co_name] += 1
         return split_trusted(cls, r, p)
 
-    def checked_half(cls, halves, doubled, kappa):
-        assert kappa in (0, 1) and is_member(doubled, DOUBLED), (halves, doubled, kappa)
-        assert kappa == 1 or is_member(halves, EVEN_LENGTH), (halves, kappa)
-        callers[sys._getframe(1).f_code.co_name] += 1
-        return half_trusted(cls, halves, doubled, kappa)
-
     monkeypatch.setattr(splits.Split, "_trusted", classmethod(checked_split))
-    monkeypatch.setattr(type_bd.HalfSplit, "_trusted", classmethod(checked_half))
     assert answers() == want
     assert len(want) > 1000
     assert set(callers) == {f for fs in TRUSTED_SPLIT_CALLERS.values() for f in fs}
 
 
-def test_to_halves_tests_any_other_class_for_family_r():
-    # a type_c.Split certifies family S, not R: today's test and message stay
+def test_decode_class_refuses_a_wrong_side_split_and_a_bad_kappa_parity():
+    # a split certifies only its own side's r-family (S for C, R for B/D)
     with pytest.raises(DomainError) as exc:
-        type_bd.to_halves(type_c.Split(P(2, 2), Partition()), 0)
-    assert str(exc.value) == "2,2 is not in family R"
-    # a certified type_bd.Split still has its kappa checked
-    with pytest.raises(DomainError, match="kappa must be 0 or 1"):
-        type_bd.to_halves(type_bd.Split(P(3), Partition()), 2)
-    with pytest.raises(DomainError, match="wrong parity"):
-        type_bd.to_halves(type_bd.Split(P(3), Partition()), 0)
+        weyl.decode_class(type_c.Split(P(2, 2), Partition()), GroupKind("D", 2))
+    assert str(exc.value) == "series D decodes a type_bd.Split"
+    with pytest.raises(DomainError) as exc:
+        weyl.decode_class(type_bd.Split(P(3, 1), Partition()), GroupKind("C", 2))
+    assert str(exc.value) == "series C decodes a type_c.Split"
+    # a certified type_bd.Split still has the parity of its total checked
+    # against the kappa of the group
+    with pytest.raises(DomainError, match="wrong parity for kappa=0"):
+        weyl.decode_class(type_bd.Split(P(3), Partition()), GroupKind("D", 2))
+    with pytest.raises(DomainError, match="wrong parity for kappa=1"):
+        weyl.decode_class(type_bd.Split(P(3, 1), Partition()), GroupKind("B", 2))
 
 
 # ---------------------------------------------------------------------------
@@ -168,18 +162,20 @@ def _all_types(max_nu):
     return [(j, g) for g in SMALL_GROUPS if g.nu <= max_nu for j in iter_jordan_types(g)]
 
 
-def test_to_halves_family_r_is_implied_by_the_inversion_check():
-    # to_halves no longer tests r of a type_bd.Split for family R; if an r
+def test_decode_family_r_is_implied_by_the_inversion_check():
+    # decode_class does not test r of a type_bd.Split for family R; if an r
     # outside R ever skipped that test, rebuilding the blocks from the
-    # halves fails instead, for every such r up to total 12
+    # halves fails instead, for every such r up to total 12.  The group only
+    # supplies kappa: the halving fails before any rank check
     seen = 0
     for n in range(1, 13):
+        g = GroupKind("B" if n % 2 else "D", 2)
         for r in iter_partitions(n):
             if is_member(r, "R"):
                 continue
             forged = type_bd.Split._trusted(r, Partition())
-            with pytest.raises((ContradictionError, DomainError)):
-                type_bd.to_halves(forged, n % 2)
+            with pytest.raises(ContradictionError):
+                weyl.decode_class(forged, g)
             seen += 1
     assert seen > 200
 
@@ -191,27 +187,17 @@ def _fuse_last_pair(p):
 
 @pytest.mark.parametrize("series", ["B", "C", "D"])
 def test_undoubled_p_reaching_decode_is_caught_by_the_rank_check(monkeypatch, series):
-    # to_halves and decode_class no longer test p for family Ptilde.  An
-    # undoubled p of the right total has its odd positions summing to more
-    # than half of it, so decode_class's rank check fails instead
-    if series == "C":
-        original = type_c.minimal_split
+    # decode_class does not test p for family Ptilde.  An undoubled p of
+    # the right total has its odd positions summing to more than half of
+    # it, so decode_class's rank check fails instead
+    side = type_c if series == "C" else type_bd
+    original = side.minimal_split
 
-        def forged(c):
-            x = original(c)
-            return type_c.Split._trusted(x.r, _fuse_last_pair(x.p)) if x.p else x
+    def forged(c):
+        x = original(c)
+        return side.Split._trusted(x.r, _fuse_last_pair(x.p)) if x.p else x
 
-        monkeypatch.setattr(type_c, "minimal_split", forged)
-    else:
-        original = type_bd.to_halves
-
-        def forged(x, kappa):
-            h = original(x, kappa)
-            if not h.doubled:
-                return h
-            return type_bd.HalfSplit._trusted(h.halves, _fuse_last_pair(h.doubled), kappa)
-
-        monkeypatch.setattr(type_bd, "to_halves", forged)
+    monkeypatch.setattr(side, "minimal_split", forged)
     caught = 0
     for j, g in _all_types(12):
         if g.series != series or is_member(j.parts, "S" if series == "C" else "R"):
@@ -257,7 +243,7 @@ def test_odd_halves_from_encode_are_caught_by_blocks_from_halves(monkeypatch):
 
 
 def test_blocks_outside_family_r_are_caught_by_blocks_from_halves(monkeypatch):
-    # from_halves builds its Split trusted: blocks_from_halves tests r
+    # encode_class builds its B/D Split trusted: blocks_from_halves tests r
     monkeypatch.setattr(type_bd, "_raw_blocks", lambda hs, kappa: tuple(2 * v for v in hs) + (1,) * kappa)
     g = GroupKind("B", 3)
     with pytest.raises(ContradictionError, match="left family R"):
@@ -267,7 +253,7 @@ def test_blocks_outside_family_r_are_caught_by_blocks_from_halves(monkeypatch):
 
 @pytest.mark.parametrize("series", ["B", "C"])
 def test_merged_type_outside_its_family_is_caught_by_jordan_type(monkeypatch, series):
-    # phi_classical merges without combine's family test: JordanType tests it
+    # phi_classical merges without a family test of its own: JordanType tests it
     monkeypatch.setattr(weyl, "merge", lambda a, b: P(4, 3, 2, 1))
     family = "family T" if series == "C" else "family Q"
     with pytest.raises(DomainError, match=family):

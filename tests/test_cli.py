@@ -69,6 +69,13 @@ class TestFiber:
                          "--format", "json")
         assert rc == 0 and json.loads(out) == [{"r": [], "p": [3, 3]}]
 
+    def test_nu_is_checked_as_in_psi(self, capsys):
+        rc, out, _ = run(capsys, "fiber", "--series", "B", "--jordan", "3,1,1", "--nu", "5")
+        assert rc == 0 and out.splitlines() == ["r=3,1,1;p=-", "r=3;p=1,1"]
+        rc, out, err = run(capsys, "fiber", "--series", "B", "--jordan", "3,1,1", "--nu", "99")
+        assert rc == 1 and out == ""
+        assert err == "error: --nu 99 contradicts the block total 5"
+
 
 class TestEncodeAndMc:
     def test_encode_c(self, capsys):
@@ -90,6 +97,11 @@ class TestEncodeAndMc:
     def test_mc_exceptional(self, capsys):
         rc, out, _ = run(capsys, "mc", "--group", "E7", "--label", "4A_1")
         assert rc == 0 and out == "3"
+
+    def test_mc_refuses_a_label_above_the_weyl_rank(self, capsys):
+        rc, out, err = run(capsys, "mc", "--group", "G2", "--label", "A_7")
+        assert rc == 1 and out == ""
+        assert err == "error: label A_7 has rank 7 above the Weyl rank"
 
 
 class TestTable:

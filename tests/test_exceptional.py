@@ -12,7 +12,6 @@ from weyl2uni.exceptional import (
     CarterLabel,
     MapTable,
     TableLine,
-    carter_rank,
     load_all_tables,
     load_table,
     normalize_name,
@@ -37,13 +36,13 @@ class TestNormalize:
 
 class TestCarterLabel:
     def test_rank_values(self):
-        assert carter_rank("4A_1") == 4
-        assert carter_rank("A_0") == 0
-        assert carter_rank("D_6(a_2)+A_1") == 7
-        assert carter_rank("D_4(a_1)+2A_1") == 6
-        assert carter_rank("A_7+A_1") == 8
-        assert carter_rank("2D_4(a_1)") == 8
-        assert carter_rank("A_3+2A_1''") == 5
+        assert CarterLabel.parse("4A_1").rank == 4
+        assert CarterLabel.parse("A_0").rank == 0
+        assert CarterLabel.parse("D_6(a_2)+A_1").rank == 7
+        assert CarterLabel.parse("D_4(a_1)+2A_1").rank == 6
+        assert CarterLabel.parse("A_7+A_1").rank == 8
+        assert CarterLabel.parse("2D_4(a_1)").rank == 8
+        assert CarterLabel.parse("A_3+2A_1''").rank == 5
 
     def test_raw_round_trips(self):
         for s in ["D_4(a_1)+2A_1", "A_3+2A_1''", "Ã_2+A_1", "E_8(a_8)", "G_2"]:
@@ -57,8 +56,8 @@ class TestCarterLabel:
                 CarterLabel.parse(bad)
 
     def test_primes_and_parens_do_not_change_rank(self):
-        assert carter_rank("A_5") == carter_rank("A_5'") == carter_rank("A_5''") == 5
-        assert carter_rank("E_7(a_4)") == carter_rank("E_7(a_1)") == 7
+        assert [CarterLabel.parse(s).rank for s in ("A_5", "A_5'", "A_5''")] == [5, 5, 5]
+        assert CarterLabel.parse("E_7(a_4)").rank == CarterLabel.parse("E_7(a_1)").rank == 7
 
 
 class TestLoadTable:
@@ -273,6 +272,12 @@ class TestLookups:
         fiber = [str(l) for l in e7.lines[6].labels]
         assert fiber == ["7A_1", "6A_1", "5A_1", "4A_1'"]
         assert [e7.fixed_space_dim(l) for l in fiber] == [0, 1, 2, 3]
+
+    def test_fixed_space_dim_refuses_a_label_above_the_weyl_rank(self):
+        assert load_table("G2").fixed_space_dim("A_2") == 0
+        with pytest.raises(DomainError) as exc:
+            load_table("G2").fixed_space_dim("A_7")
+        assert str(exc.value) == "label A_7 has rank 7 above the Weyl rank"
 
     def test_unknown_label_and_name(self):
         t = load_table("G2")

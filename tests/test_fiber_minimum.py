@@ -22,8 +22,9 @@ from weyl2uni import (
     SYMPLECTIC,
     is_member,
     iter_partitions,
+    merge,
 )
-from weyl2uni import type_bd, type_c
+from weyl2uni import splits, type_bd, type_c
 from weyl2uni.weyl import GroupKind, JordanType, phi_classical, psi_classical
 
 ENGINES = {
@@ -57,7 +58,7 @@ def test_matches_brute_fiber_exhaustively(series):
     for c in jordan_types(series, 20):
         least, ties, best = module.fiber_minimum(c)
         assert (least, ties) == oracle_minimum(c, r_family), c.text()
-        assert len(best.p) == least and module.combine(best) == c
+        assert len(best.p) == least and merge(best.r, best.p) == c
         seen += 1
     assert seen > 100
 
@@ -111,6 +112,32 @@ def test_minimum_never_consults_the_routing(module, parts, monkeypatch):
     monkeypatch.setattr(module, "canonical_split", forbidden)
     monkeypatch.setattr(type_bd, "_star", forbidden)
     assert module.fiber_minimum(Partition(parts))[1] == 1
+
+
+# A tie-admitting automaton for the engine: r all even (as in family S) and
+# drawn from at most one distinct value.  Unlike the real automata it lets
+# several splits share the least p-length, so it exercises the ``ways``
+# count of ``splits.fiber_minimum``, which the theorem keeps at 1 otherwise.
+ONE_VALUE_R = (0, lambda s, e, m: None if m and e % 2 else s + (m > 0), lambda s: s < 2)
+
+
+def test_fiber_minimum_counts_every_tied_split():
+    args = (type_c.Split, Partition([4, 4, 2, 2]), type_c._r_counts, ONE_VALUE_R)
+    assert splits.fiber_minimum(*args) == (2, 2, None)
+    seen_ties = 0
+    for c in jordan_types("C", 20):
+        args = (type_c.Split, c, type_c._r_counts, ONE_VALUE_R)
+        listed = list(splits.iter_fiber(*args))
+        if not listed:  # 4,2 say: both values must go wholly to r
+            assert splits.fiber_minimum(*args) == (None, 0, None)
+            continue
+        least = min(len(x.p) for x in listed)
+        tied = [x for x in listed if len(x.p) == least]
+        p_len, ties, best = splits.fiber_minimum(*args)
+        assert (p_len, ties) == (least, len(tied)), c.text()
+        assert best == (tied[0] if ties == 1 else None)
+        seen_ties += ties > 1
+    assert seen_ties > 10  # 12 types of total <= 20 tie, 4,4,2,2 the least
 
 
 @pytest.mark.parametrize("module", [type_c, type_bd], ids=["C", "BD"])

@@ -289,7 +289,6 @@ class TestTrustedConstructor:
                 Partition.from_text(bad)
         assert type_c.Split.from_text("r=2;p=1,1").p == P(1, 1)
         assert type_bd.Split.from_text("r=1,3;p=2,2").r == P(3, 1)
-        assert type_bd.HalfSplit.from_text("p'=1,2;p=-;k=0").halves == P(2, 1)
         assert SignedCycleType.from_text("pos=1,2;neg=-").positive == P(2, 1)
 
     def test_psi_path_keeps_the_contract(self, monkeypatch):

@@ -11,7 +11,7 @@ import pytest
 
 from weyl2uni import DomainError, Partition, type_bd, type_c
 
-PUBLIC = ("Split", "combine", "canonical_split", "iter_fiber", "fiber", "fiber_minimum", "minimal_split")
+PUBLIC = ("Split", "canonical_split", "iter_fiber", "fiber", "fiber_minimum", "minimal_split")
 
 
 def P(*parts):

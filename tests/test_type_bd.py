@@ -10,6 +10,7 @@ from weyl2uni import (
     Partition,
     is_member,
     iter_partitions,
+    merge,
 )
 from weyl2uni import type_bd
 
@@ -129,7 +130,8 @@ class TestCanonicalSplit:
 
     def test_combine_inverts_exhaustively(self):
         for c in orthogonal_types(17):
-            assert type_bd.combine(type_bd.canonical_split(c)) == c
+            x = type_bd.canonical_split(c)
+            assert merge(x.r, x.p) == c
 
     def test_r_side_extremes_are_odd(self):
         for c in orthogonal_types(17):
@@ -186,45 +188,13 @@ class TestMinimalSplit:
 
 class TestHalfSplit:
     def test_values(self):
-        assert type_bd.from_halves(type_bd.HalfSplit(P(2), Partition(), 1)).text() == "r=5;p=-"
-        assert (
-            type_bd.from_halves(type_bd.HalfSplit(Partition(), P(3, 3), 0)).text() == "r=-;p=3,3"
-        )
-        assert (
-            type_bd.from_halves(type_bd.HalfSplit(P(2, 2), P(1, 1), 0)).text() == "r=5,3;p=1,1"
-        )
+        # a halves triple (p', p, kappa) names the split (blocks_from_halves(p', kappa), p)
+        def from_halves(half, p, kappa):
+            return type_bd.Split(type_bd.blocks_from_halves(half, kappa), p)
 
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            type_bd.HalfSplit(P(2), Partition(), 0)  # odd length at kappa=0
-        with pytest.raises(DomainError):
-            type_bd.HalfSplit(P(2), P(2, 1), 1)  # p not doubled
-
-    def test_round_trip_with_to_halves(self):
-        for nu in range(0, 15):
-            kappa = nu % 2
-            for c in orthogonal_types(nu, start=nu):
-                s = type_bd.canonical_split(c)
-                h = type_bd.to_halves(s, kappa)
-                assert type_bd.from_halves(h) == s
-                assert h.nu == nu
-
-    def test_text_round_trip(self):
-        h = type_bd.HalfSplit(P(2, 1), P(3, 3), 1)
-        assert type_bd.HalfSplit.from_text(h.text()) == h
-        assert h.text() == "p'=2,1;p=3,3;k=1"
-
-    @pytest.mark.parametrize("token", ["x", "+1", "1_0", "", "\u0661"])
-    def test_from_text_names_a_bad_kappa_token(self, token):
-        with pytest.raises(DomainError) as exc:
-            type_bd.HalfSplit.from_text(f"p'=1;p=-;k={token}")
-        assert str(exc.value) == f"kappa must be 0 or 1, got {token!r}"
-
-    def test_from_text_kappa_is_checked_after_parsing(self):
-        assert type_bd.HalfSplit.from_text("p'=1;p=-;k= 1 ").kappa == 1
-        with pytest.raises(DomainError) as exc:
-            type_bd.HalfSplit.from_text("p'=1;p=-;k=2")
-        assert str(exc.value) == "kappa must be 0 or 1, got 2"
+        assert from_halves(P(2), Partition(), 1).text() == "r=5;p=-"
+        assert from_halves(Partition(), P(3, 3), 0).text() == "r=-;p=3,3"
+        assert from_halves(P(2, 2), P(1, 1), 0).text() == "r=5,3;p=1,1"
 
 
 class TestClassifyD:

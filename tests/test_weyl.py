@@ -4,13 +4,17 @@ from conftest import cycle_split_by_flip
 from weyl2uni import (
     ContradictionError,
     DomainError,
+    ORTHOGONAL,
     Partition,
+    is_member,
     iter_partitions,
+    type_bd,
 )
 from weyl2uni.weyl import (
     GroupKind,
     JordanType,
     SignedCycleType,
+    decode_class,
     encode_class,
     enumerate_classes,
     fixed_space_dim,
@@ -46,7 +50,12 @@ class TestEncode:
     def test_values(self):
         assert encode_class(W([2], []), GroupKind("C", 2)).text() == "r=-;p=2,2"
         assert encode_class(W([], [2]), GroupKind("C", 2)).text() == "r=4;p=-"
-        assert encode_class(W([1], [1]), GroupKind("B", 2)).text() == "p'=1;p=1,1;k=1"
+        # B/D: r is the blocks of the negative cycle lengths
+        assert encode_class(W([1], [1]), GroupKind("B", 2)).text() == "r=3;p=1,1"
+        assert encode_class(W([], [2]), GroupKind("B", 2)).text() == "r=5;p=-"
+        assert encode_class(W([3], []), GroupKind("D", 3)).text() == "r=-;p=3,3"
+        assert encode_class(W([1], [2, 2]), GroupKind("D", 5)).text() == "r=5,3;p=1,1"
+        assert isinstance(encode_class(W([3], []), GroupKind("D", 3)), type_bd.Split)
 
     def test_rank_mismatch(self):
         with pytest.raises(DomainError):
@@ -71,8 +80,9 @@ class TestEncode:
                         assert list(enc.p.parts) == rest
                     else:
                         non_fixed = [d for d in invariant if d > 1]
-                        assert [2 * h for h in enc.halves.parts] == non_fixed
-                        assert list(enc.doubled.parts) == rest
+                        halves = type_bd.halves_from_blocks(enc.r, g.kappa)
+                        assert [2 * h for h in halves.parts] == non_fixed
+                        assert list(enc.p.parts) == rest
 
     def test_injective_and_onto_the_pair_sets(self):
         # series C at each rank: encodings hit every (all-even, doubled) pair
@@ -95,7 +105,7 @@ class TestEncode:
         # total arises exactly once
         for n in range(1, 7):
             g = GroupKind("B", n)
-            encs = {(e.halves.parts, e.doubled.parts) for e in
+            encs = {(type_bd.halves_from_blocks(e.r, g.kappa).parts, e.p.parts) for e in
                     (encode_class(w, g) for w in enumerate_classes(g))}
             assert len(encs) == len(enumerate_classes(g))
             expected = set()
@@ -113,7 +123,7 @@ class TestEncode:
         for n in range(2, 7):
             g = GroupKind("D", n)
             nonsplit = [w for w in enumerate_classes(g) if not w.split]
-            encs = {(e.halves.parts, e.doubled.parts) for e in
+            encs = {(type_bd.halves_from_blocks(e.r, g.kappa).parts, e.p.parts) for e in
                     (encode_class(w, g) for w in nonsplit)}
             assert len(encs) == len(nonsplit)
             expected = set()
@@ -127,6 +137,17 @@ class TestEncode:
                             continue  # the fused very even pairs
                         expected.add((halves.parts, doubled))
             assert encs == expected
+
+    def test_round_trip_through_decode(self):
+        # every canonical split of a B/D Jordan type decodes to a class
+        # that encodes back to it
+        for nu in range(3, 15):
+            g = GroupKind("B" if nu % 2 else "D", nu // 2)
+            for c in iter_partitions(nu):
+                if not is_member(c, ORTHOGONAL):
+                    continue
+                x = type_bd.canonical_split(c)
+                assert encode_class(decode_class(x, g), g) == x
 
 
 class TestFixedSpaceDim:
@@ -155,9 +176,7 @@ class TestFixedSpaceDim:
             for n in range(least, 7):
                 g = GroupKind(series, n)
                 for w in enumerate_classes(g):
-                    enc = encode_class(w, g)
-                    p = enc.p if series == "C" else enc.doubled
-                    assert fixed_space_dim(w) == len(p) // 2
+                    assert fixed_space_dim(w) == len(encode_class(w, g).p) // 2
 
     def test_rank_cap(self):
         with pytest.raises(DomainError):
