@@ -1,10 +1,11 @@
 """Command-line surface: phi, psi, fiber, encode, mc, table, verify.
 
 Classical classes are written ``pos=<partition>;neg=<partition>`` and
-partitions as comma-separated parts with ``-`` for empty, so every output is
-valid input again.  Exceptional labels accept the ASCII aliases ("tA_1",
-"A~_1", straight quotes for primes).  Domain errors exit 1 with a message
-naming the violated invariant; usage errors exit 2.
+partitions as comma-separated parts with ``-`` for empty; classical ``phi``
+prints valid ``--jordan`` input and ``psi`` valid ``--class`` input.
+Exceptional labels accept the ASCII aliases ("tA_1", "A~_1", straight quotes
+for primes).  Domain errors exit 1 with a message naming the violated
+invariant; usage errors exit 2.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import argparse
 import json
 import sys
 
-from . import exceptional, type_bd, type_c, verify
+from . import type_bd, type_c, verify
 from .exceptional import GROUPS, load_table
 from .partitions import ContradictionError, DomainError, Partition
 from .weyl import (

@@ -20,7 +20,7 @@ The engine runs its dynamic program ``fiber_minimum`` and its listing walk
 ``iter_fiber`` on that automaton, so the minimum needs no routing and the
 listing costs time in proportion to the number of splits.  ``iter_fiber``,
 ``fiber``, ``fiber_minimum`` and ``minimal_split`` are one-line calls into
-the engine.  ``classify_d`` tells very even types of series D apart.
+the engine.
 
 Routing rules of ``canonical_split`` for a value e with multiplicity q in c
 (writing d for the 1-based position where e's run starts inside the odd
@@ -35,7 +35,6 @@ subsequence of c):
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -43,7 +42,6 @@ from . import splits
 from .partitions import (
     CHAINED,
     ContradictionError,
-    DOUBLED_EVEN,
     DomainError,
     ORTHOGONAL,
     Partition,
@@ -175,26 +173,16 @@ class Split(splits.Split):
 
 
 def _star(odds: tuple[int, ...], e: int) -> bool:
-    """Interleaving test deciding whether an even value e belongs in p.
+    """Whether an even value e belongs in p: evenly many odd entries of r exceed e.
 
-    odds holds the odd entries already routed to r, decreasing.  True when e
-    falls strictly inside an even-position gap of that chain, above its top,
-    or below its bottom with evenly many entries.  With no odd entries at
-    all the test is vacuously true (everything even stays in p; anything
-    else would break family R).  Equivalent closed form: the number of odd
-    entries exceeding e is even.
+    odds holds the odd entries already routed to r, decreasing.  Read on
+    that chain, the count is even exactly when e lies above its top, inside
+    a gap between positions 2v and 2v+1, or below its bottom when the chain
+    has even length; e is even and the entries odd, so there are no ties.
+    With no odd entries the test is vacuously true (everything even stays
+    in p; anything else would break family R).
     """
-    s = len(odds)
-    if s == 0:
-        return True
-    if e > odds[0]:
-        return True
-    if s % 2 == 0 and odds[-1] > e:
-        return True
-    for i in range(1, s - 1, 2):  # 0-based pairs (i, i+1) = 1-based (2v, 2v+1)
-        if odds[i] > e > odds[i + 1]:
-            return True
-    return False
+    return len([v for v in odds if v > e]) % 2 == 0
 
 
 def canonical_split(c: Partition) -> Split:
@@ -308,22 +296,3 @@ def fiber_minimum(c: Partition) -> tuple[int | None, int, Split | None]:
 def minimal_split(c: Partition) -> Split:
     """The unique split minimizing the number of parts of p (``splits.minimal_split``)."""
     return splits.minimal_split(c, fiber_minimum, canonical_split)
-
-
-class DKind(enum.Enum):
-    """How an even-total orthogonal Jordan type sits in the even series."""
-
-    VERY_EVEN = "very_even"
-    ORDINARY = "ordinary"
-
-
-def classify_d(c: Partition) -> DKind:
-    """Very even types (all parts even) are the degenerate even-series case.
-
-    For them the fiber is the singleton (r empty, p = c) and every map here
-    restricts to the identity; ordinary types use the full machinery.
-    """
-    if c.size % 2:
-        raise DomainError(f"{c.text()} has odd total {c.size}; even series needs an even total")
-    _require_orthogonal(c)
-    return DKind.VERY_EVEN if is_member(c, DOUBLED_EVEN) else DKind.ORDINARY

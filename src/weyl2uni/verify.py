@@ -23,10 +23,12 @@ from dataclasses import dataclass, field
 from . import exceptional, type_bd, type_c
 from .partitions import (
     ContradictionError,
+    DOUBLED_EVEN,
     DomainError,
     ORTHOGONAL,
     Partition,
     SYMPLECTIC,
+    is_member,
     iter_members,
 )
 from .weyl import GroupKind, encode_class, enumerate_classes, fixed_space_dim, fixed_space_dim_from_matrix
@@ -45,12 +47,11 @@ HARD_RANK_CAP = 7
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """What to sweep: series/groups, size caps, characteristics."""
+    """What to sweep: series/groups (each group in all its characteristics) and size caps."""
 
     series: tuple[str, ...] = ALL_SERIES
     max_nu: int = 16
     max_rank: int = 5
-    characteristics: tuple[str, ...] = ("good", "p2", "p3")
 
     def __post_init__(self):
         for s in self.series:
@@ -152,7 +153,7 @@ def check_classical(cfg: SweepConfig) -> VerificationReport:
         skipped = 0
         for nu in range(parity, cfg.max_nu + 1, 2):
             for c in iter_members(nu, family):
-                if series == "D" and type_bd.classify_d(c) is type_bd.DKind.VERY_EVEN:
+                if series == "D" and is_member(c, DOUBLED_EVEN):
                     skipped += 1  # the statement is vacuous there (singleton fiber)
                     continue
                 result.scanned += 1
@@ -198,12 +199,10 @@ def check_bridge(cfg: SweepConfig) -> VerificationReport:
 
 
 def check_exceptional(cfg: SweepConfig) -> VerificationReport:
-    """Load and re-verify every requested (group, characteristic) table."""
+    """Load and re-verify every supported table of each requested group."""
     report = VerificationReport()
     for group in (g for g in exceptional.GROUPS if g in cfg.series):
         for characteristic in exceptional.SUPPORTED_CHARACTERISTICS[group]:
-            if characteristic not in cfg.characteristics:
-                continue
             start = time.perf_counter()
             result = CheckResult(name=f"table[{group},{characteristic}]")
             try:

@@ -139,9 +139,6 @@ class JordanType:
     def text(self) -> str:
         return self.parts.text()
 
-    def to_json(self) -> dict:
-        return {"jordan": self.parts.to_json(), "epsilon": self.epsilon}
-
 
 def _check_class(w: SignedCycleType, g: GroupKind) -> None:
     if w.rank != g.rank:

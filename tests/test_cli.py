@@ -103,6 +103,11 @@ class TestEncodeAndMc:
         assert rc == 1 and out == ""
         assert err == "error: label A_7 has rank 7 above the Weyl rank"
 
+    def test_mc_refuses_a_zero_count(self, capsys):
+        rc, out, err = run(capsys, "mc", "--group", "G2", "--label", "0A_1")
+        assert rc == 1 and out == ""
+        assert err == "error: cannot parse Carter label component '0A_1' of '0A_1'"
+
 
 class TestTable:
     def test_tsv_round_trips_through_loader(self, capsys, tmp_path):

@@ -10,7 +10,6 @@ from weyl2uni.exceptional import (
     GROUPS,
     SUPPORTED_CHARACTERISTICS,
     CarterLabel,
-    MapTable,
     TableLine,
     load_all_tables,
     load_table,
@@ -37,6 +36,7 @@ class TestNormalize:
 class TestCarterLabel:
     def test_rank_values(self):
         assert CarterLabel.parse("4A_1").rank == 4
+        assert CarterLabel.parse("10A_1").rank == 10
         assert CarterLabel.parse("A_0").rank == 0
         assert CarterLabel.parse("D_6(a_2)+A_1").rank == 7
         assert CarterLabel.parse("D_4(a_1)+2A_1").rank == 6
@@ -51,7 +51,7 @@ class TestCarterLabel:
             assert CarterLabel.parse(label.raw) == label
 
     def test_parse_rejects_garbage(self):
-        for bad in ["", "X_1", "A_", "A1", "A_1)))", "A_1+"]:
+        for bad in ["", "X_1", "A_", "A1", "A_1)))", "A_1+", "0A_1", "A_2+00A_1"]:
             with pytest.raises(DomainError):
                 CarterLabel.parse(bad)
 
@@ -133,6 +133,33 @@ FAKE_G2 = (
 OTHER_G2 = FAKE_G2.replace("G_2(a_1)", "G_2(a_7)")
 # same length again, but the first label no longer dominates its line
 BROKEN_G2 = FAKE_G2.replace("A_1+Ã_1,Ã_1", "Ã_1,A_1+Ã_1")
+
+
+@pytest.mark.parametrize(
+    "patch, message",
+    [
+        (  # drops the label Ã_1 of its base line
+            "G2\tp3\tA_1+Ã_1\tÃ_1\n",
+            "patch lines for base line 'Ã_1' of G2 cover ['A_1+Ã_1'], "
+            "expected exactly ['A_1+Ã_1', 'Ã_1']",
+        ),
+        (  # spans the base lines of A_1 and A_2
+            "G2\tp3\tA_1,A_2\tA_1\n",
+            "patch line for 'A_1' does not sit inside a single base line of G2",
+        ),
+        (  # adds the label A_3, which no base line holds
+            "G2\tp3\tA_1+Ã_1\tÃ_1\nG2\tp3\tÃ_1,A_3\t(Ã_1)_3\n",
+            "patch line for '(Ã_1)_3' does not sit inside a single base line of G2",
+        ),
+    ],
+    ids=["drops_a_label", "spans_two_lines", "adds_a_label"],
+)
+def test_a_patch_that_changes_the_label_set_is_refused(tmp_path, patch, message):
+    data = tmp_path / "tables.tsv"
+    data.write_text(FAKE_G2 + patch, encoding="utf-8")
+    with pytest.raises(DomainError) as err:
+        load_table("G2", "p3", path=str(data))
+    assert str(err.value) == message
 
 
 def counting(monkeypatch, name):

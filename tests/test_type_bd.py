@@ -5,6 +5,7 @@ from weyl2uni import (
     CHAINED,
     ContradictionError,
     DOUBLED,
+    DOUBLED_EVEN,
     DomainError,
     ORTHOGONAL,
     Partition,
@@ -101,15 +102,6 @@ class TestHalvesFromBlocks:
 
 
 class TestStar:
-    def test_matches_parity_of_larger_odds(self):
-        # closed form: the number of odd entries above e is even
-        chains = {c.parts for nu in range(0, 17) for c in chained_of(nu)}
-        for chain in chains:
-            odds = tuple(v for v in chain if v % 2)
-            for e in range(2, 20, 2):
-                expected = sum(1 for v in odds if v > e) % 2 == 0
-                assert type_bd._star(odds, e) == expected
-
     def test_empty_chain_sends_evens_to_p(self):
         assert type_bd._star((), 4)
         assert type_bd.canonical_split(P(3, 3, 2, 2)) == type_bd.Split(
@@ -198,21 +190,12 @@ class TestHalfSplit:
 
 
 class TestClassifyD:
-    def test_values(self):
-        assert type_bd.classify_d(P(2, 2)) is type_bd.DKind.VERY_EVEN
-        assert type_bd.classify_d(P(5, 3, 2, 2)) is type_bd.DKind.ORDINARY
-        assert type_bd.classify_d(P(4, 4, 2, 2)) is type_bd.DKind.VERY_EVEN
-
-    def test_rejects_odd_total(self):
-        with pytest.raises(DomainError):
-            type_bd.classify_d(P(3, 1, 1))
-
     def test_very_even_fiber_is_identity_singleton(self):
         for nu in range(0, 17, 2):
             for c in iter_partitions(nu):
                 if not is_member(c, ORTHOGONAL):
                     continue
-                if type_bd.classify_d(c) is type_bd.DKind.VERY_EVEN:
+                if is_member(c, DOUBLED_EVEN):
                     fib = type_bd.fiber(c)
                     assert fib == [type_bd.Split(Partition(), c)]
                     assert type_bd.minimal_split(c) == fib[0]

@@ -2,7 +2,6 @@ import pytest
 
 from conftest import cycle_split_by_flip
 from weyl2uni import (
-    ContradictionError,
     DomainError,
     ORTHOGONAL,
     Partition,
