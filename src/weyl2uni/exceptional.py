@@ -61,7 +61,7 @@ def normalize_name(s: str) -> str:
 
 
 _COMPONENT_RE = re.compile(
-    r"^(?P<count>(?:0*[1-9]\d*)?)(?P<letter>Ã|[A-G])_(?P<sub>\d+)"
+    r"^(?P<count>(?:0*[1-9]\d*)?)(?P<letter>Ã|[A-G])_(?P<sub>0*[1-9]\d*)"
     r"(?P<paren>\([ab]_\d+\))?(?P<primes>'{0,2})$"
 )
 
@@ -70,10 +70,11 @@ _COMPONENT_RE = re.compile(
 class CarterLabel:
     """A Weyl-class name such as D_4(a_1)+2A_1 or A_3+2A_1''.
 
-    components holds (count >= 1, letter, subscript, parenthetical, primes)
-    per summand; the diagram rank is the count-weighted sum of subscripts,
-    ignoring parentheticals and primes.  raw is the canonical spelling and
-    round-trips through parse.
+    components holds (count >= 1, letter, subscript >= 1, parenthetical,
+    primes) per summand; subscript 0 occurs only in the whole label A_0,
+    the identity class.  The diagram rank is the count-weighted sum of
+    subscripts, ignoring parentheticals and primes.  raw is the canonical
+    spelling and round-trips through parse.
     """
 
     raw: str
@@ -84,6 +85,8 @@ class CarterLabel:
         norm = normalize_name(s)
         if not norm:
             raise DomainError("empty Carter label")
+        if norm == "A_0":  # the identity class: the one label with subscript 0
+            return cls(norm, ((1, "A", 0, "", ""),))
         comps = []
         for token in norm.split("+"):
             m = _COMPONENT_RE.match(token)
@@ -261,7 +264,6 @@ def _decode(file: object, data: bytes) -> str:
 def _parse_records(text: str) -> tuple[tuple[str, str, tuple[str, ...], str], ...]:
     records = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip("\n")
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         fields = line.split("\t")
@@ -381,12 +383,3 @@ def _build_table(records: tuple, group: str, characteristic: str) -> MapTable:
             + "; ".join(report.failures)
         )
     return table
-
-
-def load_all_tables(path: str | None = None) -> list[MapTable]:
-    """Every supported (group, characteristic) table, validated."""
-    return [
-        load_table(group, characteristic, path=path)
-        for group in GROUPS
-        for characteristic in SUPPORTED_CHARACTERISTICS[group]
-    ]

@@ -30,7 +30,6 @@ readable names:
 
 from __future__ import annotations
 
-from functools import total_ordering
 from typing import Iterable, Iterator
 
 
@@ -42,26 +41,33 @@ class ContradictionError(RuntimeError):
     """A property that must hold by construction failed; indicates a bug."""
 
 
-@total_ordering
-class Partition:
-    """A weakly decreasing sequence of positive integers.
+class Partition(tuple):
+    """A weakly decreasing sequence of positive integers: a sorted tuple.
 
-    Constructors sort their input and reject nonpositive or non-integer
-    parts.  Instances are immutable and hashable.
+    The constructor sorts its input and rejects nonpositive or non-integer
+    parts.  A partition is the tuple of its parts: it equals, hashes and
+    orders as that tuple, so ``Partition([3, 1]) == (3, 1)``, and it is
+    immutable as a tuple is.
     """
 
-    __slots__ = ("_parts",)
+    __slots__ = ()
+
+    def __new__(cls, parts: Iterable[int] = ()) -> "Partition":
+        ps = tuple(parts)
+        try:
+            ps = sorted(ps, reverse=True)
+        except TypeError:  # an incomparable mix: left unsorted for __init__ to refuse
+            pass
+        return tuple.__new__(cls, ps)
 
     def __init__(self, parts: Iterable[int] = ()) -> None:
-        ps = tuple(parts)
-        for p in ps:  # before sorting, so a non-int part never reaches a comparison
+        for p in self:
             if not isinstance(p, int) or isinstance(p, bool) or p < 1:
                 raise DomainError(f"partition parts must be positive integers, got {p!r}")
-        object.__setattr__(self, "_parts", tuple(sorted(ps, reverse=True)))
 
     @classmethod
     def _from_sorted(cls, parts: tuple[int, ...]) -> "Partition":
-        """Trusted constructor: skips the sort and the per-part check of ``__init__``.
+        """Trusted constructor: ``tuple.__new__`` alone, skipping the sort and the part check.
 
         The caller guarantees that ``parts`` is a tuple of positive ints in
         weakly decreasing order, derived from partitions already validated.
@@ -78,62 +84,32 @@ class Partition:
         * ``weyl.encode_class`` (series C) and ``decode_class``.
 
         Outside input (``from_text``, the ``__init__`` of the public
-        dataclasses) always goes through ``__init__``.
+        dataclasses) always goes through the validating constructor.
         """
-        self = object.__new__(cls)
-        object.__setattr__(self, "_parts", parts)
-        return self
-
-    def __setattr__(self, name, value):  # immutable after construction
-        raise AttributeError("Partition is immutable")
+        return tuple.__new__(cls, parts)
 
     @property
     def parts(self) -> tuple[int, ...]:
-        return self._parts
+        return self
 
     @property
     def size(self) -> int:
         """Sum of the parts."""
-        return sum(self._parts)
-
-    def __len__(self) -> int:
-        return len(self._parts)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._parts)
-
-    def __getitem__(self, k: int) -> int:
-        return self._parts[k]
-
-    def __bool__(self) -> bool:
-        return bool(self._parts)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Partition):
-            return self._parts == other._parts
-        return NotImplemented
-
-    def __lt__(self, other) -> bool:
-        if isinstance(other, Partition):
-            return self._parts < other._parts
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._parts)
+        return sum(self)
 
     def __repr__(self) -> str:
-        return f"Partition({list(self._parts)})"
+        return f"Partition({list(self)})"
 
     def multiplicities(self) -> dict[int, int]:
         """Each distinct value with its multiplicity, largest value first (one pass)."""
         out: dict[int, int] = {}
-        for p in self._parts:
+        for p in self:
             out[p] = out.get(p, 0) + 1
         return out
 
     def text(self) -> str:
         """Comma-separated decimal parts; "-" for the empty partition."""
-        return ",".join(str(p) for p in self._parts) if self._parts else "-"
+        return ",".join(str(p) for p in self) if self else "-"
 
     @classmethod
     def from_text(cls, s: str) -> "Partition":
@@ -147,7 +123,7 @@ class Partition:
             raise DomainError(f"cannot parse partition from {s!r}: {exc}") from None
 
     def to_json(self) -> list[int]:
-        return list(self._parts)
+        return list(self)
 
 
 def parse_decimal(tok: str) -> int:

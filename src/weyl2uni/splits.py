@@ -13,10 +13,10 @@ closed-form routing.  ``partitions.merge(x.r, x.p)`` merges a split back.
 naming the r-family, ``_r_counts``, the automaton and ``canonical_split``)
 and call in here with one line per public function.
 
-A ``Split`` is a certificate: its public constructor and ``from_text`` test
-r for the r-family and p for family Ptilde, so a function handed a Split
-does not test either again.  A function whose own derivation guarantees
-both families builds its split with the trusted ``Split._trusted``.
+A ``Split`` is a certificate: its public constructor tests r for the
+r-family and p for family Ptilde, so a function handed a Split does not
+test either again.  A function whose own derivation guarantees both
+families builds its split with the trusted ``Split._trusted``.
 """
 
 from __future__ import annotations
@@ -62,21 +62,8 @@ class Split:
         object.__setattr__(self, "p", p)
         return self
 
-    @property
-    def nu(self) -> int:
-        return self.r.size + self.p.size
-
     def text(self) -> str:
         return f"r={self.r.text()};p={self.p.text()}"
-
-    @classmethod
-    def from_text(cls, s: str) -> "Split":
-        try:
-            rpart, ppart = s.split(";")
-            assert rpart.startswith("r=") and ppart.startswith("p=")
-        except (ValueError, AssertionError):
-            raise DomainError(f"expected 'r=<partition>;p=<partition>', got {s!r}") from None
-        return cls(Partition.from_text(rpart[2:]), Partition.from_text(ppart[2:]))
 
     def to_json(self) -> dict:
         return {"r": self.r.to_json(), "p": self.p.to_json()}

@@ -125,9 +125,7 @@ class JordanType:
         if self.epsilon not in (1, -1):
             raise DomainError(f"epsilon must be +1 or -1, got {self.epsilon!r}")
         if self.epsilon == -1:
-            if self.parts.size % 2:
-                raise DomainError(f"symplectic Jordan type {self.parts.text()} has odd total")
-            if not is_member(self.parts, SYMPLECTIC):
+            if not is_member(self.parts, SYMPLECTIC):  # family T forces an even total
                 raise DomainError(f"{self.parts.text()} is not a symplectic Jordan type (family T)")
         elif not is_member(self.parts, ORTHOGONAL):
             raise DomainError(f"{self.parts.text()} is not an orthogonal Jordan type (family Q)")

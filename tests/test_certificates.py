@@ -270,7 +270,7 @@ def test_lost_parts_in_canonical_split_are_caught_by_the_merge_check(side):
 
         @property
         def parts(self):
-            return tuple(v for v in self._parts if v != self._parts[-1])
+            return tuple(v for v in self if v != self[-1])
 
         def multiplicities(self):
             out = super().multiplicities()

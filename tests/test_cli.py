@@ -108,6 +108,13 @@ class TestEncodeAndMc:
         assert rc == 1 and out == ""
         assert err == "error: cannot parse Carter label component '0A_1' of '0A_1'"
 
+    @pytest.mark.parametrize("label", ["2A_0", "A_1+A_0", "D_0", "A_0'", "tA_0"])
+    def test_mc_refuses_subscript_zero_outside_a0(self, capsys, label):
+        rc, out, err = run(capsys, "mc", "--group", "G2", "--label", label)
+        assert rc == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: cannot parse Carter label component ")
+
 
 class TestTable:
     def test_tsv_round_trips_through_loader(self, capsys, tmp_path):

@@ -11,11 +11,15 @@ from weyl2uni.exceptional import (
     SUPPORTED_CHARACTERISTICS,
     CarterLabel,
     TableLine,
-    load_all_tables,
     load_table,
     normalize_name,
     verify_table,
 )
+
+
+def all_tables():
+    """Every supported (group, characteristic) table, loaded as ``check_exceptional`` does."""
+    return [load_table(g, ch) for g in GROUPS for ch in SUPPORTED_CHARACTERISTICS[g]]
 
 
 class TestNormalize:
@@ -38,6 +42,7 @@ class TestCarterLabel:
         assert CarterLabel.parse("4A_1").rank == 4
         assert CarterLabel.parse("10A_1").rank == 10
         assert CarterLabel.parse("A_0").rank == 0
+        assert CarterLabel.parse("A_01+010A_1").rank == 11
         assert CarterLabel.parse("D_6(a_2)+A_1").rank == 7
         assert CarterLabel.parse("D_4(a_1)+2A_1").rank == 6
         assert CarterLabel.parse("A_7+A_1").rank == 8
@@ -54,6 +59,10 @@ class TestCarterLabel:
         for bad in ["", "X_1", "A_", "A1", "A_1)))", "A_1+", "0A_1", "A_2+00A_1"]:
             with pytest.raises(DomainError):
                 CarterLabel.parse(bad)
+        # subscript 0 only as the whole label A_0
+        for bad in ["2A_0", "A_1+A_0", "A_0+A_1", "D_0", "A_0'", "tA_0", "A_00"]:
+            with pytest.raises(DomainError, match="cannot parse Carter label component"):
+                CarterLabel.parse(bad)
 
     def test_primes_and_parens_do_not_change_rank(self):
         assert [CarterLabel.parse(s).rank for s in ("A_5", "A_5'", "A_5''")] == [5, 5, 5]
@@ -62,7 +71,7 @@ class TestCarterLabel:
 
 class TestLoadTable:
     def test_all_supported_pairs_load_and_validate(self):
-        for table in load_all_tables():
+        for table in all_tables():
             report = verify_table(table)
             assert report.passed, report.failures
 
@@ -229,9 +238,9 @@ class TestTableCache:
         monkeypatch.setattr(exceptional, "_cache", None)
         parses = counting(monkeypatch, "_parse_records")
         checks = counting(monkeypatch, "verify_table")
-        first = load_all_tables()
+        first = all_tables()
         assert len(parses) == 1 and len(checks) == len(first) == 10
-        second = load_all_tables()
+        second = all_tables()
         assert len(parses) == 1 and len(checks) == 10
         assert all(a is b for a, b in zip(first, second))
 
@@ -286,7 +295,7 @@ class TestLookups:
         assert str(load_table("G2").psi("Ã_1")) == "A_1+Ã_1"
 
     def test_phi_psi_identity_everywhere(self):
-        for table in load_all_tables():
+        for table in all_tables():
             for line in table.lines:
                 label = table.psi(line.name)
                 assert label == line.labels[0]

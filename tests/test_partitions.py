@@ -98,6 +98,39 @@ class TestPartition:
 
     def test_ordering_is_by_parts(self):
         assert P(2, 1) < P(3) and P(3) < P(3, 1)
+        assert P(2, 1) < (3,) and (3,) < P(3, 1)
+        assert sorted([P(3, 1), P(1, 1, 1, 1), P(4)]) == [(1, 1, 1, 1), (3, 1), (4,)]
+
+    def test_a_partition_is_the_tuple_of_its_parts(self):
+        c = P(1, 3)
+        assert isinstance(c, tuple) and c.parts is c
+        assert c == (3, 1) and (3, 1) == c and c != (1, 3)
+        assert hash(c) == hash((3, 1))
+        assert {(3, 1): "x"}[c] == "x" and len({c, (3, 1)}) == 1
+
+    def test_attributes_cannot_be_set(self):
+        c = P(2, 1)
+        for name in ("parts", "size", "_parts", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(c, name, (1,))
+        assert c == (2, 1)
+
+    @given(st.lists(st.one_of(
+        st.integers(min_value=-3, max_value=20),
+        st.booleans(),
+        st.floats(allow_nan=True),
+        st.text(max_size=2),
+        st.none(),
+    ), max_size=6))
+    def test_any_mix_is_sorted_positive_ints_or_a_domain_error(self, xs):
+        try:
+            c = Partition(xs)
+        except DomainError as exc:
+            assert str(exc).startswith("partition parts must be positive integers, got ")
+            assert any(type(x) is not int or x < 1 for x in xs)
+        else:
+            assert all(type(x) is int and x >= 1 for x in xs)
+            assert c == tuple(sorted(xs, reverse=True))
 
 
 class TestMerge:
@@ -275,8 +308,8 @@ class TestTrustedConstructor:
             for c in iter_members(n, ORTHOGONAL):
                 list(type_bd.iter_fiber(c))
         assert len(built) > 1000
-        for x in built:
-            assert type(x.parts) is tuple and Partition(x.parts) == x
+        for x in built:  # the validating constructor accepts each and moves no part
+            assert Partition(x) == x
 
     def test_public_parsers_never_use_it(self, monkeypatch):
         def refuse(cls, parts):
@@ -287,8 +320,6 @@ class TestTrustedConstructor:
         for bad in ("0", "2,-1", "x"):
             with pytest.raises(DomainError):
                 Partition.from_text(bad)
-        assert type_c.Split.from_text("r=2;p=1,1").p == P(1, 1)
-        assert type_bd.Split.from_text("r=1,3;p=2,2").r == P(3, 1)
         assert SignedCycleType.from_text("pos=1,2;neg=-").positive == P(2, 1)
 
     def test_psi_path_keeps_the_contract(self, monkeypatch):

@@ -28,7 +28,7 @@ def test_splits_of_different_sides_never_compare_equal():
     c_split, bd_split = type_c.Split(Partition(), P(2, 2)), type_bd.Split(Partition(), P(2, 2))
     assert c_split.text() == bd_split.text()
     assert c_split != bd_split
-    assert type_c.Split.from_text("r=-;p=2,2") == c_split
+    assert type_c.Split(Partition(), P(2, 2)) == c_split
     with pytest.raises(dataclasses.FrozenInstanceError):
         c_split.r = P(2)
 

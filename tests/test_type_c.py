@@ -102,9 +102,3 @@ class TestMinimalSplit:
         )
         with pytest.raises(ContradictionError):
             type_c.minimal_split(P(2, 2, 1, 1))
-
-
-def test_split_text_round_trip():
-    s = type_c.Split(P(2, 2), P(1, 1))
-    assert type_c.Split.from_text(s.text()) == s
-    assert s.nu == 6

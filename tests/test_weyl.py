@@ -268,7 +268,7 @@ class TestEnumerate:
 class TestJordanType:
     def test_validation(self):
         with pytest.raises(DomainError):
-            JordanType(P(3, 2), -1)  # odd total for symplectic
+            JordanType(P(3, 2), -1)  # odd total: 3 occurs once, outside family T
         with pytest.raises(DomainError):
             JordanType(P(3, 2, 1), -1)  # 3 occurs once: not symplectic
         with pytest.raises(DomainError):
