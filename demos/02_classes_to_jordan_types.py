@@ -15,6 +15,7 @@ from weyl2uni.weyl import (
     enumerate_classes,
     fixed_space_dim,
     fixed_space_dim_from_matrix,
+    is_split_class,
     phi_classical,
     psi_classical,
 )
@@ -42,6 +43,6 @@ print()
 print("== series D and the fused classes ==")
 gd = GroupKind("D", 4)
 for w in enumerate_classes(gd):
-    if w.split:
+    if is_split_class(w, gd):
         j = phi_classical(w, gd)
         print(f"  {w.text():18} -> very even Jordan type {j.text()} (fused pair, flagged)")

@@ -18,6 +18,7 @@ from . import type_bd, type_c, verify
 from .exceptional import GROUPS, load_table
 from .partitions import ContradictionError, DomainError, Partition
 from .weyl import (
+    SERIES,
     GroupKind,
     JordanType,
     SignedCycleType,
@@ -72,8 +73,9 @@ def _cmd_phi(args, parser) -> int:
         return 0
     _need(args, parser, "series", "class")
     w = SignedCycleType.from_text(getattr(args, "class"))
-    j = phi_classical(w, GroupKind(args.series, w.rank))
-    _emit(args, j.text(), {"series": args.series, "class": w.to_json(), "jordan": j.parts.to_json()})
+    g = GroupKind(args.series, w.rank)
+    j = phi_classical(w, g)
+    _emit(args, j.text(), {"series": args.series, "class": w.to_json(g), "jordan": j.parts.to_json()})
     return 0
 
 
@@ -87,7 +89,7 @@ def _cmd_psi(args, parser) -> int:
     _need(args, parser, "series", "jordan")
     j, g = _parse_jordan(args.series, args.jordan, args.nu)
     w = psi_classical(j, g)
-    _emit(args, w.text(), {"series": args.series, "jordan": j.parts.to_json(), "class": w.to_json()})
+    _emit(args, w.text(), {"series": args.series, "jordan": j.parts.to_json(), "class": w.to_json(g)})
     return 0
 
 
@@ -125,9 +127,10 @@ def _cmd_mc(args, parser) -> int:
         return 0
     _need(args, parser, "series", "class")
     w = SignedCycleType.from_text(getattr(args, "class"))
-    _check_class(w, GroupKind(args.series, w.rank))  # the same class check as phi and encode
+    g = GroupKind(args.series, w.rank)
+    _check_class(w, g)  # the same class check as phi and encode
     value = fixed_space_dim(w)
-    _emit(args, str(value), {"series": args.series, "class": w.to_json(), "mc": value})
+    _emit(args, str(value), {"series": args.series, "class": w.to_json(g), "mc": value})
     return 0
 
 
@@ -175,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, classical=True, exc=True, jordan=False, table_format=False):
         if classical:
-            p.add_argument("--series", choices=("B", "C", "D"), help="classical series")
+            p.add_argument("--series", choices=SERIES, help="classical series")
             if jordan:
                 p.add_argument("--jordan", help='Jordan blocks, e.g. "3,1,1"')
                 p.add_argument("--nu", type=int, help="optional total size cross-check")
@@ -221,8 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--all", action="store_true", help="every series and group")
     p_ver.add_argument("--series", nargs="*", choices=verify.ALL_SERIES,
                        help="restrict to these series/groups")
-    p_ver.add_argument("--max-nu", type=int, default=16, dest="max_nu")
-    p_ver.add_argument("--max-rank", type=int, default=5, dest="max_rank")
+    p_ver.add_argument("--max-nu", type=int, default=verify.SweepConfig.max_nu, dest="max_nu")
+    p_ver.add_argument("--max-rank", type=int, default=verify.SweepConfig.max_rank, dest="max_rank")
     p_ver.add_argument("--format", choices=("text", "json"), default="text")
     p_ver.set_defaults(func=_cmd_verify)
     return parser

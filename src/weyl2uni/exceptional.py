@@ -6,12 +6,12 @@ section value; its diagram rank is strictly maximal within the line, so its
 fixed-space dimension (Weyl rank minus diagram rank) is strictly minimal.
 
 Tables ship as data (``data/phi_tables.tsv``); bad-characteristic variants
-are stored as replacement records and spliced in at load time.  Set
-``WEYL2UNI_TABLE_PATH`` to point the loader at an alternative file; it is
-honoured on every call.  Each file content is parsed once and each table
-validated once per content, and the validated tables are shared between
-callers: a load whose text equals the last text read returns the same
-frozen ``MapTable``.
+are stored as replacement records and spliced in at load time.  The
+environment variable ``WEYL2UNI_TABLE_PATH``, read on every call, is the
+one way to point the loader at another file.  Each file content is parsed
+once and each table validated once per content, and the validated tables
+are shared between callers: a load whose text equals the last text read
+returns the same frozen ``MapTable``.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ def normalize_name(s: str) -> str:
 
 _COMPONENT_RE = re.compile(
     r"^(?P<count>(?:0*[1-9]\d*)?)(?P<letter>Ã|[A-G])_(?P<sub>0*[1-9]\d*)"
-    r"(?P<paren>\([ab]_\d+\))?(?P<primes>'{0,2})$"
+    r"(?P<paren>\([ab]_0*[1-9]\d*\))?(?P<primes>'{0,2})$"
 )
 
 
@@ -70,11 +70,11 @@ _COMPONENT_RE = re.compile(
 class CarterLabel:
     """A Weyl-class name such as D_4(a_1)+2A_1 or A_3+2A_1''.
 
-    components holds (count >= 1, letter, subscript >= 1, parenthetical,
-    primes) per summand; subscript 0 occurs only in the whole label A_0,
-    the identity class.  The diagram rank is the count-weighted sum of
-    subscripts, ignoring parentheticals and primes.  raw is the canonical
-    spelling and round-trips through parse.
+    components holds (count >= 1, letter, subscript >= 1, parenthetical
+    with index >= 1, primes) per summand; subscript 0 occurs only in the
+    whole label A_0, the identity class.  The diagram rank is the
+    count-weighted sum of subscripts, ignoring parentheticals and primes.
+    raw is the canonical spelling and round-trips through parse.
     """
 
     raw: str
@@ -173,24 +173,8 @@ class MapTable:
         return self.weyl_rank - rank
 
 
-@dataclass
-class TableReport:
-    """Outcome of verify_table: counts plus a list of failure descriptions."""
-
-    group: str
-    characteristic: str
-    line_count: int
-    label_count: int
-    name_count: int
-    failures: list[str]
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-
-def verify_table(t: MapTable) -> TableReport:
-    """Check every structural invariant of a table; failures are reported.
+def verify_table(t: MapTable) -> list[str]:
+    """Check every structural invariant of a table: the failures, empty if it passes.
 
     Checks: label distinctness and the expected total, name distinctness
     (plus the expected total in good characteristic), rank bounds, strict
@@ -233,18 +217,13 @@ def verify_table(t: MapTable) -> TableReport:
             back = t.psi(line.name)
             if back.raw != line.labels[0].raw or t.phi(back) != line.name:
                 failures.append(f"lookups do not invert on {line.name}")
-    return TableReport(t.group, t.characteristic, len(t.lines), len(labels), len(names), failures)
+    return failures
 
 
-def _read_bytes(path: str | None) -> tuple[object, bytes]:
-    """(file, its bytes): the explicit path, else the env var, else the packaged file."""
+def _read_bytes() -> tuple[object, bytes]:
+    """(file, its bytes): the file the env var names, else the packaged file."""
     env = os.environ.get(_DATA_ENV)
-    if path is not None:
-        file = Path(path)
-    elif env:
-        file = Path(env)
-    else:
-        file = _PACKAGED_TABLES
+    file = Path(env) if env else _PACKAGED_TABLES
     try:
         return file, file.read_bytes()
     except OSError as exc:
@@ -321,15 +300,15 @@ class _TableCache:
 _cache: _TableCache | None = None
 
 
-def load_table(group: str, characteristic: str = "good", path: str | None = None) -> MapTable:
+def load_table(group: str, characteristic: str = "good") -> MapTable:
     """Load and validate one (group, characteristic) table.
 
     Unsupported pairs are rejected: the base table already covers every
     characteristic without a dedicated variant.
 
-    Every call reads the data afresh: from ``path``, else from the file
-    named by ``WEYL2UNI_TABLE_PATH`` (looked up on every call), else from
-    the packaged file.  An unreadable or non-UTF-8 file raises DomainError
+    Every call reads the data afresh: from the file named by
+    ``WEYL2UNI_TABLE_PATH`` (looked up on every call), else from the
+    packaged file.  An unreadable or non-UTF-8 file raises DomainError
     naming it.  Tables are parsed and validated once per file content:
     while the bytes read equal the last bytes seen, the table already
     validated from them is returned, so callers share one frozen
@@ -345,7 +324,7 @@ def load_table(group: str, characteristic: str = "good", path: str | None = None
             f"group {group} has tables for {SUPPORTED_CHARACTERISTICS[group]}, "
             f"not {characteristic!r} (the base table covers the other characteristics)"
         )
-    file, data = _read_bytes(path)
+    file, data = _read_bytes()
     cache = _cache
     if cache is None or cache.data != data:
         cache = _TableCache(data, _parse_records(_decode(file, data)))
@@ -376,10 +355,9 @@ def _build_table(records: tuple, group: str, characteristic: str) -> MapTable:
     if characteristic != "good" and not patches:
         raise DomainError(f"no {characteristic} patch records found for {group}")
     table = MapTable(group, WEYL_RANK[group], characteristic, tuple(lines))
-    report = verify_table(table)
-    if not report.passed:
+    failures = verify_table(table)
+    if failures:
         raise DomainError(
-            f"table data for ({group}, {characteristic}) failed validation: "
-            + "; ".join(report.failures)
+            f"table data for ({group}, {characteristic}) failed validation: " + "; ".join(failures)
         )
     return table

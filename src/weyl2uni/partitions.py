@@ -75,8 +75,7 @@ class Partition(tuple):
         scans the source and fails on any caller missing from its
         ``TRUSTED_CALLERS``:
 
-        * ``merge``, ``double_parts``, ``iter_partitions`` and
-          ``iter_members`` here;
+        * ``merge``, ``double_parts`` and ``iter_members`` here;
         * the fiber assembly ``splits.iter_fiber`` and the argmin rebuild
           of ``splits.fiber_minimum``;
         * ``canonical_split`` of ``type_c`` and ``type_bd``;
@@ -146,26 +145,6 @@ def merge(a: Partition, b: Partition) -> Partition:
 def double_parts(a: Partition) -> Partition:
     """Each part repeated twice; always lands in the DOUBLED family."""
     return Partition._from_sorted(tuple([p for p in a.parts for _ in (0, 1)]))
-
-
-def iter_partitions(total: int) -> Iterator[Partition]:
-    """All partitions of `total`, in reverse lexicographic order.
-
-    ``iter_members`` yields the members of family T or Q in this same order.
-    """
-    if total < 0:
-        raise DomainError("cannot partition a negative total")
-
-    def rec(remaining: int, cap: int):
-        if remaining == 0:
-            yield ()
-            return
-        for head in range(min(cap, remaining), 0, -1):
-            for tail in rec(remaining - head, head):
-                yield (head,) + tail
-
-    for tup in rec(total, total):
-        yield Partition._from_sorted(tup)
 
 
 # ---------------------------------------------------------------------------
@@ -246,19 +225,21 @@ def is_member(c: Partition, family: str) -> bool:
 
 
 def iter_members(total: int, family: str) -> Iterator[Partition]:
-    """The partitions of `total` in family T (SYMPLECTIC) or Q (ORTHOGONAL).
+    """The partitions of `total` in family P1 (ANY), T (SYMPLECTIC) or Q (ORTHOGONAL).
 
-    Generated directly instead of filtering ``iter_partitions``: the values
-    are taken largest first, each with a multiplicity, and a value of the
-    paired parity (odd for T, even for Q) takes only even multiplicities.
+    Generated directly instead of filtered: the values are taken largest
+    first, each with a multiplicity, and a value of the paired parity (odd
+    for T, even for Q; none for P1) takes only even multiplicities.
     Multiplicities are tried largest first, so the order is reverse
-    lexicographic, identical to ``iter_partitions`` filtered by ``is_member``.
+    lexicographic, and the members of T or Q come in the order of
+    ``iter_partitions`` filtered by ``is_member``.
     """
-    if family not in (SYMPLECTIC, ORTHOGONAL):
-        raise DomainError(f"iter_members generates families T and Q only, got {family!r}")
+    if family not in (ANY, SYMPLECTIC, ORTHOGONAL):
+        raise DomainError(f"iter_members generates families P1, T and Q only, got {family!r}")
     if total < 0:
         raise DomainError("cannot partition a negative total")
-    paired = 1 if family == SYMPLECTIC else 0  # parity of the values that must come in pairs
+    # the parity of the values that must come in pairs; None for P1
+    paired = {SYMPLECTIC: 1, ORTHOGONAL: 0}.get(family)
 
     def rec(remaining: int, cap: int):
         if remaining == 0:
@@ -275,3 +256,8 @@ def iter_members(total: int, family: str) -> Iterator[Partition]:
 
     for tup in rec(total, total):
         yield Partition._from_sorted(tup)
+
+
+def iter_partitions(total: int) -> Iterator[Partition]:
+    """All partitions of `total`, in reverse lexicographic order."""
+    return iter_members(total, ANY)

@@ -31,16 +31,15 @@ from .partitions import (
     is_member,
     iter_members,
 )
-from .weyl import GroupKind, encode_class, enumerate_classes, fixed_space_dim, fixed_space_dim_from_matrix
+from .weyl import SERIES, GroupKind, encode_class, enumerate_classes, fixed_space_dim, fixed_space_dim_from_matrix
 
-CLASSICAL = ("B", "C", "D")
 # series: (parity of the Jordan type's total, its family, the side's split rules)
 _SERIES = {
     "B": (1, ORTHOGONAL, type_bd),
     "C": (0, SYMPLECTIC, type_c),
     "D": (0, ORTHOGONAL, type_bd),
 }
-ALL_SERIES = CLASSICAL + exceptional.GROUPS
+ALL_SERIES = SERIES + exceptional.GROUPS
 HARD_NU_CAP = 30
 HARD_RANK_CAP = 7
 
@@ -146,7 +145,7 @@ def _scan_unique_minimum(module, c: Partition) -> dict | None:
 def check_classical(cfg: SweepConfig) -> VerificationReport:
     """Unique-minimum sweep over all Jordan types with total size <= max_nu."""
     report = VerificationReport()
-    for series in (s for s in CLASSICAL if s in cfg.series):
+    for series in (s for s in SERIES if s in cfg.series):
         start = time.perf_counter()
         result = CheckResult(name=f"unique_minimum[{series}]")
         parity, family, side = _SERIES[series]
@@ -171,7 +170,7 @@ def check_classical(cfg: SweepConfig) -> VerificationReport:
 def check_bridge(cfg: SweepConfig) -> VerificationReport:
     """Fixed-space dimension: formula == matrix nullity == p-length / 2."""
     report = VerificationReport()
-    for series in (s for s in ("B", "C", "D") if s in cfg.series):
+    for series in (s for s in SERIES if s in cfg.series):
         start = time.perf_counter()
         result = CheckResult(name=f"fixed_space_bridge[{series}]")
         least = 2 if series == "D" else 1

@@ -76,15 +76,15 @@ class GroupKind:
 class SignedCycleType:
     """A Weyl-group conjugacy class: positive and negative cycle lengths.
 
-    ``split`` flags the series-D classes (no negative cycles, all positive
-    lengths even) that fuse in the full signed-permutation group; the two
-    fused classes are represented by one flagged value and the uniqueness
-    checks skip them.
+    In series D, a class with no negative cycle and all positive lengths
+    even is split: the two classes that fuse into it in the full
+    signed-permutation group share this one value, and ``is_split_class``
+    tells such a class from its group.  ``to_json(g)`` reports it as
+    ``"split"``.
     """
 
     positive: Partition
     negative: Partition
-    split: bool = False
 
     @property
     def rank(self) -> int:
@@ -102,11 +102,11 @@ class SignedCycleType:
             raise DomainError(f"expected 'pos=<partition>;neg=<partition>', got {s!r}") from None
         return cls(Partition.from_text(pos[4:]), Partition.from_text(neg[4:]))
 
-    def to_json(self) -> dict:
+    def to_json(self, g: GroupKind) -> dict:
         return {
             "pos": self.positive.to_json(),
             "neg": self.negative.to_json(),
-            "split": self.split,
+            "split": is_split_class(self, g),
         }
 
 
@@ -175,7 +175,7 @@ def encode_class(w: SignedCycleType, g: GroupKind) -> type_c.Split | type_bd.Spl
 
 
 def decode_class(x: type_c.Split | type_bd.Split, g: GroupKind) -> SignedCycleType:
-    """Inverse of encode_class (split flag restored for series D).
+    """Inverse of encode_class.
 
     x must be a ``Split`` of g's side, else DomainError.  It certifies its
     families, so p is halved and a C r divided by 2 directly; a B/D r goes
@@ -192,8 +192,6 @@ def decode_class(x: type_c.Split | type_bd.Split, g: GroupKind) -> SignedCycleTy
         neg = type_bd._halves_of_chained(x.r, g.kappa)
     pos = Partition._from_sorted(x.p.parts[0::2])
     w = SignedCycleType(pos, neg)
-    if is_split_class(w, g):
-        w = SignedCycleType(pos, neg, split=True)
     _check_class(w, g)
     return w
 
@@ -290,7 +288,7 @@ def enumerate_classes(g: GroupKind) -> list[SignedCycleType]:
     """All conjugacy classes of the rank-n group of the series.
 
     Series B/C: every pair of partitions with total rank.  Series D: evenly
-    many negative cycles, fused split classes flagged and listed once.
+    many negative cycles, each pair of fused split classes listed once.
     """
     if g.rank > 12:
         raise DomainError(f"class enumeration is capped at rank 12, got {g.rank}")
@@ -300,10 +298,7 @@ def enumerate_classes(g: GroupKind) -> list[SignedCycleType]:
             for neg in iter_partitions(g.rank - k):
                 if g.series == "D" and len(neg) % 2:
                     continue
-                w = SignedCycleType(pos, neg)
-                if is_split_class(w, g):
-                    w = SignedCycleType(pos, neg, split=True)
-                out.append(w)
+                out.append(SignedCycleType(pos, neg))
     return out
 
 

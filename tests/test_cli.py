@@ -53,6 +53,15 @@ class TestPsi:
         rc, out2, _ = run(capsys, "phi", "--series", "B", "--class", out)
         assert rc == 0 and out2 == "3,1,1"
 
+    def test_d_split_flag_agrees_across_commands(self, capsys):
+        # a fused series-D class prints "split": true whichever command names it
+        cls = {"pos": [2, 2], "neg": [], "split": True}
+        for argv in (("psi", "--series", "D", "--jordan", "2,2,2,2"),
+                     ("phi", "--series", "D", "--class", "pos=2,2;neg=-"),
+                     ("mc", "--series", "D", "--class", "pos=2,2;neg=-")):
+            rc, out, _ = run(capsys, *argv, "--format", "json")
+            assert rc == 0 and json.loads(out)["class"] == cls, argv
+
 
 class TestFiber:
     def test_type_c(self, capsys):
@@ -116,15 +125,23 @@ class TestEncodeAndMc:
         assert err.startswith("error: cannot parse Carter label component ")
 
 
+    @pytest.mark.parametrize("label", ["E_6(a_0)", "D_4(b_00)"])
+    def test_mc_refuses_parenthetical_index_zero(self, capsys, label):
+        rc, out, err = run(capsys, "mc", "--group", "E8", "--label", label)
+        assert rc == 1 and out == ""
+        assert err == f"error: cannot parse Carter label component {label!r} of {label!r}"
+
+
 class TestTable:
-    def test_tsv_round_trips_through_loader(self, capsys, tmp_path):
+    def test_tsv_round_trips_through_loader(self, capsys, monkeypatch, tmp_path):
         rc, out, _ = run(capsys, "table", "--group", "F4")
         assert rc == 0
         dump = tmp_path / "dump.tsv"
         dump.write_text(out + "\n", encoding="utf-8")
         from weyl2uni.exceptional import load_table
 
-        t = load_table("F4", path=str(dump))
+        monkeypatch.setenv("WEYL2UNI_TABLE_PATH", str(dump))
+        t = load_table("F4")
         assert t.phi("A_3") == "B_2"
 
     def test_patched_dump(self, capsys):

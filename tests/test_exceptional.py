@@ -63,6 +63,11 @@ class TestCarterLabel:
         for bad in ["2A_0", "A_1+A_0", "A_0+A_1", "D_0", "A_0'", "tA_0", "A_00"]:
             with pytest.raises(DomainError, match="cannot parse Carter label component"):
                 CarterLabel.parse(bad)
+        # a parenthetical index starts at 1, as a subscript does
+        for bad in ["E_6(a_0)", "D_4(b_00)", "A_3(a_0)'", "A_1+D_4(a_0)"]:
+            with pytest.raises(DomainError, match="cannot parse Carter label component"):
+                CarterLabel.parse(bad)
+        assert [CarterLabel.parse(s).rank for s in ("D_4(a_01)", "E_8(b_10)")] == [4, 8]
 
     def test_primes_and_parens_do_not_change_rank(self):
         assert [CarterLabel.parse(s).rank for s in ("A_5", "A_5'", "A_5''")] == [5, 5, 5]
@@ -72,8 +77,8 @@ class TestCarterLabel:
 class TestLoadTable:
     def test_all_supported_pairs_load_and_validate(self):
         for table in all_tables():
-            report = verify_table(table)
-            assert report.passed, report.failures
+            failures = verify_table(table)
+            assert not failures, failures
 
     def test_good_counts(self):
         expected_lines = {"G2": 5, "F4": 16, "E6": 21, "E7": 45, "E8": 70}
@@ -114,21 +119,6 @@ class TestLoadTable:
         with pytest.raises(DomainError):  # one line cannot satisfy the counts
             load_table("G2")
 
-    def test_explicit_path_argument(self, tmp_path):
-        data = tmp_path / "tables.tsv"
-        lines = ["G2\tgood\tA_0\tA_0"]
-        # a fake but internally consistent G2 table: 6 labels, 5 names
-        lines = [
-            "G2\tgood\tA_0\tA_0",
-            "G2\tgood\tA_1\tA_1",
-            "G2\tgood\tA_1+Ã_1,Ã_1\tÃ_1",
-            "G2\tgood\tA_2\tG_2(a_1)",
-            "G2\tgood\tG_2\tG_2",
-        ]
-        data.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        t = load_table("G2", path=str(data))
-        assert t.phi("A_2") == "G_2(a_1)"
-
 
 # a fake but internally consistent G2 table (6 labels, 5 names) and a copy
 # of the same byte length that maps A_2 elsewhere
@@ -163,11 +153,12 @@ BROKEN_G2 = FAKE_G2.replace("A_1+Ã_1,Ã_1", "Ã_1,A_1+Ã_1")
     ],
     ids=["drops_a_label", "spans_two_lines", "adds_a_label"],
 )
-def test_a_patch_that_changes_the_label_set_is_refused(tmp_path, patch, message):
+def test_a_patch_that_changes_the_label_set_is_refused(monkeypatch, tmp_path, patch, message):
     data = tmp_path / "tables.tsv"
     data.write_text(FAKE_G2 + patch, encoding="utf-8")
+    monkeypatch.setenv("WEYL2UNI_TABLE_PATH", str(data))
     with pytest.raises(DomainError) as err:
-        load_table("G2", "p3", path=str(data))
+        load_table("G2", "p3")
     assert str(err.value) == message
 
 
@@ -185,15 +176,17 @@ def counting(monkeypatch, name):
 
 
 class TestTableCache:
-    def test_unchanged_text_returns_the_same_object(self, tmp_path):
+    def test_unchanged_text_returns_the_same_object(self, monkeypatch, tmp_path):
         assert load_table("E8", "p2") is load_table("E8", "p2")
         data = tmp_path / "tables.tsv"
         data.write_text(FAKE_G2, encoding="utf-8")
-        assert load_table("G2", path=str(data)) is load_table("G2", path=str(data))
+        monkeypatch.setenv("WEYL2UNI_TABLE_PATH", str(data))
+        assert load_table("G2") is load_table("G2")
 
-    def test_rewrite_with_the_same_mtime_is_reloaded(self, tmp_path):
+    def test_rewrite_with_the_same_mtime_is_reloaded(self, monkeypatch, tmp_path):
         data = tmp_path / "tables.tsv"
         data.write_text(FAKE_G2, encoding="utf-8")
+        monkeypatch.setenv("WEYL2UNI_TABLE_PATH", str(data))
         stamp = data.stat()
 
         def rewrite(text):
@@ -202,12 +195,12 @@ class TestTableCache:
             assert (data.stat().st_mtime_ns, data.stat().st_size) == (
                 stamp.st_mtime_ns, stamp.st_size)
 
-        assert load_table("G2", path=str(data)).phi("A_2") == "G_2(a_1)"
+        assert load_table("G2").phi("A_2") == "G_2(a_1)"
         rewrite(OTHER_G2)
-        assert load_table("G2", path=str(data)).phi("A_2") == "G_2(a_7)"
+        assert load_table("G2").phi("A_2") == "G_2(a_7)"
         rewrite(BROKEN_G2)
         with pytest.raises(DomainError, match="strictly dominate"):
-            load_table("G2", path=str(data))
+            load_table("G2")
 
     def test_switching_the_env_var_gives_each_file_its_table(self, monkeypatch, tmp_path):
         first, second = tmp_path / "first.tsv", tmp_path / "second.tsv"
@@ -226,11 +219,13 @@ class TestTableCache:
         checks = counting(monkeypatch, "verify_table")
         bad = tmp_path / "tables.tsv"
         bad.write_text(BROKEN_G2, encoding="utf-8")
+        monkeypatch.setenv("WEYL2UNI_TABLE_PATH", str(bad))
         for attempt in range(3):
             with pytest.raises(DomainError):
-                load_table("G2", path=str(bad))
+                load_table("G2")
             assert len(checks) == attempt + 1
             assert exceptional._cache is cached
+        monkeypatch.delenv("WEYL2UNI_TABLE_PATH")
         assert load_table("F4") is good
         assert len(checks) == 3
 
@@ -248,39 +243,42 @@ class TestTableCache:
 def test_a_cache_hit_compares_bytes_and_decodes_nothing(monkeypatch, tmp_path):
     data = tmp_path / "tables.tsv"
     data.write_text(FAKE_G2, encoding="utf-8")
+    monkeypatch.setenv("WEYL2UNI_TABLE_PATH", str(data))
     decodes = counting(monkeypatch, "_decode")
-    first = load_table("G2", path=str(data))
+    first = load_table("G2")
     assert len(decodes) == 1
-    assert load_table("G2", path=str(data)) is first
+    assert load_table("G2") is first
     assert len(decodes) == 1
     # the same text with other line endings is other bytes: decoded again,
     # and it parses to the same table
     data.write_bytes(FAKE_G2.replace("\n", "\r\n").encode("utf-8"))
-    again = load_table("G2", path=str(data))
+    again = load_table("G2")
     assert len(decodes) == 2 and again is not first and again == first
 
 
-def test_a_non_utf8_table_names_the_byte(tmp_path):
+def test_a_non_utf8_table_names_the_byte(monkeypatch, tmp_path):
     path = tmp_path / "tables.tsv"
     head = FAKE_G2.encode("utf-8") + b"G2\tgood\t"
     path.write_bytes(head + b"\xff\xfe\tA_0\n")
+    monkeypatch.setenv("WEYL2UNI_TABLE_PATH", str(path))
     with pytest.raises(DomainError) as exc:
-        load_table("G2", path=str(path))
+        load_table("G2")
     assert str(exc.value) == (
         f"table file {path} is not UTF-8 text (byte {len(head)}: invalid start byte)"
     )
 
 
 @pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
-def test_unreadable_table_file_is_a_domain_error(tmp_path, kind):
+def test_unreadable_table_file_is_a_domain_error(monkeypatch, tmp_path, kind):
     path = tmp_path / "tables.tsv"
     if kind == "directory":
         path.mkdir()
     elif kind == "not_utf8":
         path.write_bytes(FAKE_G2.encode("utf-8") + b"G2\tgood\t\xff\xfe\tA_0\n")
+    monkeypatch.setenv("WEYL2UNI_TABLE_PATH", str(path))
     for _ in range(2):
         with pytest.raises(DomainError, match="tables.tsv"):
-            load_table("G2", path=str(path))
+            load_table("G2")
 
 
 class TestLookups:
@@ -372,24 +370,21 @@ class TestVerifyTableCatchesMutations:
         swapped = TableLine((lines[i].labels[1], lines[i].labels[0]) + lines[i].labels[2:],
                             lines[i].name)
         mutated = dataclasses.replace(t, lines=tuple(lines[:i] + [swapped] + lines[i + 1:]))
-        report = verify_table(mutated)
-        assert not report.passed
-        assert any("strictly dominate" in f for f in report.failures)
+        failures = verify_table(mutated)
+        assert any("strictly dominate" in f for f in failures)
 
     def test_duplicate_label_fails(self):
         t = load_table("G2")
         lines = list(t.lines)
         dup = TableLine((lines[0].labels[0],), "bogus_name")
         mutated = dataclasses.replace(t, lines=tuple(lines + [dup]))
-        report = verify_table(mutated)
-        assert not report.passed
-        assert any("duplicate label" in f for f in report.failures)
+        failures = verify_table(mutated)
+        assert any("duplicate label" in f for f in failures)
 
     def test_wrong_counts_fail(self):
         t = load_table("E6")
         mutated = dataclasses.replace(t, lines=t.lines[:-1])
-        report = verify_table(mutated)
-        assert not report.passed
+        assert verify_table(mutated)
 
 
 def test_supported_characteristics_cover_spec():

@@ -249,9 +249,20 @@ class TestDoubling:
 
 
 def test_partition_counts():
-    # p(n) for n = 0..10
-    expected = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
-    assert [sum(1 for _ in iter_partitions(n)) for n in range(11)] == expected
+    """p(n) for n = 0..40 (OEIS A000041), each item a partition of n, strictly decreasing."""
+    expected = [
+        1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176, 231, 297, 385, 490,
+        627, 792, 1002, 1255, 1575, 1958, 2436, 3010, 3718, 4565, 5604, 6842, 8349, 10143,
+        12310, 14883, 17977, 21637, 26015, 31185, 37338,
+    ]
+    counts = []
+    for n in range(41):
+        items = list(iter_partitions(n))
+        assert all(type(c) is Partition and sum(c) == n for c in items)
+        assert all(sorted(c, reverse=True) == list(c) and (not c or c[-1] >= 1) for c in items)
+        assert all(a > b for a, b in zip(items, items[1:]))  # reverse lexicographic
+        counts.append(len(items))
+    assert counts == expected
 
 
 class TestIterMembers:
@@ -284,7 +295,7 @@ class TestIterMembers:
 # Parsers (``from_text``) and the ``__init__`` of public dataclasses must
 # never appear here.
 TRUSTED_CALLERS = {
-    "partitions": {"merge", "double_parts", "iter_partitions", "iter_members"},
+    "partitions": {"merge", "double_parts", "iter_members"},
     "splits": {"iter_fiber", "fiber_minimum"},
     "type_c": {"canonical_split"},
     "type_bd": {"blocks_from_halves", "_halves_of_chained", "canonical_split"},
@@ -351,9 +362,7 @@ class TestTrustedConstructor:
         monkeypatch.setattr(Partition, "_from_sorted", classmethod(checked))
         assert answers() == want
         assert len(want) > 1000
-        off_path = {"iter_partitions"}
-        on_path = {f for fs in TRUSTED_CALLERS.values() for f in fs} - off_path
-        assert callers == on_path
+        assert callers == {f for fs in TRUSTED_CALLERS.values() for f in fs}
 
     def test_only_allowlisted_functions_use_it(self):
         src = pathlib.Path(__file__).resolve().parents[1] / "src" / "weyl2uni"

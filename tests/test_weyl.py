@@ -121,7 +121,7 @@ class TestEncode:
         # pairs that are not (empty, all-even doubled)
         for n in range(2, 7):
             g = GroupKind("D", n)
-            nonsplit = [w for w in enumerate_classes(g) if not w.split]
+            nonsplit = [w for w in enumerate_classes(g) if not is_split_class(w, g)]
             encs = {(type_bd.halves_from_blocks(e.r, g.kappa).parts, e.p.parts) for e in
                     (encode_class(w, g) for w in nonsplit)}
             assert len(encs) == len(nonsplit)
@@ -219,9 +219,11 @@ class TestPsi:
     def test_very_even_returns_split_class(self):
         g = GroupKind("D", 4)
         w = psi_classical(JordanType(P(4, 4), 1), g)
-        assert w.split and w.text() == "pos=4;neg=-"
+        assert is_split_class(w, g) and w.text() == "pos=4;neg=-"
         w2 = psi_classical(JordanType(P(2, 2, 2, 2), 1), g)
-        assert w2.split and w2.text() == "pos=2,2;neg=-"
+        assert is_split_class(w2, g) and w2.text() == "pos=2,2;neg=-"
+        # the class built from its parts is the listed class and psi's answer
+        assert w2 == SignedCycleType(P(2, 2), P()) and w2 in enumerate_classes(g)
 
     def test_epsilon_mismatch(self):
         with pytest.raises(DomainError):
@@ -251,8 +253,9 @@ class TestEnumerate:
     def test_counts(self):
         assert len(enumerate_classes(GroupKind("C", 2))) == 5
         assert len(enumerate_classes(GroupKind("B", 1))) == 2
-        d4 = enumerate_classes(GroupKind("D", 4))
-        assert len(d4) == 11 and sum(1 for w in d4 if w.split) == 2
+        g = GroupKind("D", 4)
+        d4 = enumerate_classes(g)
+        assert len(d4) == 11 and sum(1 for w in d4 if is_split_class(w, g)) == 2
 
     def test_split_flag(self):
         g = GroupKind("D", 4)
