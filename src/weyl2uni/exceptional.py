@@ -19,12 +19,8 @@ from __future__ import annotations
 import os
 import re
 import unicodedata
-from dataclasses import dataclass, field
-from functools import cached_property
-from importlib import resources
-from pathlib import Path
 
-from .partitions import DomainError
+from .partitions import DomainError, Record
 
 GROUPS = ("G2", "F4", "E6", "E7", "E8")
 WEYL_RANK = {"G2": 2, "F4": 4, "E6": 6, "E7": 7, "E8": 8}
@@ -40,7 +36,7 @@ EXPECTED_LABELS = {"G2": 6, "F4": 25, "E6": 25, "E7": 60, "E8": 112}
 EXPECTED_NAMES = {"G2": 5, "F4": 16, "E6": 21, "E7": 45, "E8": 70}
 
 _DATA_ENV = "WEYL2UNI_TABLE_PATH"
-_PACKAGED_TABLES = resources.files(__package__).joinpath("data/phi_tables.tsv")
+_PACKAGED_TABLES = os.path.join(os.path.dirname(__file__), "data", "phi_tables.tsv")
 
 
 class UnknownLabel(DomainError):
@@ -56,29 +52,32 @@ def normalize_name(s: str) -> str:
     s = unicodedata.normalize("NFC", s.strip())
     s = s.replace("′", "'").replace("″", "''").replace('"', "''")
     s = s.replace("A~", "Ã").replace("~A", "Ã")
-    s = re.sub(r"(?<![A-Za-z_])tA(?=_)", "Ã", s)
-    return s
+    return _TA_RE.sub("Ã", s)
 
 
+_TA_RE = re.compile(r"(?<![A-Za-z_])tA(?=_)")
 _COMPONENT_RE = re.compile(
     r"^(?P<count>(?:0*[1-9]\d*)?)(?P<letter>Ã|[A-G])_(?P<sub>0*[1-9]\d*)"
-    r"(?P<paren>\([ab]_0*[1-9]\d*\))?(?P<primes>'{0,2})$"
+    r"(?:\((?P<pletter>[ab])_(?P<pindex>0*[1-9]\d*)\))?(?P<primes>'{0,2})$"
 )
 
 
-@dataclass(frozen=True)
-class CarterLabel:
+class CarterLabel(Record):
     """A Weyl-class name such as D_4(a_1)+2A_1 or A_3+2A_1''.
 
     components holds (count >= 1, letter, subscript >= 1, parenthetical
     with index >= 1, primes) per summand; subscript 0 occurs only in the
     whole label A_0, the identity class.  The diagram rank is the
     count-weighted sum of subscripts, ignoring parentheticals and primes.
-    raw is the canonical spelling and round-trips through parse.
+    raw is the canonical spelling and round-trips through parse: counts,
+    subscripts and parenthetical indices lose their leading zeros.
     """
 
-    raw: str
-    components: tuple[tuple[int, str, int, str, str], ...]
+    _fields = __slots__ = ("raw", "components")
+
+    def __init__(self, raw: str, components: tuple[tuple[int, str, int, str, str], ...]) -> None:
+        object.__setattr__(self, "raw", raw)
+        object.__setattr__(self, "components", components)
 
     @classmethod
     def parse(cls, s: str) -> "CarterLabel":
@@ -97,7 +96,7 @@ class CarterLabel:
                     int(m["count"] or "1"),
                     m["letter"],
                     int(m["sub"]),
-                    m["paren"] or "",
+                    f"({m['pletter']}_{int(m['pindex'])})" if m["pletter"] else "",
                     m["primes"],
                 )
             )
@@ -115,30 +114,35 @@ class CarterLabel:
         return self.raw
 
 
-@dataclass(frozen=True)
-class TableLine:
-    """One fiber: ordered labels and the unipotent name they map to."""
+class TableLine(Record):
+    """One fiber: ordered labels and the unipotent name (normalized) they map to."""
 
-    labels: tuple[CarterLabel, ...]
-    name: str  # normalized unipotent-class name
+    _fields = __slots__ = ("labels", "name")
+
+    def __init__(self, labels: tuple[CarterLabel, ...], name: str) -> None:
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True)
-class MapTable:
-    """The full class-to-unipotent map for one group and characteristic."""
+class MapTable(Record):
+    """The full class-to-unipotent map for one group and characteristic.
 
-    group: str
-    weyl_rank: int
-    characteristic: str
-    lines: tuple[TableLine, ...]
+    Its two lookup dicts, by label and by name, are built with it and are
+    not fields.
+    """
 
-    @cached_property
-    def _by_label(self) -> dict[str, TableLine]:
-        return {lab.raw: line for line in self.lines for lab in line.labels}
+    __slots__ = ("group", "weyl_rank", "characteristic", "lines", "_by_label", "_by_name")
+    _fields = __slots__[:4]
 
-    @cached_property
-    def _by_name(self) -> dict[str, TableLine]:
-        return {line.name: line for line in self.lines}
+    def __init__(
+        self, group: str, weyl_rank: int, characteristic: str, lines: tuple[TableLine, ...]
+    ) -> None:
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "weyl_rank", weyl_rank)
+        object.__setattr__(self, "characteristic", characteristic)
+        object.__setattr__(self, "lines", lines)
+        object.__setattr__(self, "_by_label", {lab.raw: line for line in lines for lab in line.labels})
+        object.__setattr__(self, "_by_name", {line.name: line for line in lines})
 
     def labels(self) -> list[CarterLabel]:
         return [lab for line in self.lines for lab in line.labels]
@@ -220,17 +224,17 @@ def verify_table(t: MapTable) -> list[str]:
     return failures
 
 
-def _read_bytes() -> tuple[object, bytes]:
+def _read_bytes() -> tuple[str, bytes]:
     """(file, its bytes): the file the env var names, else the packaged file."""
-    env = os.environ.get(_DATA_ENV)
-    file = Path(env) if env else _PACKAGED_TABLES
+    file = os.environ.get(_DATA_ENV) or _PACKAGED_TABLES
     try:
-        return file, file.read_bytes()
+        with open(file, "rb") as f:
+            return file, f.read()
     except OSError as exc:
         raise DomainError(f"cannot read table file {file}: {exc.strerror or exc}") from exc
 
 
-def _decode(file: object, data: bytes) -> str:
+def _decode(file: str, data: bytes) -> str:
     """The table text of a file's bytes, which must be UTF-8."""
     try:
         return data.decode("utf-8")
@@ -288,13 +292,15 @@ def _apply_patches(base: list[TableLine], patches: list[TableLine], group: str) 
     return out
 
 
-@dataclass
 class _TableCache:
     """The bytes of the last table file read, its records and the tables validated from it."""
 
-    data: bytes
-    records: tuple[tuple[str, str, tuple[str, ...], str], ...]
-    tables: dict[tuple[str, str], MapTable] = field(default_factory=dict)
+    __slots__ = ("data", "records", "tables")
+
+    def __init__(self, data: bytes, records: tuple) -> None:
+        self.data = data
+        self.records = records
+        self.tables: dict[tuple[str, str], MapTable] = {}
 
 
 _cache: _TableCache | None = None

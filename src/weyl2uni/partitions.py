@@ -30,7 +30,7 @@ readable names:
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 
 class DomainError(ValueError):
@@ -39,6 +39,44 @@ class DomainError(ValueError):
 
 class ContradictionError(RuntimeError):
     """A property that must hold by construction failed; indicates a bug."""
+
+
+class Record:
+    """Base of the frozen value records: equality, hash and repr by the fields ``_fields``.
+
+    Two records are equal when they are of the same class with equal fields,
+    and equal records hash equal.  Assigning or deleting an attribute raises
+    AttributeError, so each ``__init__`` stores its fields with
+    ``object.__setattr__``; copies and pickles are rebuilt by ``__init__``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        """Copy and pickle through the constructor, which ``__setattr__`` leaves open."""
+        return self.__class__, self._values()
 
 
 class Partition(tuple):
@@ -83,7 +121,7 @@ class Partition(tuple):
         * ``weyl.encode_class`` (series C) and ``decode_class``.
 
         Outside input (``from_text``, the ``__init__`` of the public
-        dataclasses) always goes through the validating constructor.
+        records) always goes through the validating constructor.
         """
         return tuple.__new__(cls, parts)
 

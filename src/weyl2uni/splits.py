@@ -21,35 +21,34 @@ families builds its split with the trusted ``Split._trusted``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import ClassVar, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
-from .partitions import ContradictionError, DOUBLED, DomainError, Partition, is_member
+from .partitions import ContradictionError, DOUBLED, DomainError, Partition, Record, is_member
 
 
-@dataclass(frozen=True)
-class Split:
+class Split(Record):
     """(r, p) with r in the family ``R_FAMILY`` and p in family Ptilde.
 
     Subclasses set ``R_FAMILY`` and ``R_VIOLATION``, the end of the message
-    raised when r is not in that family.
+    raised when r is not in that family.  Splits of different subclasses
+    never compare equal.
     """
 
-    R_FAMILY: ClassVar[str]
-    R_VIOLATION: ClassVar[str]
+    _fields = __slots__ = ("r", "p")
+    R_FAMILY: str
+    R_VIOLATION: str
 
-    r: Partition
-    p: Partition
-
-    def __post_init__(self):
-        if not is_member(self.r, self.R_FAMILY):
-            raise DomainError(f"r={self.r.text()} {self.R_VIOLATION}")
-        if not is_member(self.p, DOUBLED):
-            raise DomainError(f"p={self.p.text()} is not doubled (family Ptilde violated)")
+    def __init__(self, r: Partition, p: Partition) -> None:
+        if not is_member(r, self.R_FAMILY):
+            raise DomainError(f"r={r.text()} {self.R_VIOLATION}")
+        if not is_member(p, DOUBLED):
+            raise DomainError(f"p={p.text()} is not doubled (family Ptilde violated)")
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "p", p)
 
     @classmethod
     def _trusted(cls, r: Partition, p: Partition) -> "Split":
-        """Trusted constructor: skips both family tests of ``__post_init__``.
+        """Trusted constructor: skips both family tests of ``__init__``.
 
         The caller guarantees r in ``R_FAMILY`` and p in family Ptilde.
         Only ``iter_fiber`` and ``weyl.encode_class`` call it
@@ -61,6 +60,14 @@ class Split:
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "p", p)
         return self
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.r == other.r and self.p == other.p
+
+    def __hash__(self) -> int:
+        return hash((self.r, self.p))
 
     def text(self) -> str:
         return f"r={self.r.text()};p={self.p.text()}"

@@ -35,8 +35,7 @@ subsequence of c):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from collections.abc import Iterator
 
 from . import splits
 from .partitions import (
@@ -164,10 +163,10 @@ def _halves_of_chained(blocks: Partition, kappa: int) -> Partition:
 # Splits
 
 
-@dataclass(frozen=True)
 class Split(splits.Split):
     """(r, p) with r in family R and p in family Ptilde."""
 
+    __slots__ = ()
     R_FAMILY = CHAINED
     R_VIOLATION = "is not in family R"
 

@@ -12,17 +12,16 @@ minimises over the automaton exactly as for B and D.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from collections.abc import Iterator
 
 from . import splits
 from .partitions import ALL_EVEN, ContradictionError, DomainError, Partition, SYMPLECTIC, is_member, merge
 
 
-@dataclass(frozen=True)
 class Split(splits.Split):
     """(r, p) with r in family S and p in family Ptilde."""
 
+    __slots__ = ()
     R_FAMILY = ALL_EVEN
     R_VIOLATION = "has an odd part (family S violated)"
 

@@ -16,9 +16,7 @@ deterministic for a given configuration (timings aside).
 
 from __future__ import annotations
 
-import json
 import time
-from dataclasses import dataclass, field
 
 from . import exceptional, type_bd, type_c
 from .partitions import (
@@ -27,6 +25,7 @@ from .partitions import (
     DomainError,
     ORTHOGONAL,
     Partition,
+    Record,
     SYMPLECTIC,
     is_member,
     iter_members,
@@ -44,31 +43,45 @@ HARD_NU_CAP = 30
 HARD_RANK_CAP = 7
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    """What to sweep: series/groups (each group in all its characteristics) and size caps."""
+class SweepConfig(Record):
+    """What to sweep: series/groups (each group in all its characteristics) and size caps.
 
+    The defaults are also class attributes (``SweepConfig.max_nu``), which
+    the CLI reads, so the fields live in the instance dict, not in slots.
+    """
+
+    _fields = ("series", "max_nu", "max_rank")
     series: tuple[str, ...] = ALL_SERIES
     max_nu: int = 16
     max_rank: int = 5
 
-    def __post_init__(self):
-        for s in self.series:
+    def __init__(
+        self, series: tuple[str, ...] = series, max_nu: int = max_nu, max_rank: int = max_rank
+    ) -> None:
+        for s in series:
             if s not in ALL_SERIES:
                 raise DomainError(f"unknown series {s!r}; expected a subset of {ALL_SERIES}")
-        if not 0 <= self.max_nu <= HARD_NU_CAP:
+        if not 0 <= max_nu <= HARD_NU_CAP:
             raise DomainError(f"max_nu must lie in [0, {HARD_NU_CAP}]")
-        if not 1 <= self.max_rank <= HARD_RANK_CAP:
+        if not 1 <= max_rank <= HARD_RANK_CAP:
             raise DomainError(f"max_rank must lie in [1, {HARD_RANK_CAP}]")
+        object.__setattr__(self, "series", series)
+        object.__setattr__(self, "max_nu", max_nu)
+        object.__setattr__(self, "max_rank", max_rank)
 
 
-@dataclass
 class CheckResult:
-    name: str
-    scanned: int = 0
-    counterexamples: list[dict] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-    seconds: float = 0.0
+    """One named check: how many inputs it scanned, its counterexamples, notes and time."""
+
+    __slots__ = ("name", "scanned", "counterexamples", "notes", "seconds")
+
+    def __init__(self, name: str, scanned: int = 0, counterexamples: list[dict] | None = None,
+                 notes: list[str] | None = None, seconds: float = 0.0) -> None:
+        self.name = name
+        self.scanned = scanned
+        self.counterexamples = [] if counterexamples is None else counterexamples
+        self.notes = [] if notes is None else notes
+        self.seconds = seconds
 
     @property
     def passed(self) -> bool:
@@ -85,9 +98,13 @@ class CheckResult:
         }
 
 
-@dataclass
 class VerificationReport:
-    checks: list[CheckResult] = field(default_factory=list)
+    """The checks of a sweep, in the order they ran."""
+
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: list[CheckResult] | None = None) -> None:
+        self.checks = [] if checks is None else checks
 
     @property
     def passed(self) -> bool:
@@ -101,6 +118,8 @@ class VerificationReport:
         return {"passed": self.passed, "checks": [c.to_json() for c in self.checks]}
 
     def text(self) -> str:
+        import json  # here, not at module level: ``import weyl2uni`` stays free of json
+
         lines = []
         for c in self.checks:
             status = "PASS" if c.passed else "FAIL"

@@ -24,8 +24,7 @@ the ``phi`` round trip.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from collections.abc import Iterator
 
 from . import type_bd, type_c
 from .partitions import (
@@ -33,6 +32,7 @@ from .partitions import (
     DomainError,
     ORTHOGONAL,
     Partition,
+    Record,
     SYMPLECTIC,
     double_parts,
     is_member,
@@ -44,19 +44,19 @@ from .partitions import (
 SERIES = ("B", "C", "D")
 
 
-@dataclass(frozen=True)
-class GroupKind:
+class GroupKind(Record):
     """A classical series and rank; nu is the dimension of the natural module."""
 
-    series: str
-    rank: int
+    _fields = __slots__ = ("series", "rank")
 
-    def __post_init__(self):
-        if self.series not in SERIES:
-            raise DomainError(f"series must be one of {SERIES}, got {self.series!r}")
-        least = 2 if self.series == "D" else 1
-        if self.rank < least:
-            raise DomainError(f"series {self.series} needs rank >= {least}, got {self.rank}")
+    def __init__(self, series: str, rank: int) -> None:
+        if series not in SERIES:
+            raise DomainError(f"series must be one of {SERIES}, got {series!r}")
+        least = 2 if series == "D" else 1
+        if rank < least:
+            raise DomainError(f"series {series} needs rank >= {least}, got {rank}")
+        object.__setattr__(self, "series", series)
+        object.__setattr__(self, "rank", rank)
 
     @property
     def nu(self) -> int:
@@ -72,8 +72,7 @@ class GroupKind:
         return -1 if self.series == "C" else 1
 
 
-@dataclass(frozen=True)
-class SignedCycleType:
+class SignedCycleType(Record):
     """A Weyl-group conjugacy class: positive and negative cycle lengths.
 
     In series D, a class with no negative cycle and all positive lengths
@@ -83,8 +82,11 @@ class SignedCycleType:
     ``"split"``.
     """
 
-    positive: Partition
-    negative: Partition
+    _fields = __slots__ = ("positive", "negative")
+
+    def __init__(self, positive: Partition, negative: Partition) -> None:
+        object.__setattr__(self, "positive", positive)
+        object.__setattr__(self, "negative", negative)
 
     @property
     def rank(self) -> int:
@@ -110,25 +112,25 @@ class SignedCycleType:
         }
 
 
-@dataclass(frozen=True)
-class JordanType:
+class JordanType(Record):
     """A unipotent class in a classical group, as its Jordan block multiset.
 
     epsilon = -1 demands family T (symplectic, even total); epsilon = +1
     demands family Q (orthogonal).
     """
 
-    parts: Partition
-    epsilon: int
+    _fields = __slots__ = ("parts", "epsilon")
 
-    def __post_init__(self):
-        if self.epsilon not in (1, -1):
-            raise DomainError(f"epsilon must be +1 or -1, got {self.epsilon!r}")
-        if self.epsilon == -1:
-            if not is_member(self.parts, SYMPLECTIC):  # family T forces an even total
-                raise DomainError(f"{self.parts.text()} is not a symplectic Jordan type (family T)")
-        elif not is_member(self.parts, ORTHOGONAL):
-            raise DomainError(f"{self.parts.text()} is not an orthogonal Jordan type (family Q)")
+    def __init__(self, parts: Partition, epsilon: int) -> None:
+        if epsilon not in (1, -1):
+            raise DomainError(f"epsilon must be +1 or -1, got {epsilon!r}")
+        if epsilon == -1:
+            if not is_member(parts, SYMPLECTIC):  # family T forces an even total
+                raise DomainError(f"{parts.text()} is not a symplectic Jordan type (family T)")
+        elif not is_member(parts, ORTHOGONAL):
+            raise DomainError(f"{parts.text()} is not an orthogonal Jordan type (family Q)")
+        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "epsilon", epsilon)
 
     @property
     def nu(self) -> int:

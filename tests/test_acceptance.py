@@ -5,7 +5,6 @@ see them all).  Everything is exact integer arithmetic; the only tolerances
 are the two runtime budgets.
 """
 
-import dataclasses
 import time
 
 from weyl2uni import (
@@ -246,7 +245,9 @@ def test_criterion_9_mutation_sensitivity(monkeypatch):
     swapped = exceptional.TableLine(
         (lines[i].labels[1], lines[i].labels[0]) + lines[i].labels[2:], lines[i].name
     )
-    mutated_table = dataclasses.replace(t, lines=tuple(lines[:i] + [swapped] + lines[i + 1:]))
+    mutated_table = exceptional.MapTable(
+        t.group, t.weyl_rank, t.characteristic, tuple(lines[:i] + [swapped] + lines[i + 1:])
+    )
     caught_table = bool(exceptional.verify_table(mutated_table))
 
     report(

@@ -20,6 +20,11 @@ class TestPhi:
         rc, out, _ = run(capsys, "phi", "--group", "G2", "--label", "tA_1", "--p", "p3")
         assert rc == 0 and out == "(Ã_1)_3"
 
+    def test_parenthetical_leading_zero_finds_the_class(self, capsys):
+        want = run(capsys, "phi", "--group", "F4", "--label", "F_4(a_1)")
+        assert want[0] == 0 and want[1]
+        assert run(capsys, "phi", "--group", "F4", "--label", "F_4(a_01)") == want
+
     def test_bare_digit_characteristic(self, capsys):
         rc, out, _ = run(capsys, "phi", "--group", "F4", "--label", "B_2", "--p", "2")
         assert rc == 0 and out == "(B_2)_2"

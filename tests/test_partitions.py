@@ -292,7 +292,7 @@ class TestIterMembers:
 
 # The only functions of src/weyl2uni allowed to call Partition._from_sorted:
 # each builds parts derived from partitions that were already validated.
-# Parsers (``from_text``) and the ``__init__`` of public dataclasses must
+# Parsers (``from_text``) and the ``__init__`` of the public records must
 # never appear here.
 TRUSTED_CALLERS = {
     "partitions": {"merge", "double_parts", "iter_members"},

@@ -5,8 +5,6 @@ each side must keep its own function objects (tracing and monkeypatching
 rebind them per module), its own ``Split`` class and its own messages.
 """
 
-import dataclasses
-
 import pytest
 
 from weyl2uni import DomainError, Partition, type_bd, type_c
@@ -27,9 +25,9 @@ def test_splits_of_different_sides_never_compare_equal():
     # (r empty, p = 2,2) is a split on both sides
     c_split, bd_split = type_c.Split(Partition(), P(2, 2)), type_bd.Split(Partition(), P(2, 2))
     assert c_split.text() == bd_split.text()
-    assert c_split != bd_split
+    assert c_split != bd_split and len({c_split, bd_split}) == 2
     assert type_c.Split(Partition(), P(2, 2)) == c_split
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         c_split.r = P(2)
 
 

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from weyl2uni import DomainError, Partition
@@ -97,7 +95,9 @@ class TestMutationSensitivity:
             (lines[i].labels[-1],) + lines[i].labels[1:-1] + (lines[i].labels[0],),
             lines[i].name,
         )
-        mutated = dataclasses.replace(t, lines=tuple(lines[:i] + [swapped] + lines[i + 1:]))
+        mutated = exceptional.MapTable(
+            t.group, t.weyl_rank, t.characteristic, tuple(lines[:i] + [swapped] + lines[i + 1:])
+        )
         assert exceptional.verify_table(mutated)
 
     def test_corrupted_data_file_is_caught(self, monkeypatch, tmp_path):
