@@ -11,7 +11,6 @@ invariant; usage errors exit 2.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import type_bd, type_c, verify
@@ -30,9 +29,15 @@ from .weyl import (
 )
 
 
+def _print_json(value) -> None:
+    import json  # here, not at module level: ``import weyl2uni.cli`` stays free of json
+
+    print(json.dumps(value, ensure_ascii=False))
+
+
 def _emit(args, text_value: str, json_value) -> None:
     if args.format == "json":
-        print(json.dumps(json_value, ensure_ascii=False))
+        _print_json(json_value)
     else:
         print(text_value)
 
@@ -98,7 +103,7 @@ def _cmd_fiber(args, parser) -> int:
     j, g = _parse_jordan(args.series, args.jordan, args.nu)
     splits = type_c.fiber(j.parts) if g.series == "C" else type_bd.fiber(j.parts)
     if args.format == "json":
-        print(json.dumps([s.to_json() for s in splits], ensure_ascii=False))
+        _print_json([s.to_json() for s in splits])
     else:
         for s in splits:
             print(s.text())
@@ -147,7 +152,7 @@ def _cmd_table(args, parser) -> int:
                 for line in table.lines
             ],
         }
-        print(json.dumps(payload, ensure_ascii=False))
+        _print_json(payload)
     else:
         for line in table.lines:
             labels = ",".join(str(lab) for lab in line.labels)
@@ -163,7 +168,7 @@ def _cmd_verify(args, parser) -> int:
     cfg = verify.SweepConfig(series=series, max_nu=args.max_nu, max_rank=args.max_rank)
     report = verify.run_all(cfg)
     if args.format == "json" or not report.passed:
-        print(json.dumps(report.to_json(), ensure_ascii=False))
+        _print_json(report.to_json())
     if args.format != "json" and report.passed:
         print(report.text())
     return 0 if report.passed else 1

@@ -12,6 +12,12 @@ one way to point the loader at another file.  Each file content is parsed
 once and each table validated once per content, and the validated tables
 are shared between callers: a load whose text equals the last text read
 returns the same frozen ``MapTable``.
+
+Lookups accept the ASCII aliases of ``normalize_name``.  A string already
+in canonical spelling (every label and name the library prints) is
+answered straight from the table's index; any other spelling is
+normalized, or parsed as a Carter label, first, and the answer or error is
+the same either way.
 """
 
 from __future__ import annotations
@@ -127,8 +133,13 @@ class TableLine(Record):
 class MapTable(Record):
     """The full class-to-unipotent map for one group and characteristic.
 
-    Its two lookup dicts, by label and by name, are built with it and are
-    not fields.
+    Its two lookup dicts are built with it and are not fields: by label,
+    each canonical ``raw`` to its ``(CarterLabel, TableLine)``, and by
+    name, each normalized name to its line.  A string lookup first probes
+    the dict with the string as given, so a canonical spelling is answered
+    straight from the index; only a miss is normalized and probed again.
+    Every key is a fixed point of ``CarterLabel.parse(...).raw`` or
+    ``normalize_name``, so both routes give the same answer or error.
     """
 
     __slots__ = ("group", "weyl_rank", "characteristic", "lines", "_by_label", "_by_name")
@@ -141,7 +152,9 @@ class MapTable(Record):
         object.__setattr__(self, "weyl_rank", weyl_rank)
         object.__setattr__(self, "characteristic", characteristic)
         object.__setattr__(self, "lines", lines)
-        object.__setattr__(self, "_by_label", {lab.raw: line for line in lines for lab in line.labels})
+        object.__setattr__(
+            self, "_by_label", {lab.raw: (lab, line) for line in lines for lab in line.labels}
+        )
         object.__setattr__(self, "_by_name", {line.name: line for line in lines})
 
     def labels(self) -> list[CarterLabel]:
@@ -151,16 +164,30 @@ class MapTable(Record):
         return [line.name for line in self.lines]
 
     def phi(self, label: CarterLabel | str) -> str:
-        """Unipotent name of the line containing the label."""
-        raw = label.raw if isinstance(label, CarterLabel) else CarterLabel.parse(label).raw
-        line = self._by_label.get(raw)
-        if line is None:
-            raise UnknownLabel(f"no class {raw!r} in the {self.group} table ({self.characteristic})")
-        return line.name
+        """Unipotent name of the line containing the label.
+
+        A canonical spelling is answered from the index; any other is
+        parsed first, with the same answer.
+        """
+        hit = self._by_label.get(label) if isinstance(label, str) else None
+        if hit is None:
+            raw = label.raw if isinstance(label, CarterLabel) else CarterLabel.parse(label).raw
+            hit = self._by_label.get(raw)
+            if hit is None:
+                raise UnknownLabel(
+                    f"no class {raw!r} in the {self.group} table ({self.characteristic})"
+                )
+        return hit[1].name
 
     def psi(self, name: str) -> CarterLabel:
-        """First-listed label of the line with the given unipotent name."""
-        line = self._by_name.get(normalize_name(name))
+        """First-listed label of the line with the given unipotent name.
+
+        A canonical spelling is answered from the index; any other is
+        normalized first, with the same answer.
+        """
+        line = self._by_name.get(name) if isinstance(name, str) else None
+        if line is None:
+            line = self._by_name.get(normalize_name(name))
         if line is None:
             raise UnknownLabel(
                 f"no unipotent class {name!r} in the {self.group} table ({self.characteristic})"
@@ -168,9 +195,14 @@ class MapTable(Record):
         return line.labels[0]
 
     def fixed_space_dim(self, label: CarterLabel | str) -> int:
-        """Weyl rank minus diagram rank; any parseable label of rank <= the Weyl rank."""
+        """Weyl rank minus diagram rank; any parseable label of rank <= the Weyl rank.
+
+        A canonical spelling of a table label takes its rank from the
+        index; any other string is parsed first, with the same answer.
+        """
         if isinstance(label, str):
-            label = CarterLabel.parse(label)
+            hit = self._by_label.get(label)
+            label = hit[0] if hit is not None else CarterLabel.parse(label)
         rank = label.rank
         if rank > self.weyl_rank:
             raise DomainError(f"label {label.raw} has rank {rank} above the Weyl rank")

@@ -16,10 +16,12 @@ no series branch.
 
 Checked objects are certificates: a ``JordanType`` or ``Split`` has had its
 families tested by its public constructor, so a function handed one does
-not test them again, and one that derives such an object from certified
-data builds it with the trusted ``_trusted``.  ``psi_classical`` still
-checks its answer twice on purpose: both routes of ``minimal_split`` and
-the ``phi`` round trip.
+not test them again.  A ``Split`` derived from certified data is built
+with the trusted ``Split._trusted``.  ``JordanType`` has no trusted
+constructor: ``phi_classical`` builds its answer with the validating one,
+so every Jordan type it returns has had its family tested.
+``psi_classical`` still checks its answer twice on purpose: both routes of
+``minimal_split`` and the ``phi`` round trip.
 """
 
 from __future__ import annotations

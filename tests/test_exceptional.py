@@ -330,6 +330,93 @@ class TestLookups:
             t.psi("F_4(a_3)")
 
 
+def parse_first(table, kind, arg):
+    """The lookup as it reads when every string is parsed or normalized before the index."""
+    if kind == "psi":
+        name = normalize_name(arg)
+        for line in table.lines:
+            if line.name == name:
+                return line.labels[0]
+        raise UnknownLabel(
+            f"no unipotent class {arg!r} in the {table.group} table ({table.characteristic})"
+        )
+    if kind == "fixed_space_dim":
+        label = CarterLabel.parse(arg) if isinstance(arg, str) else arg
+        if label.rank > table.weyl_rank:
+            raise DomainError(f"label {label.raw} has rank {label.rank} above the Weyl rank")
+        return table.weyl_rank - label.rank
+    raw = arg.raw if isinstance(arg, CarterLabel) else CarterLabel.parse(arg).raw
+    for line in table.lines:
+        if any(lab.raw == raw for lab in line.labels):
+            return line.name
+    raise UnknownLabel(f"no class {raw!r} in the {table.group} table ({table.characteristic})")
+
+
+def outcome(lookup, *args):
+    """The value returned, or the type and message of the exception raised."""
+    try:
+        return "value", lookup(*args)
+    except Exception as exc:  # every exception type is compared, not only DomainError
+        return type(exc), str(exc)
+
+
+def spellings(table):
+    """Canonical, alias, padded, unknown and unparseable spellings, and non-strings."""
+    keys = [str(lab) for lab in table.labels()] + table.names()
+    aliases = [
+        key.replace("Ã", tilde).replace("''", quote)
+        for key in keys
+        if "Ã" in key or "''" in key
+        for tilde, quote in (("tA", '"'), ("A~", "''"), ("~A", "″"))
+    ]
+    padded = [f" {key}\t" for key in keys[::7]]
+    odd = ["E_8", "A_7", "F_4(a_3)", "A_01", "2A_01''", "A_00", "", "  ", "A_", "X_1", "A_1+"]
+    objects = [None, 7, b"A_1", ("A_1",), ["A_1"]]
+    objects += [CarterLabel.parse("A_1"), CarterLabel.parse("E_8")]
+    return keys + aliases + padded + odd + objects
+
+
+class TestIndexProbe:
+    """A string that is a key of the index is answered from it, with the parse-first answer."""
+
+    def test_every_shipped_label_and_name_is_a_fixed_point(self):
+        labels = [lab for t in all_tables() for lab in t.labels()]
+        names = [name for t in all_tables() for name in t.names()]
+        assert (len(labels), len(names)) == (543, 374)
+        for lab in labels:
+            assert CarterLabel.parse(lab.raw) == lab
+        for name in names:
+            assert normalize_name(name) == name
+
+    @pytest.mark.parametrize("kind", ["phi", "psi", "fixed_space_dim"])
+    def test_every_spelling_gets_the_parse_first_answer(self, kind):
+        for table in all_tables():
+            for arg in spellings(table):
+                expected = outcome(parse_first, table, kind, arg)
+                assert outcome(getattr(table, kind), arg) == expected, (table.group, arg)
+
+    def test_a_canonical_spelling_is_not_parsed(self, monkeypatch):
+        table = load_table("E8")
+        calls = []
+        parse = CarterLabel.parse.__func__
+        monkeypatch.setattr(
+            CarterLabel, "parse", classmethod(lambda cls, s: calls.append(s) or parse(cls, s))
+        )
+        names = counting(monkeypatch, "normalize_name")
+        for lab in table.labels():
+            table.phi(lab.raw)
+            table.fixed_space_dim(lab.raw)
+        for name in table.names():
+            table.psi(name)
+        assert (calls, names) == ([], [])
+        table.phi("A_1 ")
+        table.fixed_space_dim("tA_1+A_1")
+        table.psi("A_1 ")
+        # parse normalizes too, so each miss shows once in names
+        assert calls == ["A_1 ", "tA_1+A_1"]
+        assert names == [("A_1 ",), ("tA_1+A_1",), ("A_1 ",)]
+
+
 class TestPatchLines:
     def test_g2_p3_replacement(self):
         t = load_table("G2", "p3")

@@ -146,6 +146,25 @@ def test_carter_label_parse_and_normalize_name(text):
     parses_or_refuses(CarterLabel.parse, text)
 
 
+# The table lookups answer a string that is already an index key without
+# parsing it; that is exact only while raw and normalize_name are fixed points.
+@settings(max_examples=1000, deadline=None)
+@given(label_junk)
+def test_parse_is_a_fixed_point_on_raw(text):
+    try:
+        label = CarterLabel.parse(text)
+    except DomainError:
+        return
+    assert CarterLabel.parse(label.raw) == label
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(junk, label_junk))
+def test_normalize_name_is_idempotent(text):
+    once = normalize_name(text)
+    assert normalize_name(once) == once
+
+
 @settings(max_examples=300, deadline=None)
 @given(argv)
 def test_cli_exits_0_1_or_2(args):

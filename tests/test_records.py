@@ -107,6 +107,9 @@ def test_keyword_construction_and_class_level_defaults():
     assert (SweepConfig.max_nu, SweepConfig.max_rank) == (16, 5)
 
 
+HEAVY = ("dataclasses", "inspect", "json", "typing", "importlib.resources", "pathlib",
+         "zipfile", "tempfile")
+
 COLD_PROBE = """
 import sys
 sys.path.insert(0, {src!r})
@@ -115,19 +118,31 @@ from weyl2uni import exceptional
 exceptional.load_table("E8")
 j = weyl2uni.JordanType(weyl2uni.Partition([8, 8, 6, 6, 5, 5, 2]), -1)
 print(weyl2uni.psi_classical(j, weyl2uni.GroupKind("C", 20)).text())
-heavy = ("dataclasses", "inspect", "json", "typing", "importlib.resources", "pathlib",
-         "zipfile", "tempfile")
-print(",".join(m for m in heavy if m in sys.modules) or "-")
+print(",".join(m for m in {heavy!r} if m in sys.modules) or "-")
+"""
+
+CLI_COLD_PROBE = """
+import sys
+sys.path.insert(0, {src!r})
+import weyl2uni.cli
+print(",".join(m for m in {heavy!r} if m in sys.modules) or "-")
 """
 
 
-def test_cold_import_loads_only_the_stdlib_modules_it_uses():
-    # -S: no site packages, so only weyl2uni itself imports anything
+def run_cold(probe: str) -> list[str]:
+    """The words a probe prints; -S: no site packages, so only weyl2uni itself imports anything."""
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", COLD_PROBE.format(src=str(SRC))],
+        [sys.executable, "-S", "-c", probe.format(src=str(SRC), heavy=HEAVY)],
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    answer, loaded = proc.stdout.split()
-    assert answer == "pos=5;neg=4,4,3,3,1"
-    assert loaded == "-"
+    return proc.stdout.split()
+
+
+def test_cold_import_loads_only_the_stdlib_modules_it_uses():
+    assert run_cold(COLD_PROBE) == ["pos=5;neg=4,4,3,3,1", "-"]
+
+
+def test_cold_import_of_the_cli_loads_none_of_the_heavy_modules():
+    # json is imported only when a command prints JSON
+    assert run_cold(CLI_COLD_PROBE) == ["-"]
