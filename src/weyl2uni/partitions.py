@@ -116,7 +116,7 @@ class Partition(tuple):
         * ``merge``, ``double_parts`` and ``iter_members`` here;
         * the fiber assembly ``splits.iter_fiber`` and the argmin rebuild
           of ``splits.fiber_minimum``;
-        * ``canonical_split`` of ``type_c`` and ``type_bd``;
+        * the routing body ``_route`` of ``type_c`` and ``type_bd``;
         * ``type_bd.blocks_from_halves`` and ``_halves_of_chained``;
         * ``weyl.encode_class`` (series C) and ``decode_class``.
 

@@ -10,20 +10,24 @@ automaton over the runs of c, largest value first: one state for S, at most
 the dual-route guard ``minimal_split``, which checks that minimum against a
 closed-form routing.  ``partitions.merge(x.r, x.p)`` merges a split back.
 ``type_c`` and ``type_bd`` keep only their rules (a ``Split`` subclass
-naming the r-family, ``_r_counts``, the automaton and ``canonical_split``)
-and call in here with one line per public function.
+naming the r-family, ``_r_counts``, the automaton and the routing body
+``_route``).  Each of their public functions tests its input for family T
+or Q once, at entry, and calls in here; nothing in here tests it again.
 
 A ``Split`` is a certificate: its public constructor tests r for the
 r-family and p for family Ptilde, so a function handed a Split does not
 test either again.  A function whose own derivation guarantees both
-families builds its split with the trusted ``Split._trusted``.
+families builds its split with the trusted ``Split._trusted``.  So
+``minimal_split`` runs, per call: one count of the runs of c, the dynamic
+program (its argmin built trusted), the routing (its split validated: one
+r-family and one Ptilde test) and one comparison of the two.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 
-from .partitions import ContradictionError, DOUBLED, DomainError, Partition, Record, is_member
+from .partitions import ContradictionError, DOUBLED, DomainError, Partition, Record, is_member, merge
 
 
 class Split(Record):
@@ -51,10 +55,10 @@ class Split(Record):
         """Trusted constructor: skips both family tests of ``__init__``.
 
         The caller guarantees r in ``R_FAMILY`` and p in family Ptilde.
-        Only ``iter_fiber`` and ``weyl.encode_class`` call it
-        (``fiber_minimum`` builds its argmin with the validating
-        constructor), an allowlist that ``tests/test_certificates.py``
-        checks by scanning the source.
+        Only ``iter_fiber``, ``fiber_minimum`` (for ``minimal_split``, whose
+        dual route checks the argmin) and ``weyl.encode_class`` call it, an
+        allowlist that ``tests/test_certificates.py`` checks by scanning the
+        source.
         """
         self = object.__new__(cls)
         object.__setattr__(self, "r", r)
@@ -145,18 +149,21 @@ def _walk(runs, r_counts, start, step, accepts) -> Iterator[tuple[tuple[int, ...
                 dead.add((i, state))
 
 
-def fiber_minimum(split_cls, c: Partition, r_counts, automaton) -> tuple[int | None, int, Split | None]:
+def fiber_minimum(split_cls, runs, r_counts, automaton, trusted=False) -> tuple[int | None, int, Split | None]:
     """(minimal p-length, number of splits reaching it, the minimiser if unique).
 
-    A dynamic program over the runs of c, largest value first, on the
-    choices and automaton of ``iter_fiber``.  Each state keeps its least
-    p-length, how many choice sequences reach it and one of them as a
-    linked (previous, m) pair, so the cost is linear in the number of
-    distinct values.  An empty fiber gives (None, 0, None); a minimiser the
-    validating ``split_cls`` refuses is a ContradictionError.
+    A dynamic program over ``runs``, the (value, multiplicity) pairs of a
+    Jordan type c largest value first, on the choices and automaton of
+    ``iter_fiber``.  Each state keeps its least p-length, how many choice
+    sequences reach it and one of them as a linked (previous, m) pair, so
+    the cost is linear in the number of distinct values; one pass over the
+    accepting states picks the minimum and sums its ties.  An empty fiber
+    gives (None, 0, None).  The argmin is built by the validating
+    ``split_cls``, a refusal being a ContradictionError, or with ``trusted``
+    by ``split_cls._trusted``: only ``minimal_split`` asks for that, as its
+    dual route compares the argmin with the validated routing.
     """
     start, step, accepts = automaton
-    runs = list(c.multiplicities().items())
     layer: dict[object, tuple] = {start: (0, 1, None)}
     for e, q in runs:
         nxt: dict[object, tuple] = {}
@@ -173,15 +180,19 @@ def fiber_minimum(split_cls, c: Partition, r_counts, automaton) -> tuple[int | N
                 elif cand == have[0]:
                     nxt[to] = (cand, have[1] + ways, have[2])
         layer = nxt
-    ends = [end for state, end in layer.items() if accepts(state)]
-    if not ends:
+    least, ties = None, 0
+    for state, end in layer.items():
+        if not accepts(state):
+            continue
+        if least is None or end[0] < least[0]:
+            least, ties = end, end[1]
+        elif end[0] == least[0]:
+            ties += end[1]
+    if least is None:
         return None, 0, None
-    p_len = min(end[0] for end in ends)
-    least = [end for end in ends if end[0] == p_len]
-    ties = sum(end[1] for end in least)
     if ties != 1:
-        return p_len, ties, None
-    path = least[0][2]
+        return least[0], ties, None
+    path = least[2]
     r_parts: list[int] = []
     p_parts: list[int] = []
     for e, q in reversed(runs):
@@ -191,10 +202,12 @@ def fiber_minimum(split_cls, c: Partition, r_counts, automaton) -> tuple[int | N
     # rebuilt smallest value first: reversed, both sides are sorted
     r = Partition._from_sorted(tuple(r_parts[::-1]))
     p = Partition._from_sorted(tuple(p_parts[::-1]))
+    if trusted:
+        return least[0], 1, split_cls._trusted(r, p)
     try:  # the validating constructor re-checks both families on the argmin
-        return p_len, 1, split_cls(r, p)
+        return least[0], 1, split_cls(r, p)
     except DomainError as exc:
-        raise ContradictionError(f"fiber minimum over {c.text()} is not a split: {exc}") from None
+        raise ContradictionError(f"fiber minimum over {merge(r, p).text()} is not a split: {exc}") from None
 
 
 def fiber(xs: Iterable[Split]) -> list[Split]:
@@ -202,21 +215,25 @@ def fiber(xs: Iterable[Split]) -> list[Split]:
     return sorted(xs, key=lambda x: (len(x.p), x.p.parts, x.r.parts))
 
 
-def minimal_split(c: Partition, fiber_minimum, canonical_split) -> Split:
+def minimal_split(split_cls, c: Partition, r_counts, automaton, route) -> Split:
     """The unique split of c minimizing the number of parts of p.
 
-    Dual-route: the minimum found by ``fiber_minimum`` must exist, be unique
-    and equal ``canonical_split(c)``, else ContradictionError (none can
-    happen; this is the point being verified).
+    The caller has tested c for its family.  The runs of c are counted once
+    and handed to both routes: the minimum of ``fiber_minimum``, its argmin
+    built trusted, must exist, be unique and equal ``route(c, runs)``, the
+    side's closed-form routing, which builds its split validated; else
+    ContradictionError (none can happen; this is the point being verified).
+    Equality with the validated split certifies the argmin's families.
     """
-    p_len, ties, best = fiber_minimum(c)
+    runs = list(c.multiplicities().items())
+    p_len, ties, best = fiber_minimum(split_cls, runs, r_counts, automaton, trusted=True)
     if p_len is None:
         raise ContradictionError(f"empty fiber over {c.text()}")
     if ties != 1:
         raise ContradictionError(
             f"{ties} fiber elements over {c.text()} share the minimal p-length {p_len}"
         )
-    want = canonical_split(c)
+    want = route(c, runs)
     if best != want:
         raise ContradictionError(
             f"fiber minimum {best.text()} differs from canonical split {want.text()} over {c.text()}"

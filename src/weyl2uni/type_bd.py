@@ -18,9 +18,9 @@ finite automaton for family R read largest value first (``_R_START``,
 ``_r_step``, ``_r_accepts``), whose states come from the definition of R.
 The engine runs its dynamic program ``fiber_minimum`` and its listing walk
 ``iter_fiber`` on that automaton, so the minimum needs no routing and the
-listing costs time in proportion to the number of splits.  ``iter_fiber``,
-``fiber``, ``fiber_minimum`` and ``minimal_split`` are one-line calls into
-the engine.
+listing costs time in proportion to the number of splits.  Each public
+function tests c for family Q at entry, then calls a body that does not:
+the routing body ``_route`` or the engine.
 
 Routing rules of ``canonical_split`` for a value e with multiplicity q in c
 (writing d for the 1-based position where e's run starts inside the odd
@@ -100,13 +100,13 @@ def blocks_from_halves(halves: Partition, kappa: int) -> Partition:
     _require_kappa(kappa)
     if kappa == 0 and len(halves) % 2:
         raise DomainError("kappa=0 requires an even number of halves (family P0)")
-    out = _raw_blocks(halves.parts, kappa)
-    if any(out[i] < out[i + 1] for i in range(len(out) - 1)):
+    out = _raw_blocks(halves, kappa)
+    if sorted(out, reverse=True) != list(out):
         raise ContradictionError(
             f"blocks of {halves.text()} (kappa={kappa}) not decreasing: {list(out)}"
         )
     blocks = Partition._from_sorted(out)
-    if blocks.size != 2 * halves.size + kappa:
+    if sum(out) != 2 * sum(halves) + kappa:
         raise ContradictionError(f"block total for {halves.text()} (kappa={kappa}) is off")
     if not is_member(blocks, CHAINED):
         raise ContradictionError(
@@ -134,27 +134,24 @@ def _halves_of_chained(blocks: Partition, kappa: int) -> Partition:
     """``halves_from_blocks`` for blocks already known to be in family R.
 
     Checks: the parity of the total against kappa (DomainError); then that
-    every half is a positive integer, that the halves decrease and that
+    every half is positive, that the halves decrease and that
     ``_raw_blocks`` of them rebuilds the input exactly (ContradictionError,
     none can happen).  Rebuilding the input exactly also implies that it
     is in family R and, at kappa=0, that the halves are in family P0.
     """
-    if blocks.size % 2 != kappa:
+    if sum(blocks) % 2 != kappa:
         raise DomainError(f"total of {blocks.text()} has the wrong parity for kappa={kappa}")
     ps = blocks.parts
     if ps and ps[-1] == kappa:
         ps = ps[:-1]
-    out: list[int] = []
-    for k, v in enumerate(ps, start=1):
-        z = (-1) ** k if v % 2 else 0
-        half, rem = divmod(v + z, 2)
-        if rem or half < 1:
-            raise ContradictionError(f"halving {blocks.text()} at position {k} gave {v + z}/2")
-        out.append(half)
-    if any(out[i] < out[i + 1] for i in range(len(out) - 1)):
+    # (v + z)/2 at 1-based position k is v // 2 at odd k, (v + 1) // 2 at even k
+    out = [(v + i % 2) // 2 for i, v in enumerate(ps)]
+    if 0 in out:  # only a block 1 at an odd position halves to 0
+        raise ContradictionError(f"halving {blocks.text()} at position {out.index(0) + 1} gave 0/2")
+    if sorted(out, reverse=True) != out:
         raise ContradictionError(f"halves of {blocks.text()} not decreasing: {out}")
     halves = Partition._from_sorted(tuple(out))
-    if _raw_blocks(halves.parts, kappa) != blocks.parts:
+    if _raw_blocks(halves, kappa) != blocks:
         raise ContradictionError(f"halves_from_blocks({blocks.text()}, {kappa}) does not invert")
     return halves
 
@@ -171,7 +168,7 @@ class Split(splits.Split):
     R_VIOLATION = "is not in family R"
 
 
-def _star(odds: tuple[int, ...], e: int) -> bool:
+def _star(odds: list[int], e: int) -> bool:
     """Whether an even value e belongs in p: evenly many odd entries of r exceed e.
 
     odds holds the odd entries already routed to r, decreasing.  Read on
@@ -187,36 +184,32 @@ def _star(odds: tuple[int, ...], e: int) -> bool:
 def canonical_split(c: Partition) -> Split:
     """The distinguished split of an orthogonal Jordan type (rules 1-5)."""
     _require_orthogonal(c)
-    runs = c.multiplicities().items()
+    return _route(c, list(c.multiplicities().items()))
+
+
+def _route(c: Partition, runs) -> Split:
+    """``canonical_split`` of c, already tested for family Q, from its runs.
+
+    One pass, largest value first: when an even value is routed, the odd
+    entries of r above it are all placed, and both sides come out sorted.
+    """
     r_parts: list[int] = []
     p_parts: list[int] = []
+    r_odds: list[int] = []  # the odd entries routed to r so far, decreasing
     d = 1  # where the next odd run starts in the odd subsequence of c
     for e, q in runs:
         if e % 2 == 0:
-            continue
-        if q % 2 == 1:
-            m = 1
-        elif d % 2 == 0:
-            m = 2
+            m = 0 if _star(r_odds, e) else q
         else:
-            m = 0
+            m = 1 if q % 2 == 1 else 2 if d % 2 == 0 else 0  # rules 1, 2 and 3
+            r_odds += [e] * m
+            d += q
         r_parts += [e] * m
         p_parts += [e] * (q - m)
-        d += q
-    r_odds = tuple(r_parts)  # already decreasing
-    for e, q in runs:
-        if e % 2:
-            continue
-        if _star(r_odds, e):
-            p_parts += [e] * q
-        else:
-            r_parts += [e] * q
-    # odd values were routed before even ones, so both sides need a sort;
     # Split tests r for family R and p for family Ptilde
-    r = Partition._from_sorted(tuple(sorted(r_parts, reverse=True)))
-    p = Partition._from_sorted(tuple(sorted(p_parts, reverse=True)))
+    r, p = Partition._from_sorted(tuple(r_parts)), Partition._from_sorted(tuple(p_parts))
     out = Split(r, p)
-    if merge(r, p) != c:  # c was tested for family Q above, so equality is enough
+    if merge(r, p) != c:  # c was tested for family Q, so equality is enough
         raise ContradictionError(f"canonical split of {c.text()} does not merge back")
     return out
 
@@ -289,9 +282,11 @@ def fiber(c: Partition) -> list[Split]:
 def fiber_minimum(c: Partition) -> tuple[int | None, int, Split | None]:
     """(least p-length, splits reaching it, the minimiser if unique): ``splits.fiber_minimum``."""
     _require_orthogonal(c)
-    return splits.fiber_minimum(Split, c, _r_counts, (_R_START, _r_step, _r_accepts))
+    runs = list(c.multiplicities().items())
+    return splits.fiber_minimum(Split, runs, _r_counts, (_R_START, _r_step, _r_accepts))
 
 
 def minimal_split(c: Partition) -> Split:
     """The unique split minimizing the number of parts of p (``splits.minimal_split``)."""
-    return splits.minimal_split(c, fiber_minimum, canonical_split)
+    _require_orthogonal(c)
+    return splits.minimal_split(Split, c, _r_counts, (_R_START, _r_step, _r_accepts), _route)

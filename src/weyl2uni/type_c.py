@@ -5,9 +5,10 @@ this module keeps only its rules: ``Split`` (``R_FAMILY = ALL_EVEN``),
 ``_r_counts`` (an odd value goes wholly to p, an even value keeps an even
 count for p), the one-state automaton for family S (``_R_START``,
 ``_r_step``, ``_r_accepts``) and the routing ``canonical_split`` (odd parts
-to p, even parts to r).  ``iter_fiber``, ``fiber``, ``fiber_minimum`` and
-``minimal_split`` are one-line calls into the engine, which lists and
-minimises over the automaton exactly as for B and D.
+to p, even parts to r).  Each public function tests c for family T at
+entry, then calls a body that does not: the routing body ``_route`` or the
+engine, which lists and minimises over the automaton exactly as for B and
+D.
 """
 
 from __future__ import annotations
@@ -37,11 +38,16 @@ def _require_symplectic(c: Partition) -> None:
 def canonical_split(c: Partition) -> Split:
     """The distinguished split: odd parts all to p, even parts all to r."""
     _require_symplectic(c)
+    return _route(c, None)
+
+
+def _route(c: Partition, runs) -> Split:
+    """``canonical_split`` of c, tested for family T; the parity rule reads parts, not ``runs``."""
     evens = tuple([v for v in c.parts if v % 2 == 0])  # sub-sequences of c: already sorted
     odds = tuple([v for v in c.parts if v % 2 == 1])
     r, p = Partition._from_sorted(evens), Partition._from_sorted(odds)
     out = Split(r, p)
-    if merge(r, p) != c:  # c was tested for family T above, so equality is enough
+    if merge(r, p) != c:  # c was tested for family T, so equality is enough
         raise ContradictionError(f"canonical split of {c.text()} does not merge back")
     return out
 
@@ -85,9 +91,11 @@ def fiber(c: Partition) -> list[Split]:
 def fiber_minimum(c: Partition) -> tuple[int | None, int, Split | None]:
     """(least p-length, splits reaching it, the minimiser if unique): ``splits.fiber_minimum``."""
     _require_symplectic(c)
-    return splits.fiber_minimum(Split, c, _r_counts, (_R_START, _r_step, _r_accepts))
+    runs = list(c.multiplicities().items())
+    return splits.fiber_minimum(Split, runs, _r_counts, (_R_START, _r_step, _r_accepts))
 
 
 def minimal_split(c: Partition) -> Split:
     """The unique split minimizing the number of parts of p (``splits.minimal_split``)."""
-    return splits.minimal_split(c, fiber_minimum, canonical_split)
+    _require_symplectic(c)
+    return splits.minimal_split(Split, c, _r_counts, (_R_START, _r_step, _r_accepts), _route)

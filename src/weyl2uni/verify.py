@@ -139,25 +139,20 @@ def _scan_unique_minimum(module, c: Partition) -> dict | None:
     """One Jordan type: the canonical split must be the strict fiber minimum.
 
     Lazily scans the fiber and stops at the first witness of non-minimality
-    or non-uniqueness (a second element at the claimed minimum).
+    or non-uniqueness (a second element at the claimed minimum).  An error
+    raised by the routing or by the fiber walk is that type's
+    counterexample.
     """
     try:
         claimed = module.canonical_split(c)
+        least = len(claimed.p)
+        for x in module.iter_fiber(c):
+            if len(x.p) < least:
+                return {"jordan": c.text(), "claimed": claimed.text(), "smaller": x.text()}
+            if len(x.p) == least and x != claimed:
+                return {"jordan": c.text(), "claimed": claimed.text(), "tied": x.text()}
     except (DomainError, ContradictionError) as exc:
         return {"jordan": c.text(), "error": str(exc)}
-    for x in module.iter_fiber(c):
-        if len(x.p) < len(claimed.p):
-            return {
-                "jordan": c.text(),
-                "claimed": claimed.text(),
-                "smaller": x.text(),
-            }
-        if len(x.p) == len(claimed.p) and x != claimed:
-            return {
-                "jordan": c.text(),
-                "claimed": claimed.text(),
-                "tied": x.text(),
-            }
     return None
 
 
@@ -178,6 +173,7 @@ def check_classical(cfg: SweepConfig) -> VerificationReport:
                 ce = _scan_unique_minimum(side, c)
                 if ce is not None:
                     ce["series"] = series
+                    ce["reproduce"] = f"weyl2uni fiber --series {series} --jordan {c.text()}"
                     result.counterexamples.append(ce)
         if skipped:
             result.notes.append(f"skipped {skipped} very even types")

@@ -20,8 +20,12 @@ not test them again.  A ``Split`` derived from certified data is built
 with the trusted ``Split._trusted``.  ``JordanType`` has no trusted
 constructor: ``phi_classical`` builds its answer with the validating one,
 so every Jordan type it returns has had its family tested.
-``psi_classical`` still checks its answer twice on purpose: both routes of
-``minimal_split`` and the ``phi`` round trip.
+``psi_classical`` still checks its answer twice on purpose, each check
+once per call: the two routes of ``minimal_split`` (which tests the
+Jordan type for family T or Q once, at entry, and the routed split for
+its r-family and Ptilde once) and the ``phi`` round trip (encode the
+class again, B/D testing its r for family R once, and compare the merged
+sides with the Jordan type's parts).
 """
 
 from __future__ import annotations
@@ -92,7 +96,7 @@ class SignedCycleType(Record):
 
     @property
     def rank(self) -> int:
-        return self.positive.size + self.negative.size
+        return sum(self.positive) + sum(self.negative)
 
     def text(self) -> str:
         return f"pos={self.positive.text()};neg={self.negative.text()}"
@@ -277,13 +281,17 @@ def _check_jordan(j: JordanType, g: GroupKind) -> None:
 def psi_classical(j: JordanType, g: GroupKind) -> SignedCycleType:
     """The preimage class of phi_classical with strictly minimal fixed space.
 
-    Uniqueness is enforced by the minimal-split machinery; the result is
-    round-tripped through phi_classical before being returned.
+    ``side.minimal_split`` tests j's parts for family T or Q once, then
+    checks its two routes against each other; the decoded class is
+    encoded again and must merge back to j's parts.  That equality stands
+    for the round trip through ``phi_classical``: j is certified, so the
+    family test a rebuilt ``JordanType`` would run adds nothing.
     """
     _check_jordan(j, g)
     side = type_c if g.series == "C" else type_bd
     w = decode_class(side.minimal_split(j.parts), g)
-    if phi_classical(w, g).parts != j.parts:
+    x = encode_class(w, g)
+    if merge(x.r, x.p) != j.parts:
         raise ContradictionError(f"psi of {j.text()} does not round-trip through phi")
     return w
 

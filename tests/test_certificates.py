@@ -44,7 +44,7 @@ from weyl2uni.weyl import (
 # constructor ``splits.Split._trusted``: each builds a split whose families
 # its own derivation guarantees.
 TRUSTED_SPLIT_CALLERS = {
-    "splits": {"iter_fiber"},
+    "splits": {"iter_fiber", "fiber_minimum"},
     "weyl": {"encode_class"},
 }
 
@@ -136,11 +136,13 @@ def tally(monkeypatch):
 @pytest.mark.parametrize(
     "series, jordan, psi_tests, phi_tests",
     [
-        # fiber minimum and canonical split each test the Jordan type and
-        # their split; phi tests its block side once and its JordanType once
-        ("C", (4, 2, 1, 1), {"T": 3, "S": 2, "Ptilde": 2}, {"T": 1}),
-        ("B", (5, 3, 3, 1, 1), {"Q": 3, "R": 3, "Ptilde": 2}, {"Q": 1, "R": 1}),
-        ("D", (5, 3, 1, 1), {"Q": 3, "R": 3, "Ptilde": 2}, {"Q": 1, "R": 1}),
+        # psi: minimal_split tests the Jordan type at entry and the routed
+        # split (its fiber minimum is built trusted), and on B/D the round
+        # trip's blocks_from_halves tests its r; phi tests its block side
+        # once and its JordanType once
+        ("C", (4, 2, 1, 1), {"T": 1, "S": 1, "Ptilde": 1}, {"T": 1}),
+        ("B", (5, 3, 3, 1, 1), {"Q": 1, "R": 2, "Ptilde": 1}, {"Q": 1, "R": 1}),
+        ("D", (5, 3, 1, 1), {"Q": 1, "R": 2, "Ptilde": 1}, {"Q": 1, "R": 1}),
     ],
 )
 def test_family_tests_per_call(tally, series, jordan, psi_tests, phi_tests):
@@ -209,12 +211,48 @@ def test_undoubled_p_reaching_decode_is_caught_by_the_rank_check(monkeypatch, se
 
 
 def test_bad_p_counts_in_the_dp_are_caught_by_the_split_test(monkeypatch):
-    # the fiber minimum's Split still tests p for family Ptilde
+    # the public fiber minimum still builds its argmin with the validating Split
     monkeypatch.setattr(type_bd, "_r_counts", lambda e, q: list(range(q, -1, -1)))
     with pytest.raises(ContradictionError, match="not a split"):
         for j, g in _all_types(12):
             if g.series != "C":
-                psi_classical(j, g)
+                type_bd.fiber_minimum(j.parts)
+
+
+def _forged_minima(monkeypatch, **mutations):
+    """The B/D types of total <= 12 whose trusted DP argmin leaves a family, under mutations."""
+    for name, value in mutations.items():
+        monkeypatch.setattr(type_bd, name, value)
+    automaton = (type_bd._R_START, type_bd._r_step, type_bd._r_accepts)
+    out = []
+    for j, g in _all_types(12):
+        if g.series == "C":
+            continue
+        runs = list(j.parts.multiplicities().items())
+        _, _, x = splits.fiber_minimum(type_bd.Split, runs, type_bd._r_counts, automaton, trusted=True)
+        if x is not None and not (is_member(x.r, "R") and is_member(x.p, DOUBLED)):
+            out.append((j, g))
+    return out
+
+
+@pytest.mark.parametrize(
+    "mutations",
+    [
+        # odd counts of a value left in p: p undoubled
+        {"_r_counts": lambda e, q: list(range(q, -1, -1))},
+        # an automaton that accepts every r: r outside family R
+        {"_r_step": lambda state, e, m: state, "_r_accepts": lambda state: True},
+    ],
+    ids=["p-undoubled", "r-outside-R"],
+)
+def test_a_trusted_dp_argmin_outside_its_families_is_caught_by_the_dual_route(monkeypatch, mutations):
+    # minimal_split builds the DP argmin trusted: comparing it with the
+    # validated canonical split (or finding it tied) is what rejects it
+    forged = _forged_minima(monkeypatch, **mutations)
+    assert len(forged) > 20
+    for j, g in forged:
+        with pytest.raises(ContradictionError, match="differs from canonical split|share the minimal"):
+            psi_classical(j, g)
 
 
 def test_undoubled_p_from_encode_is_caught_by_the_round_trip(monkeypatch):
@@ -222,11 +260,27 @@ def test_undoubled_p_from_encode_is_caught_by_the_round_trip(monkeypatch):
     types = [(j, g) for j, g in _all_types(12) if psi_classical(j, g).positive]
     monkeypatch.setattr(weyl, "double_parts", lambda a: a)
     for j, g in types:
-        # the merged type has the wrong total: phi's JordanType or the
-        # round trip rejects it
-        with pytest.raises((ContradictionError, DomainError)):
+        # the merged type has the wrong total: the round trip rejects it
+        with pytest.raises(ContradictionError, match="does not round-trip"):
             psi_classical(j, g)
     assert len(types) > 100
+
+
+@pytest.mark.parametrize("series", ["B", "C", "D"])
+def test_merged_type_outside_its_family_is_caught_by_the_psi_round_trip(monkeypatch, series):
+    # psi's round trip builds no JordanType: comparing the merged type with
+    # the certified parts of j stands in for its family test
+    family = "T" if series == "C" else "Q"
+
+    def outside(a, b):
+        return next((c for c in iter_partitions(sum(a) + sum(b)) if not is_member(c, family)), None)
+
+    types = [(j, g) for j, g in _all_types(12) if g.series == series and outside(j.parts, ())]
+    monkeypatch.setattr(weyl, "merge", outside)
+    for j, g in types:
+        with pytest.raises(ContradictionError, match="does not round-trip"):
+            psi_classical(j, g)
+    assert len(types) > 20
 
 
 def test_odd_halves_from_encode_are_caught_by_blocks_from_halves(monkeypatch):

@@ -121,19 +121,22 @@ def test_minimum_never_consults_the_routing(module, parts, monkeypatch):
 ONE_VALUE_R = (0, lambda s, e, m: None if m and e % 2 else s + (m > 0), lambda s: s < 2)
 
 
+def tie_admitting_minimum(c: Partition):
+    runs = list(c.multiplicities().items())
+    return splits.fiber_minimum(type_c.Split, runs, type_c._r_counts, ONE_VALUE_R)
+
+
 def test_fiber_minimum_counts_every_tied_split():
-    args = (type_c.Split, Partition([4, 4, 2, 2]), type_c._r_counts, ONE_VALUE_R)
-    assert splits.fiber_minimum(*args) == (2, 2, None)
+    assert tie_admitting_minimum(Partition([4, 4, 2, 2])) == (2, 2, None)
     seen_ties = 0
     for c in jordan_types("C", 20):
-        args = (type_c.Split, c, type_c._r_counts, ONE_VALUE_R)
-        listed = list(splits.iter_fiber(*args))
+        listed = list(splits.iter_fiber(type_c.Split, c, type_c._r_counts, ONE_VALUE_R))
         if not listed:  # 4,2 say: both values must go wholly to r
-            assert splits.fiber_minimum(*args) == (None, 0, None)
+            assert tie_admitting_minimum(c) == (None, 0, None)
             continue
         least = min(len(x.p) for x in listed)
         tied = [x for x in listed if len(x.p) == least]
-        p_len, ties, best = splits.fiber_minimum(*args)
+        p_len, ties, best = tie_admitting_minimum(c)
         assert (p_len, ties) == (least, len(tied)), c.text()
         assert best == (tied[0] if ties == 1 else None)
         seen_ties += ties > 1
@@ -142,14 +145,14 @@ def test_fiber_minimum_counts_every_tied_split():
 
 @pytest.mark.parametrize("module", [type_c, type_bd], ids=["C", "BD"])
 def test_empty_fiber_reports_contradiction(module, monkeypatch):
-    monkeypatch.setattr(module, "fiber_minimum", lambda c: (None, 0, None))
+    monkeypatch.setattr(splits, "fiber_minimum", lambda *args, **kwargs: (None, 0, None))
     with pytest.raises(ContradictionError, match="empty fiber"):
         module.minimal_split(Partition([3, 3, 1, 1]))
 
 
 @pytest.mark.parametrize("module", [type_c, type_bd], ids=["C", "BD"])
 def test_tied_minimum_reports_contradiction(module, monkeypatch):
-    monkeypatch.setattr(module, "fiber_minimum", lambda c: (2, 2, None))
+    monkeypatch.setattr(splits, "fiber_minimum", lambda *args, **kwargs: (2, 2, None))
     with pytest.raises(ContradictionError, match="share the minimal p-length"):
         module.minimal_split(Partition([3, 3, 1, 1]))
 

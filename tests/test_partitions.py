@@ -297,8 +297,8 @@ class TestIterMembers:
 TRUSTED_CALLERS = {
     "partitions": {"merge", "double_parts", "iter_members"},
     "splits": {"iter_fiber", "fiber_minimum"},
-    "type_c": {"canonical_split"},
-    "type_bd": {"blocks_from_halves", "_halves_of_chained", "canonical_split"},
+    "type_c": {"_route"},
+    "type_bd": {"blocks_from_halves", "_halves_of_chained", "_route"},
     "weyl": {"encode_class", "decode_class"},
 }
 

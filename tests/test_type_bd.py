@@ -172,7 +172,7 @@ class TestMinimalSplit:
     def test_disagreement_reports_contradiction(self, monkeypatch):
         # a genuine fiber element, but not the minimum
         monkeypatch.setattr(
-            type_bd, "canonical_split", lambda c: type_bd.Split(P(5, 1), P(3, 3))
+            type_bd, "_route", lambda c, runs: type_bd.Split(P(5, 1), P(3, 3))
         )
         with pytest.raises(ContradictionError):
             type_bd.minimal_split(P(5, 3, 3, 1))

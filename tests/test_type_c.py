@@ -98,7 +98,7 @@ class TestMinimalSplit:
 
     def test_disagreement_reports_contradiction(self, monkeypatch):
         monkeypatch.setattr(
-            type_c, "canonical_split", lambda c: type_c.Split(Partition(), P(2, 2, 1, 1))
+            type_c, "_route", lambda c, runs: type_c.Split(Partition(), P(2, 2, 1, 1))
         )
         with pytest.raises(ContradictionError):
             type_c.minimal_split(P(2, 2, 1, 1))

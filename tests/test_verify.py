@@ -1,7 +1,10 @@
+import json
+
 import pytest
 
 from weyl2uni import DomainError, Partition
 from weyl2uni import exceptional, type_bd, verify
+from weyl2uni.cli import main
 
 
 def scrub(report_json: dict) -> dict:
@@ -86,6 +89,39 @@ class TestMutationSensitivity:
         report = verify.check_classical(verify.SweepConfig(series=("B",), max_nu=7))
         assert not report.passed
         assert any(ce.get("jordan") == "3,2,2" for ce in report.counterexamples)
+
+    def test_a_fault_in_the_fiber_walk_is_a_counterexample(self, monkeypatch, capsys):
+        # an automaton step that accepts any r makes the walk raise its
+        # family-R guard: the sweep records it and goes on to its other checks
+        monkeypatch.setattr(type_bd, "_r_step", lambda state, e, m: state)
+        report = verify.run_all(verify.SweepConfig(series=("D",), max_nu=8, max_rank=2))
+        walk, bridge = report.checks
+        assert (walk.name, walk.passed) == ("unique_minimum[D]", False)
+        assert (bridge.name, bridge.passed) == ("fixed_space_bridge[D]", True)
+        assert walk.counterexamples[0] == {
+            "jordan": "1,1",
+            "error": "fiber walk over 1,1 accepted r=1,1 outside family R",
+            "series": "D",
+            "reproduce": "weyl2uni fiber --series D --jordan 1,1",
+        }
+        assert all("fiber walk over" in ce["error"] for ce in walk.counterexamples)
+        # the command line dumps the failing report, not an error line
+        assert main(["verify", "--series", "D", "--max-nu", "8", "--max-rank", "2"]) == 1
+        out, err = capsys.readouterr()
+        assert err == "" and scrub(json.loads(out)) == scrub(report.to_json())
+
+    def test_each_counterexample_carries_a_command_that_reproduces_it(self, monkeypatch, capsys):
+        original = type_bd._star
+        monkeypatch.setattr(type_bd, "_star", lambda odds, e: e == 2 or original(odds, e))
+        report = verify.check_classical(verify.SweepConfig(series=("B", "D"), max_nu=9))
+        assert len(report.counterexamples) >= 4
+        for ce in report.counterexamples:
+            command = ce["reproduce"].split()
+            assert command == ["weyl2uni", "fiber", "--series", ce["series"], "--jordan", ce["jordan"]]
+            assert main(command[1:]) == 0
+            # the listing puts the true minimum first, and the claim is not it
+            listing = capsys.readouterr().out.splitlines()
+            assert ce["claimed"] in listing and listing[0] != ce["claimed"]
 
     def test_table_mutation_is_caught(self):
         t = exceptional.load_table("E7")
