@@ -14,6 +14,12 @@ naming the r-family, ``_r_counts``, the automaton and the routing body
 ``_route``).  Each of their public functions tests its input for family T
 or Q once, at entry, and calls in here; nothing in here tests it again.
 
+The walk and the dynamic program read the automaton through one move
+table, ``_MOVES``, keyed by (r_counts, step, state, parity, q): the rules
+read a value only through its parity, so the key fixes the moves, and a
+rule replaced later is a new key, never read stale.  The table holds at
+most ``_MOVES_MAX`` keys; a miss that finds it full empties it first.
+
 A ``Split`` is a certificate: its public constructor tests r for the
 r-family and p for family Ptilde, so a function handed a Split does not
 test either again.  A function whose own derivation guarantees both
@@ -80,69 +86,79 @@ class Split(Record):
         return {"r": self.r.to_json(), "p": self.p.to_json()}
 
 
-def iter_fiber(split_cls, c: Partition, r_counts, automaton) -> Iterator[Split]:
-    """Lazily enumerate the splits of c: the choice sequences the automaton accepts.
+_MOVES: dict[tuple, tuple[tuple, tuple]] = {}
+_MOVES_MAX = 4096
 
-    ``r_counts(e, q)`` lists how many copies of a value e of multiplicity q
-    may go to r, the rest going to p, each count leaving p doubled;
-    ``automaton`` is ``(start, step, accepts)``, a finite automaton for the
-    r-family read largest value first.  ``_walk`` lists the accepted
-    sequences in product order.  Each r is tested once for the r-family, and
-    a failure is a ContradictionError (automaton and family disagree), never
-    a skip.  The splits are built trusted from the runs of c, both sides
-    already sorted.
+
+def _moves(r_counts, step, state, odd: int, q: int) -> tuple[tuple, tuple]:
+    """(moves, cheapest moves) of ``state`` on q copies of a value of parity ``odd``, cached.
+
+    A move (to, m) sends m copies to r, in ``r_counts`` order, and
+    ``step`` takes the state to ``to``, not None.  The cheapest keep the
+    largest m per target: one copy fewer in r is one part more in p, so no
+    other move into that target reaches a minimum or a tie at it.  The
+    cache ``_MOVES`` holds at most ``_MOVES_MAX`` keys, each with q + 1 moves at most.
     """
-    runs = list(c.multiplicities().items())
-    for r_parts, p_parts in _walk(runs, r_counts, *automaton):
-        r = Partition._from_sorted(r_parts)
-        if not is_member(r, split_cls.R_FAMILY):
-            raise ContradictionError(
-                f"fiber walk over {c.text()} accepted r={r.text()} "
-                f"outside family {split_cls.R_FAMILY}"
-            )
-        yield split_cls._trusted(r, Partition._from_sorted(p_parts))
+    key = (r_counts, step, state, odd, q)
+    hit = _MOVES.get(key)
+    if hit is None:
+        if len(_MOVES) >= _MOVES_MAX:
+            _MOVES.clear()
+        moves = tuple([(to, m) for m in r_counts(odd, q) if (to := step(state, odd, m)) is not None])
+        # by m ascending, so the dict keeps the largest m per target
+        cheapest = tuple(dict(sorted(moves, key=lambda move: move[1])).items())
+        hit = _MOVES[key] = (moves, cheapest)
+    return hit
 
 
-def _walk(runs, r_counts, start, step, accepts) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """The (r, p) parts of the choices the automaton accepts, in the order of the product.
+def iter_fiber(split_cls, runs, r_counts, automaton) -> Iterator[Split]:
+    """Lazily enumerate the splits over ``runs``: the choice sequences the automaton accepts.
 
-    A depth-first walk over the runs, trying the choices of each in
-    ``r_counts`` order: a choice m for which ``step(state, value, m)`` is
-    None is not followed, and a leaf is listed when ``accepts`` holds after
-    the last run.  A state is all that later runs need to know, so a
-    (depth, state) whose subtree listed nothing is dead wherever it is
-    reached: it is remembered and never entered again.  A depth enters at
-    most one node per listed leaf plus one per dead state, and each node
-    tries all its value's choices, so ``step`` runs at most (choices of the
-    value) x (splits listed + dead states) times per depth.
+    ``runs`` are the (value, multiplicity) pairs of a Jordan type c, largest
+    value first; ``r_counts(odd, q)`` lists how many copies of a value of
+    parity ``odd`` and multiplicity q may go to r, the rest going to p, each
+    count leaving p doubled; ``automaton`` is ``(start, step, accepts)``, a
+    finite automaton for the r-family read largest value first.  A
+    depth-first walk over the runs, reading each node's moves from
+    ``_moves``, lists the accepted leaves in the order of the product of
+    the choices.  A (depth, state) whose subtree listed nothing is dead
+    wherever it is reached (later runs see only the state), so it is never
+    entered again: per depth the walk tries at most (choices of the value)
+    x (splits listed + dead states) moves.  The listing itself can be
+    exponential: every one of the 2^k choice sequences over the series C
+    type 2k,2k,...,2,2 is a split.
+
+    Each r is tested once for the r-family, and a failure is a
+    ContradictionError (automaton and family disagree), never a skip.  The
+    splits are built trusted from the runs, both sides already sorted.
     """
-    if not runs:
-        if accepts(start):
-            yield (), ()
-        return
-    counts = [r_counts(e, q) for e, q in runs]
+    start, step, accepts = automaton
+    runs = runs or [(0, 0)]  # the empty type: one run of no copies, which keeps the start state
+    keys = [(e % 2, q) for e, q in runs]
     depth = len(runs)
     dead: set[tuple[int, object]] = set()
     listed = 0
     # per entered node: its state, the r and p parts so far, its untried
-    # choices and the number of leaves listed before it was entered
-    frames = [(start, (), (), iter(counts[0]), 0)]
+    # moves and the number of leaves listed before it was entered
+    frames = [(start, (), (), iter(_moves(r_counts, step, start, *keys[0])[0]), 0)]
     while frames:
         i = len(frames) - 1
         state, r, p, untried, listed_before = frames[i]
         e, q = runs[i]
-        for m in untried:
-            to = step(state, e, m)
-            if to is None or (i + 1, to) in dead:
-                continue
+        for to, m in untried:
             if i + 1 < depth:
-                frames.append(
-                    (to, r + (e,) * m, p + (e,) * (q - m), iter(counts[i + 1]), listed)
-                )
-                break
-            if accepts(to):
+                if (i + 1, to) not in dead:  # a table hit costs no call to _moves
+                    key = (r_counts, step, to) + keys[i + 1]
+                    moves = (_MOVES.get(key) or _moves(*key))[0]
+                    frames.append((to, r + (e,) * m, p + (e,) * (q - m), iter(moves), listed))
+                    break
+            elif accepts(to):
                 listed += 1
-                yield r + (e,) * m, p + (e,) * (q - m)
+                x, y = Partition._from_sorted(r + (e,) * m), Partition._from_sorted(p + (e,) * (q - m))
+                if not is_member(x, split_cls.R_FAMILY):
+                    raise ContradictionError(f"fiber walk over {merge(x, y).text()} accepted "
+                                             f"r={x.text()} outside family {split_cls.R_FAMILY}")
+                yield split_cls._trusted(x, y)
         else:
             frames.pop()
             if listed == listed_before:
@@ -154,25 +170,22 @@ def fiber_minimum(split_cls, runs, r_counts, automaton, trusted=False) -> tuple[
 
     A dynamic program over ``runs``, the (value, multiplicity) pairs of a
     Jordan type c largest value first, on the choices and automaton of
-    ``iter_fiber``.  Each state keeps its least p-length, how many choice
-    sequences reach it and one of them as a linked (previous, m) pair, so
-    the cost is linear in the number of distinct values; one pass over the
-    accepting states picks the minimum and sums its ties.  An empty fiber
-    gives (None, 0, None).  The argmin is built by the validating
-    ``split_cls``, a refusal being a ContradictionError, or with ``trusted``
-    by ``split_cls._trusted``: only ``minimal_split`` asks for that, as its
-    dual route compares the argmin with the validated routing.
+    ``iter_fiber``, reading only the cheapest move per target of ``_moves``.
+    Each state keeps its least p-length, how many choice sequences reach it
+    and one of them as a linked (previous, m) pair, so the cost is linear in
+    the number of distinct values; one pass over the accepting states picks
+    the minimum and sums its ties.  An empty fiber gives (None, 0, None).
+    The argmin is built by the validating ``split_cls``, a refusal being a
+    ContradictionError, or with ``trusted`` by ``split_cls._trusted``: only
+    ``minimal_split`` asks for that, as its dual route compares the argmin
+    with the validated routing.
     """
     start, step, accepts = automaton
     layer: dict[object, tuple] = {start: (0, 1, None)}
     for e, q in runs:
         nxt: dict[object, tuple] = {}
-        counts = r_counts(e, q)
         for state, (p_len, ways, path) in layer.items():
-            for m in counts:
-                to = step(state, e, m)
-                if to is None:
-                    continue
+            for to, m in _moves(r_counts, step, state, e % 2, q)[1]:
                 cand = p_len + q - m
                 have = nxt.get(to)
                 if have is None or cand < have[0]:
@@ -193,8 +206,7 @@ def fiber_minimum(split_cls, runs, r_counts, automaton, trusted=False) -> tuple[
     if ties != 1:
         return least[0], ties, None
     path = least[2]
-    r_parts: list[int] = []
-    p_parts: list[int] = []
+    r_parts, p_parts = [], []
     for e, q in reversed(runs):
         path, m = path
         r_parts += [e] * m
@@ -211,21 +223,20 @@ def fiber_minimum(split_cls, runs, r_counts, automaton, trusted=False) -> tuple[
 
 
 def fiber(xs: Iterable[Split]) -> list[Split]:
-    """The splits of a listing, minimal p-length first, deterministically ordered."""
+    """The splits of a listing, minimal p-length first, deterministically ordered (C: 2^k over 2k,2k,...,2,2)."""
     return sorted(xs, key=lambda x: (len(x.p), x.p.parts, x.r.parts))
 
 
-def minimal_split(split_cls, c: Partition, r_counts, automaton, route) -> Split:
+def minimal_split(split_cls, c: Partition, runs, r_counts, automaton, route) -> Split:
     """The unique split of c minimizing the number of parts of p.
 
-    The caller has tested c for its family.  The runs of c are counted once
-    and handed to both routes: the minimum of ``fiber_minimum``, its argmin
+    The caller has tested c for its family and counted its ``runs`` once,
+    for both routes: the minimum of ``fiber_minimum``, its argmin
     built trusted, must exist, be unique and equal ``route(c, runs)``, the
     side's closed-form routing, which builds its split validated; else
     ContradictionError (none can happen; this is the point being verified).
     Equality with the validated split certifies the argmin's families.
     """
-    runs = list(c.multiplicities().items())
     p_len, ties, best = fiber_minimum(split_cls, runs, r_counts, automaton, trusted=True)
     if p_len is None:
         raise ContradictionError(f"empty fiber over {c.text()}")

@@ -16,11 +16,13 @@ odd value sends 0, 1 or 2 copies to r, an even value keeps an even count for
 p), the routing ``canonical_split`` (rules 1-5 below, with ``_star``) and a
 finite automaton for family R read largest value first (``_R_START``,
 ``_r_step``, ``_r_accepts``), whose states come from the definition of R.
-The engine runs its dynamic program ``fiber_minimum`` and its listing walk
-``iter_fiber`` on that automaton, so the minimum needs no routing and the
-listing costs time in proportion to the number of splits.  Each public
-function tests c for family Q at entry, then calls a body that does not:
-the routing body ``_route`` or the engine.
+A value joins r below every part so far, so R asks only its parity: the
+rules read that, never the value, and the engine's move table (keyed by
+rules, state, parity and multiplicity; at most ``splits._MOVES_MAX`` keys)
+holds their moves, which its ``fiber_minimum`` and ``iter_fiber`` read: the
+minimum needs no routing and the listing costs time in proportion to the
+splits.  Each public function tests c for family Q in ``_runs``, then calls
+a body that does not: the routing body ``_route`` or the engine.
 
 Routing rules of ``canonical_split`` for a value e with multiplicity q in c
 (writing d for the 1-based position where e's run starts inside the odd
@@ -54,12 +56,14 @@ def _require_kappa(kappa: int) -> None:
         raise DomainError(f"kappa must be 0 or 1, got {kappa!r}")
 
 
-def _require_orthogonal(c: Partition) -> None:
+def _runs(c: Partition) -> list[tuple[int, int]]:
+    """The runs of c, largest value first, once c passes its family Q test."""
     if not is_member(c, ORTHOGONAL):
         raise DomainError(
             f"{c.text()} is not an orthogonal Jordan type (family Q): "
             "some even value occurs an odd number of times"
         )
+    return list(c.multiplicities().items())
 
 
 # ---------------------------------------------------------------------------
@@ -134,10 +138,12 @@ def _halves_of_chained(blocks: Partition, kappa: int) -> Partition:
     """``halves_from_blocks`` for blocks already known to be in family R.
 
     Checks: the parity of the total against kappa (DomainError); then that
-    every half is positive, that the halves decrease and that
-    ``_raw_blocks`` of them rebuilds the input exactly (ContradictionError,
-    none can happen).  Rebuilding the input exactly also implies that it
-    is in family R and, at kappa=0, that the halves are in family P0.
+    the halves decrease and that ``_raw_blocks`` of them rebuilds the input
+    exactly (ContradictionError, none can happen).  Rebuilding the input
+    exactly also implies that it is in family R, at kappa=0 that the halves
+    are in family P0, and that no half is 0: only a block 1 at an odd
+    position halves to 0, and decreasing halves put it last, where it
+    rebuilds to one block 1 too many (kappa=0) or too few (kappa=1).
     """
     if sum(blocks) % 2 != kappa:
         raise DomainError(f"total of {blocks.text()} has the wrong parity for kappa={kappa}")
@@ -146,14 +152,11 @@ def _halves_of_chained(blocks: Partition, kappa: int) -> Partition:
         ps = ps[:-1]
     # (v + z)/2 at 1-based position k is v // 2 at odd k, (v + 1) // 2 at even k
     out = [(v + i % 2) // 2 for i, v in enumerate(ps)]
-    if 0 in out:  # only a block 1 at an odd position halves to 0
-        raise ContradictionError(f"halving {blocks.text()} at position {out.index(0) + 1} gave 0/2")
     if sorted(out, reverse=True) != out:
         raise ContradictionError(f"halves of {blocks.text()} not decreasing: {out}")
-    halves = Partition._from_sorted(tuple(out))
-    if _raw_blocks(halves, kappa) != blocks:
+    if _raw_blocks(tuple(out), kappa) != blocks:  # before a 0 half can reach a Partition
         raise ContradictionError(f"halves_from_blocks({blocks.text()}, {kappa}) does not invert")
-    return halves
+    return Partition._from_sorted(tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +186,7 @@ def _star(odds: list[int], e: int) -> bool:
 
 def canonical_split(c: Partition) -> Split:
     """The distinguished split of an orthogonal Jordan type (rules 1-5)."""
-    _require_orthogonal(c)
-    return _route(c, list(c.multiplicities().items()))
+    return _route(c, _runs(c))
 
 
 def _route(c: Partition, runs) -> Split:
@@ -214,14 +216,14 @@ def _route(c: Partition, runs) -> Split:
     return out
 
 
-def _r_counts(e: int, q: int) -> list[int]:
-    """Copies of a value e of multiplicity q that may go to r.
+def _r_counts(odd: int, q: int) -> list[int]:
+    """Copies of a value of parity ``odd`` and multiplicity q that may go to r.
 
     An odd value sends 0, 1 or 2 copies with matching parity (family R
     admits at most two equal odd parts); an even value keeps an even count
     in p.
     """
-    if e % 2:
+    if odd:
         return [m for m in (0, 1, 2) if m <= q and (q - m) % 2 == 0]
     return list(range(q, -1, -2))
 
@@ -233,8 +235,8 @@ def _r_counts(e: int, q: int) -> list[int]:
 _R_START = (0, False, 0, 0)
 
 
-def _r_step(state: tuple, e: int, m: int) -> tuple | None:
-    """The state after m copies of e (below every part so far) join r.
+def _r_step(state: tuple, odd: int, m: int) -> tuple | None:
+    """The state after m copies of a value of parity ``odd`` (below every part so far) join r.
 
     None when family R forbids it.  The rules restate the definition of R
     (``partitions._check_chained``), not the routing of ``canonical_split``:
@@ -246,7 +248,7 @@ def _r_step(state: tuple, e: int, m: int) -> tuple | None:
     if m == 0:
         return state
     odds, gap_used, length, _ = state
-    if e % 2 == 0:
+    if not odd:
         if odds == 0:
             return None  # an even part would be the largest
         if m % 2:
@@ -270,8 +272,13 @@ def _r_accepts(state: tuple) -> bool:
 
 def iter_fiber(c: Partition) -> Iterator[Split]:
     """Lazily enumerate every split of c (checked for family Q at the call)."""
-    _require_orthogonal(c)
-    return splits.iter_fiber(Split, c, _r_counts, (_R_START, _r_step, _r_accepts))
+    return splits.iter_fiber(Split, _runs(c), _r_counts, (_R_START, _r_step, _r_accepts))
+
+
+def _claim_and_walk(c: Partition) -> tuple[Split, Iterator[Split]]:
+    """The canonical split of c and its lazy fiber, c tested for family Q and its runs counted once."""
+    runs = _runs(c)
+    return _route(c, runs), splits.iter_fiber(Split, runs, _r_counts, (_R_START, _r_step, _r_accepts))
 
 
 def fiber(c: Partition) -> list[Split]:
@@ -281,12 +288,9 @@ def fiber(c: Partition) -> list[Split]:
 
 def fiber_minimum(c: Partition) -> tuple[int | None, int, Split | None]:
     """(least p-length, splits reaching it, the minimiser if unique): ``splits.fiber_minimum``."""
-    _require_orthogonal(c)
-    runs = list(c.multiplicities().items())
-    return splits.fiber_minimum(Split, runs, _r_counts, (_R_START, _r_step, _r_accepts))
+    return splits.fiber_minimum(Split, _runs(c), _r_counts, (_R_START, _r_step, _r_accepts))
 
 
 def minimal_split(c: Partition) -> Split:
     """The unique split minimizing the number of parts of p (``splits.minimal_split``)."""
-    _require_orthogonal(c)
-    return splits.minimal_split(Split, c, _r_counts, (_R_START, _r_step, _r_accepts), _route)
+    return splits.minimal_split(Split, c, _runs(c), _r_counts, (_R_START, _r_step, _r_accepts), _route)

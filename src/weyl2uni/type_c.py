@@ -5,10 +5,11 @@ this module keeps only its rules: ``Split`` (``R_FAMILY = ALL_EVEN``),
 ``_r_counts`` (an odd value goes wholly to p, an even value keeps an even
 count for p), the one-state automaton for family S (``_R_START``,
 ``_r_step``, ``_r_accepts``) and the routing ``canonical_split`` (odd parts
-to p, even parts to r).  Each public function tests c for family T at
-entry, then calls a body that does not: the routing body ``_route`` or the
-engine, which lists and minimises over the automaton exactly as for B and
-D.
+to p, even parts to r).  The rules read a value's parity, never the
+value, so the engine's move table, keyed by rules, state, parity and
+multiplicity and bounded by ``splits._MOVES_MAX`` keys, holds their moves.
+Each public function tests c for family T in ``_runs``, then calls a body
+that does not: the routing ``_route`` or the engine, as for B and D.
 """
 
 from __future__ import annotations
@@ -27,18 +28,19 @@ class Split(splits.Split):
     R_VIOLATION = "has an odd part (family S violated)"
 
 
-def _require_symplectic(c: Partition) -> None:
+def _runs(c: Partition) -> list[tuple[int, int]]:
+    """The runs of c, largest value first, once c passes its family T test."""
     if not is_member(c, SYMPLECTIC):
         raise DomainError(
             f"{c.text()} is not a symplectic Jordan type (family T): "
             "some odd value occurs an odd number of times"
         )
+    return list(c.multiplicities().items())
 
 
 def canonical_split(c: Partition) -> Split:
     """The distinguished split: odd parts all to p, even parts all to r."""
-    _require_symplectic(c)
-    return _route(c, None)
+    return _route(c, _runs(c))
 
 
 def _route(c: Partition, runs) -> Split:
@@ -52,14 +54,14 @@ def _route(c: Partition, runs) -> Split:
     return out
 
 
-def _r_counts(e: int, q: int) -> list[int]:
-    """Copies of a value e of multiplicity q that may go to r.
+def _r_counts(odd: int, q: int) -> list[int]:
+    """Copies of a value of parity ``odd`` and multiplicity q that may go to r.
 
     An odd value may only sit in p (in an even count, c being in family T);
     an even value keeps an even number of copies for p.  So r is all even
     and p doubled by construction: every combination is a split.
     """
-    return [0] if e % 2 else list(range(q, -1, -2))
+    return [0] if odd else list(range(q, -1, -2))
 
 
 # Family S puts no constraint between values, so its automaton, read
@@ -67,9 +69,9 @@ def _r_counts(e: int, q: int) -> list[int]:
 _R_START = 0
 
 
-def _r_step(state: int, e: int, m: int) -> int | None:
-    """The state after m copies of e join r; None for any copy of an odd value."""
-    return None if m and e % 2 else state
+def _r_step(state: int, odd: int, m: int) -> int | None:
+    """The state after m copies of a value of parity ``odd`` join r; None for any odd copy."""
+    return None if m and odd else state
 
 
 def _r_accepts(state: int) -> bool:
@@ -78,24 +80,26 @@ def _r_accepts(state: int) -> bool:
 
 
 def iter_fiber(c: Partition) -> Iterator[Split]:
-    """Lazily enumerate every split of c (checked for family T at the call)."""
-    _require_symplectic(c)
-    return splits.iter_fiber(Split, c, _r_counts, (_R_START, _r_step, _r_accepts))
+    """Lazily enumerate every split of c (checked for family T at the call): 2^k over 2k,2k,...,2,2."""
+    return splits.iter_fiber(Split, _runs(c), _r_counts, (_R_START, _r_step, _r_accepts))
+
+
+def _claim_and_walk(c: Partition) -> tuple[Split, Iterator[Split]]:
+    """The canonical split of c and its lazy fiber: ``iter_fiber`` tests c and counts its runs once."""
+    walk = iter_fiber(c)
+    return _route(c, None), walk  # the parity routing reads parts, not runs
 
 
 def fiber(c: Partition) -> list[Split]:
-    """All splits of c, minimal p-length first, deterministically ordered."""
+    """All splits of c, minimal p-length first, deterministically ordered: 2^k over 2k,2k,...,2,2."""
     return splits.fiber(iter_fiber(c))
 
 
 def fiber_minimum(c: Partition) -> tuple[int | None, int, Split | None]:
     """(least p-length, splits reaching it, the minimiser if unique): ``splits.fiber_minimum``."""
-    _require_symplectic(c)
-    runs = list(c.multiplicities().items())
-    return splits.fiber_minimum(Split, runs, _r_counts, (_R_START, _r_step, _r_accepts))
+    return splits.fiber_minimum(Split, _runs(c), _r_counts, (_R_START, _r_step, _r_accepts))
 
 
 def minimal_split(c: Partition) -> Split:
     """The unique split minimizing the number of parts of p (``splits.minimal_split``)."""
-    _require_symplectic(c)
-    return splits.minimal_split(Split, c, _r_counts, (_R_START, _r_step, _r_accepts), _route)
+    return splits.minimal_split(Split, c, _runs(c), _r_counts, (_R_START, _r_step, _r_accepts), _route)

@@ -10,8 +10,9 @@ Three checks tie the modules together:
 * ``check_exceptional``: every supported table loads and passes its
   structural invariants.
 
-All failures are collected as counterexamples, never raised; a report is
-deterministic for a given configuration (timings aside).
+All failures are collected as counterexamples, never raised, each with a
+``reproduce`` command line; a report is deterministic for a given
+configuration (timings aside).
 """
 
 from __future__ import annotations
@@ -138,15 +139,15 @@ class VerificationReport:
 def _scan_unique_minimum(module, c: Partition) -> dict | None:
     """One Jordan type: the canonical split must be the strict fiber minimum.
 
-    Lazily scans the fiber and stops at the first witness of non-minimality
-    or non-uniqueness (a second element at the claimed minimum).  An error
-    raised by the routing or by the fiber walk is that type's
-    counterexample.
+    The side's ``_claim_and_walk`` tests c once and hands its runs to the
+    validated routing and the lazy fiber walk; the scan stops at the first
+    witness of non-minimality or non-uniqueness (a second element at the
+    claimed minimum).  A routing or walk error is that type's counterexample.
     """
     try:
-        claimed = module.canonical_split(c)
+        claimed, walk = module._claim_and_walk(c)
         least = len(claimed.p)
-        for x in module.iter_fiber(c):
+        for x in walk:
             if len(x.p) < least:
                 return {"jordan": c.text(), "claimed": claimed.text(), "smaller": x.text()}
             if len(x.p) == least and x != claimed:
@@ -205,6 +206,7 @@ def check_bridge(cfg: SweepConfig) -> VerificationReport:
                             "formula": formula,
                             "matrix": oracle,
                             "p_length_halved": halved,
+                            "reproduce": f"weyl2uni mc --series {series} --class '{w.text()}'",
                         }
                     )
         result.seconds = time.perf_counter() - start
@@ -222,7 +224,8 @@ def check_exceptional(cfg: SweepConfig) -> VerificationReport:
             try:
                 table = exceptional.load_table(group, characteristic)
             except DomainError as exc:
-                result.counterexamples.append({"group": group, "error": str(exc)})
+                result.counterexamples.append({"group": group, "error": str(exc),
+                                               "reproduce": f"weyl2uni table --group {group} --p {characteristic}"})
             else:  # load_table has validated the table: any failure raised above
                 result.scanned = len(table.lines)
                 result.notes.append(f"{len(table.labels())} labels over {len(table.lines)} names")

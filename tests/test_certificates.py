@@ -28,8 +28,10 @@ from weyl2uni import (
     splits,
     type_bd,
     type_c,
+    verify,
     weyl,
 )
+from weyl2uni.partitions import iter_members
 from weyl2uni.weyl import (
     GroupKind,
     JordanType,
@@ -156,6 +158,36 @@ def test_family_tests_per_call(tally, series, jordan, psi_tests, phi_tests):
     assert dict(tally) == phi_tests
 
 
+@pytest.mark.parametrize(
+    "side, family, r_family",
+    [(type_c, "T", "S"), (type_bd, "Q", "R")],
+    ids=["C", "BD"],
+)
+def test_the_unique_minimum_scan_checks_each_fact_once(tally, monkeypatch, side, family, r_family):
+    # per Jordan type: one test of c's family, one validated routing (one
+    # r-family and one Ptilde test) and one r-family test per listed split
+    original = side._route
+    routes = 0
+
+    def counting_route(c, runs):
+        nonlocal routes
+        routes += 1
+        return original(c, runs)
+
+    monkeypatch.setattr(side, "_route", counting_route)
+    seen = 0
+    for nu in range(1, 17):
+        for c in iter_members(nu, family):
+            listed = len(side.fiber(c))
+            tally.clear()
+            routes = 0
+            assert verify._scan_unique_minimum(side, c) is None
+            assert routes == 1, c.text()
+            assert dict(tally) == {family: 1, r_family: 1 + listed, DOUBLED: 1}, c.text()
+            seen += 1
+    assert seen > 200
+
+
 # ---------------------------------------------------------------------------
 # Each dropped re-check: a seeded fault is caught by what survives
 
@@ -180,6 +212,44 @@ def test_decode_family_r_is_implied_by_the_inversion_check():
                 weyl.decode_class(forged, g)
             seen += 1
     assert seen > 200
+
+
+def test_a_zero_half_is_caught_by_the_rebuild_check():
+    # _halves_of_chained tests no half for 0: only a block 1 at an odd
+    # position halves to 0, and the rebuild of such halves never equals
+    # the input.  Its callers hand it members of family R, where this
+    # cannot happen; here any partition of the right total parity does
+    seen = 0
+    for n in range(1, 15):
+        for blocks in iter_partitions(n):
+            kappa = n % 2
+            ps = blocks.parts[:-1] if blocks.parts[-1] == kappa else blocks.parts
+            halves = [(v + i % 2) // 2 for i, v in enumerate(ps)]
+            if 0 not in halves:
+                continue
+            decreasing = halves == sorted(halves, reverse=True)
+            with pytest.raises(ContradictionError, match="does not invert" if decreasing else "not decreasing"):
+                type_bd._halves_of_chained(blocks, kappa)
+            seen += decreasing
+    assert seen > 50
+
+
+def test_a_lost_trailing_block_is_caught_only_by_the_total_check(monkeypatch):
+    # without its appended 1, the block list stays decreasing and in
+    # family R: only the total test of blocks_from_halves rejects it
+    original = type_bd._raw_blocks
+    monkeypatch.setattr(type_bd, "_raw_blocks", lambda hs, kappa: original(hs, kappa)[: len(hs)])
+    seen = 0
+    for n in range(1, 13):
+        for halves in iter_partitions(n):
+            if len(halves) % 2:
+                continue  # kappa=1 appends a 1 to an even number of halves only
+            out = type_bd._raw_blocks(halves.parts, 1)
+            assert list(out) == sorted(out, reverse=True) and is_member(Partition(out), "R")
+            with pytest.raises(ContradictionError, match="block total"):
+                type_bd.blocks_from_halves(halves, 1)
+            seen += 1
+    assert seen > 50
 
 
 def _fuse_last_pair(p):
@@ -212,7 +282,7 @@ def test_undoubled_p_reaching_decode_is_caught_by_the_rank_check(monkeypatch, se
 
 def test_bad_p_counts_in_the_dp_are_caught_by_the_split_test(monkeypatch):
     # the public fiber minimum still builds its argmin with the validating Split
-    monkeypatch.setattr(type_bd, "_r_counts", lambda e, q: list(range(q, -1, -1)))
+    monkeypatch.setattr(type_bd, "_r_counts", lambda odd, q: list(range(q, -1, -1)))
     with pytest.raises(ContradictionError, match="not a split"):
         for j, g in _all_types(12):
             if g.series != "C":
@@ -239,9 +309,9 @@ def _forged_minima(monkeypatch, **mutations):
     "mutations",
     [
         # odd counts of a value left in p: p undoubled
-        {"_r_counts": lambda e, q: list(range(q, -1, -1))},
+        {"_r_counts": lambda odd, q: list(range(q, -1, -1))},
         # an automaton that accepts every r: r outside family R
-        {"_r_step": lambda state, e, m: state, "_r_accepts": lambda state: True},
+        {"_r_step": lambda state, odd, m: state, "_r_accepts": lambda state: True},
     ],
     ids=["p-undoubled", "r-outside-R"],
 )
@@ -339,8 +409,8 @@ def test_lost_parts_in_canonical_split_are_caught_by_the_merge_check(side):
     "side, r_family, bad_counts",
     [
         # an odd value sent to r, or an odd count of an even value left in p
-        (type_c, "S", lambda e, q: list(range(q, -1, -1))),
-        (type_bd, "R", lambda e, q: list(range(q, -1, -1))),
+        (type_c, "S", lambda odd, q: list(range(q, -1, -1))),
+        (type_bd, "R", lambda odd, q: list(range(q, -1, -1))),
     ],
 )
 def test_bad_choices_in_iter_fiber_are_caught_by_the_brute_oracle(

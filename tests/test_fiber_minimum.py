@@ -118,7 +118,7 @@ def test_minimum_never_consults_the_routing(module, parts, monkeypatch):
 # drawn from at most one distinct value.  Unlike the real automata it lets
 # several splits share the least p-length, so it exercises the ``ways``
 # count of ``splits.fiber_minimum``, which the theorem keeps at 1 otherwise.
-ONE_VALUE_R = (0, lambda s, e, m: None if m and e % 2 else s + (m > 0), lambda s: s < 2)
+ONE_VALUE_R = (0, lambda s, odd, m: None if m and odd else s + (m > 0), lambda s: s < 2)
 
 
 def tie_admitting_minimum(c: Partition):
@@ -130,7 +130,8 @@ def test_fiber_minimum_counts_every_tied_split():
     assert tie_admitting_minimum(Partition([4, 4, 2, 2])) == (2, 2, None)
     seen_ties = 0
     for c in jordan_types("C", 20):
-        listed = list(splits.iter_fiber(type_c.Split, c, type_c._r_counts, ONE_VALUE_R))
+        runs = list(c.multiplicities().items())
+        listed = list(splits.iter_fiber(type_c.Split, runs, type_c._r_counts, ONE_VALUE_R))
         if not listed:  # 4,2 say: both values must go wholly to r
             assert tie_admitting_minimum(c) == (None, 0, None)
             continue

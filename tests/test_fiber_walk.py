@@ -39,7 +39,7 @@ def product(module, c):
     """Every combination of the module's ``_r_counts`` choices, as (r parts, p parts), in order."""
     runs = list(c.multiplicities().items())
     out = []
-    for ms in itertools.product(*(module._r_counts(e, q) for e, q in runs)):
+    for ms in itertools.product(*(module._r_counts(e % 2, q) for e, q in runs)):
         r_parts, p_parts = [], []
         for (e, q), m in zip(runs, ms):
             r_parts += [e] * m
@@ -80,7 +80,7 @@ def accepted(module, r):
     """Whether the module's automaton accepts r, fed whole runs of any multiplicity."""
     state = module._R_START
     for e, q in r.multiplicities().items():
-        state = module._r_step(state, e, q)
+        state = module._r_step(state, e % 2, q)
         if state is None:
             return False
     return module._r_accepts(state)
@@ -167,7 +167,7 @@ def test_a_too_strict_automaton_fails_the_oracle_and_the_count(monkeypatch):
     assert oracle_mismatches(12) == []
     original = type_bd._r_step
     monkeypatch.setattr(
-        type_bd, "_r_step", lambda state, e, m: None if m == 2 else original(state, e, m)
+        type_bd, "_r_step", lambda state, odd, m: None if m == 2 else original(state, odd, m)
     )
     assert oracle_mismatches(12)
     for series in "BD":
@@ -177,7 +177,7 @@ def test_a_too_strict_automaton_fails_the_oracle_and_the_count(monkeypatch):
 def candidate_count(c):
     out = 1
     for e, q in c.multiplicities().items():
-        out *= len(type_bd._r_counts(e, q))
+        out *= len(type_bd._r_counts(e % 2, q))
     return out
 
 
@@ -188,7 +188,7 @@ def test_a_too_loose_automaton_trips_the_family_r_guard(monkeypatch):
     for nu in range(17):
         for c in iter_members(nu, ORTHOGONAL):
             want[c] = len(product_and_filter(c)) < candidate_count(c)
-    monkeypatch.setattr(type_bd, "_r_step", lambda state, e, m: state)
+    monkeypatch.setattr(type_bd, "_r_step", lambda state, odd, m: state)
     monkeypatch.setattr(type_bd, "_r_accepts", lambda state: True)
     for c, has_non_r in want.items():
         yielded = []
@@ -208,12 +208,12 @@ def test_an_odd_copy_in_r_trips_the_family_s_guard(monkeypatch):
     want = [listing(c, type_c) for c in types]
     original = type_c._r_counts
 
-    def with_an_odd_copy(e, q):
-        return [1] + original(e, q) if e % 2 else original(e, q)
+    def with_an_odd_copy(odd, q):
+        return [1] + original(odd, q) if odd else original(odd, q)
 
     monkeypatch.setattr(type_c, "_r_counts", with_an_odd_copy)
     assert [listing(c, type_c) for c in types] == want
-    monkeypatch.setattr(type_c, "_r_step", lambda state, e, m: state)
+    monkeypatch.setattr(type_c, "_r_step", lambda state, odd, m: state)
     tripped = 0
     for c in types:
         if any(e % 2 for e in c.parts):
@@ -253,15 +253,15 @@ def test_adversarial_listing_is_output_sensitive(monkeypatch, name):
     steps = 0
     original = type_bd._r_step
 
-    def counting(state, e, m):
+    def counting(state, odd, m):
         nonlocal steps
         steps += 1
-        return original(state, e, m)
+        return original(state, odd, m)
 
     monkeypatch.setattr(type_bd, "_r_step", counting)
     found = type_bd.fiber(c)
     # per depth: the value's choices times (splits listed + at most 24 dead states)
-    choices = sum(len(type_bd._r_counts(e, q)) for e, q in c.multiplicities().items())
+    choices = sum(len(type_bd._r_counts(e % 2, q)) for e, q in c.multiplicities().items())
     assert steps <= choices * (len(found) + 24)
     monkeypatch.setattr(type_bd, "_r_step", original)
     assert found == [type_bd.minimal_split(c)]

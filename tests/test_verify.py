@@ -1,9 +1,10 @@
 import json
+import shlex
 
 import pytest
 
 from weyl2uni import DomainError, Partition
-from weyl2uni import exceptional, type_bd, verify
+from weyl2uni import cli, exceptional, type_bd, verify
 from weyl2uni.cli import main
 
 
@@ -93,7 +94,7 @@ class TestMutationSensitivity:
     def test_a_fault_in_the_fiber_walk_is_a_counterexample(self, monkeypatch, capsys):
         # an automaton step that accepts any r makes the walk raise its
         # family-R guard: the sweep records it and goes on to its other checks
-        monkeypatch.setattr(type_bd, "_r_step", lambda state, e, m: state)
+        monkeypatch.setattr(type_bd, "_r_step", lambda state, odd, m: state)
         report = verify.run_all(verify.SweepConfig(series=("D",), max_nu=8, max_rank=2))
         walk, bridge = report.checks
         assert (walk.name, walk.passed) == ("unique_minimum[D]", False)
@@ -151,3 +152,38 @@ class TestMutationSensitivity:
         monkeypatch.setenv("WEYL2UNI_TABLE_PATH", str(bad))
         report = verify.check_exceptional(verify.SweepConfig(series=("F4",)))
         assert not report.passed
+
+    def test_a_bridge_counterexample_carries_a_command_that_reproduces_it(self, monkeypatch, capsys):
+        # a formula that counts negative cycles as fixed lines: the sweep
+        # names the class, and its mc command prints the faulty formula
+        def wrong(w):
+            return len(w.positive) + len(w.negative)
+
+        monkeypatch.setattr(verify, "fixed_space_dim", wrong)
+        monkeypatch.setattr(cli, "fixed_space_dim", wrong)
+        report = verify.check_bridge(verify.SweepConfig(series=("B", "C"), max_rank=3))
+        assert len(report.counterexamples) > 10
+        for ce in report.counterexamples:
+            command = shlex.split(ce["reproduce"])
+            assert command == ["weyl2uni", "mc", "--series", ce["series"], "--class", ce["class"]]
+            assert main(command[1:]) == 0
+            assert capsys.readouterr().out == f"{ce['formula']}\n"
+
+    def test_a_table_counterexample_carries_a_command_that_reproduces_it(self, monkeypatch, tmp_path, capsys):
+        # a data file with a record dropped: the table command fails the same way
+        from importlib import resources
+
+        text = resources.files("weyl2uni").joinpath("data/phi_tables.tsv").read_text("utf-8")
+        lines = text.splitlines()
+        lines.remove(next(line for line in lines if line.startswith("G2\tgood\t")))
+        bad = tmp_path / "tables.tsv"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        monkeypatch.setenv("WEYL2UNI_TABLE_PATH", str(bad))
+        report = verify.check_exceptional(verify.SweepConfig(series=("G2",)))
+        failed = [c for c in report.checks if not c.passed]
+        assert [c.name for c in failed] == ["table[G2,good]", "table[G2,p3]"]  # p3 patches good
+        for check, characteristic in zip(failed, ("good", "p3")):
+            (ce,) = check.counterexamples
+            assert ce["reproduce"] == f"weyl2uni table --group G2 --p {characteristic}"
+            assert main(shlex.split(ce["reproduce"])[1:]) == 1
+            assert capsys.readouterr().err == f"error: {ce['error']}\n"
