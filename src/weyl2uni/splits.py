@@ -2,31 +2,37 @@
 
 A split of a Jordan type c is a pair (r, p) that merges back to c, with p
 doubled (family Ptilde) and r in the side's r-family: S (all even) for C, R
-(chained) for B and D.  Each side reads its r-family with a finite
-automaton over the runs of c, largest value first: one state for S, at most
-24 for R.  This module holds the machinery once: ``Split``, the listing
-``iter_fiber`` (a walk of the automaton that prunes dead states) and
-``fiber``, the dynamic program ``fiber_minimum`` on the same automaton, and
-the dual-route guard ``minimal_split``, which checks that minimum against a
-closed-form routing.  ``partitions.merge(x.r, x.p)`` merges a split back.
-``type_c`` and ``type_bd`` keep only their rules (a ``Split`` subclass
-naming the r-family, ``_r_counts``, the automaton and the routing body
-``_route``).  Each of their public functions tests its input for family T
-or Q once, at entry, and calls in here; nothing in here tests it again.
+(chained) for B and D.  Over the runs (e, q) of c, largest value first, a
+split is a choice vector: per run, the number m of copies that go to r.
+Each side reads its r-family with a finite automaton over the runs (one
+state for S, at most 24 for R) through one move table, the cache of
+``_moves``.  This module holds the machinery once: ``Split`` and its
+validated builder ``Split.from_choices``, the listing ``iter_fiber`` and
+``fiber``, the dynamic program ``fiber_minimum`` and the dual-route guard
+``minimal_split``.  ``type_c`` and ``type_bd`` keep only their rules: a
+``Split`` subclass, ``_r_counts``, the automaton and the closed-form
+routing ``_route_choices``.  The two routes of ``minimal_split`` meet as
+choice vectors, and its answer is built once, from the routed one.
 
-The walk and the dynamic program read the automaton through one move
-table, the cache of ``_moves``, keyed by (r_counts, step, state, parity,
-q): the rules read a value only through its parity, so the key fixes the
-moves, and a rule replaced later is a new key, never read stale.  The
-table holds at most 4,096 keys, evicting the least recently used.
+The checks, per call.  A ``Split`` is a certificate: its public constructor
+tests r for the r-family and p for family Ptilde, so no function handed one
+tests either again; only ``iter_fiber`` and ``weyl.encode_class``, whose
+derivations guarantee both, use the trusted ``Split._trusted``.
+``from_choices`` builds from c's own runs, so r and p merge back to c
+exactly when the vector has one m in 0..q per run, which it checks
+(ContradictionError) instead of re-sorting r + p.  Each public function of
+``type_c`` and ``type_bd`` tests c for family T (C) or Q (B/D) once, at
+entry, and nothing in here tests it again.  Then:
 
-A ``Split`` is a certificate: its public constructor tests r for the
-r-family and p for family Ptilde, so a function handed a Split does not
-test either again.  A function whose own derivation guarantees both
-families builds its split with the trusted ``Split._trusted``.  So
-``minimal_split`` runs, per call: one count of the runs of c, the dynamic
-program (its argmin built trusted), the routing (its split validated: one
-r-family and one Ptilde test) and one comparison of the two.
+* ``canonical_split`` builds the routed vector: one r-family and one
+  Ptilde test.
+* ``minimal_split`` adds the dynamic program, which tests nothing, and
+  compares its vector with the routed one before building the latter.  A
+  ``weyl.psi_classical`` call adds its round trip, where on B/D
+  ``blocks_from_halves`` tests r for family R: a C ``psi`` tests T, S and
+  Ptilde once each, a B/D ``psi`` tests Q and Ptilde once and R twice.
+* The scan of ``verify`` (``_claim_and_walk``) builds the routed split and
+  tests each r the walk lists for the r-family once.
 """
 
 from __future__ import annotations
@@ -62,15 +68,31 @@ class Split(Record):
         """Trusted constructor: skips both family tests of ``__init__``.
 
         The caller guarantees r in ``R_FAMILY`` and p in family Ptilde.
-        Only ``iter_fiber``, ``fiber_minimum`` (for ``minimal_split``, whose
-        dual route checks the argmin) and ``weyl.encode_class`` call it, an
-        allowlist that ``tests/test_certificates.py`` checks by scanning the
-        source.
+        Only ``iter_fiber`` and ``weyl.encode_class`` call it, an allowlist
+        that ``tests/test_certificates.py`` checks by scanning the source.
         """
         self = object.__new__(cls)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "p", p)
         return self
+
+    @classmethod
+    def from_choices(cls, runs, choices) -> "Split":
+        """The split sending m copies of each run (e, q) of c to r and q - m to p, validated.
+
+        ``runs`` are c's own runs, largest value first.  A vector that does
+        not merge back to c (not one m in 0..q per run) is a ContradictionError.
+        """
+        if len(choices) == len(runs):
+            r = p = ()
+            for (e, q), m in zip(runs, choices):
+                if not 0 <= m <= q:
+                    break
+                r += (e,) * m
+                p += (e,) * (q - m)
+            else:  # both sides are sub-sequences of c: already sorted
+                return cls(Partition._from_sorted(r), Partition._from_sorted(p))
+        raise ContradictionError(f"choices {tuple(choices)} over {_type_text(runs)} do not merge back")
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -94,8 +116,10 @@ def _moves(r_counts, step, state, odd: int, q: int) -> tuple[tuple, tuple]:
     A move (to, m) sends m copies to r, in ``r_counts`` order, and
     ``step`` takes the state to ``to``, not None.  The cheapest keep the
     largest m per target: one copy fewer in r is one part more in p, so no
-    other move into that target reaches a minimum or a tie at it.  The
-    cache holds at most 4,096 keys, each with q + 1 moves at most.
+    other move into that target reaches a minimum or a tie at it.  The key
+    fixes the moves, as the rules read a value only through its parity, and
+    a rule replaced later is a new key.  The cache holds at most 4,096
+    keys, evicting the least recently used, each with q + 1 moves at most.
     """
     moves = tuple([(to, m) for m in r_counts(odd, q) if (to := step(state, odd, m)) is not None])
     # by m ascending, so the dict keeps the largest m per target
@@ -119,9 +143,8 @@ def iter_fiber(split_cls, runs, r_counts, automaton) -> Iterator[Split]:
     exponential: every one of the 2^k choice sequences over the series C
     type 2k,2k,...,2,2 is a split.
 
-    Each r is tested once for the r-family, and a failure is a
-    ContradictionError (automaton and family disagree), never a skip.  The
-    splits are built trusted from the runs, both sides already sorted.
+    An r outside the r-family is a ContradictionError (automaton and family
+    disagree), never a skip.
     """
     start, step, accepts = automaton
     runs = runs or [(0, 0)]  # the empty type: one run of no copies, which keeps the start state
@@ -155,34 +178,45 @@ def iter_fiber(split_cls, runs, r_counts, automaton) -> Iterator[Split]:
                 dead.add((i, state))
 
 
-def fiber_minimum(split_cls, runs, r_counts, automaton, trusted=False) -> tuple[int | None, int, Split | None]:
-    """(minimal p-length, number of splits reaching it, the minimiser if unique).
+def fiber_minimum(runs, r_counts, automaton) -> tuple[int | None, int, tuple[int, ...] | None]:
+    """(minimal p-length, number of splits reaching it, the minimiser's choice vector if unique).
 
     A dynamic program over ``runs``, the (value, multiplicity) pairs of a
     Jordan type c largest value first, on the choices and automaton of
     ``iter_fiber``, reading only the cheapest move per target of ``_moves``.
     Each state keeps its least p-length, how many choice sequences reach it
-    and one of them as a linked (previous, m) pair, so the cost is linear in
-    the number of distinct values; one pass over the accepting states picks
-    the minimum and sums its ties.  An empty fiber gives (None, 0, None).
-    The argmin is built by the validating ``split_cls``, a refusal being a
-    ContradictionError, or with ``trusted`` by ``split_cls._trusted``: only
-    ``minimal_split`` asks for that, as its dual route compares the argmin
-    with the validated routing.
+    and the choice vector of one of them, so the cost is linear in the
+    number of distinct values; one pass over the accepting states picks the
+    minimum and sums its ties.  An empty fiber gives (None, 0, None).
     """
     start, step, accepts = automaton
-    layer: dict[object, tuple] = {start: (0, 1, None)}
+    # A layer of one state, as most are, is kept in four variables, and a
+    # run with one cheapest move from it just extends them.
+    state, p_len, ways, path = start, 0, 1, ()
+    layer: dict[object, tuple] | None = None
     for e, q in runs:
+        if layer is None:
+            cheapest = _moves(r_counts, step, state, e % 2, q)[1]
+            if len(cheapest) == 1:
+                [(state, m)] = cheapest
+                p_len, path = p_len + q - m, path + (m,)
+                continue
+            layer = {state: (p_len, ways, path)}
         nxt: dict[object, tuple] = {}
         for state, (p_len, ways, path) in layer.items():
             for to, m in _moves(r_counts, step, state, e % 2, q)[1]:
                 cand = p_len + q - m
                 have = nxt.get(to)
                 if have is None or cand < have[0]:
-                    nxt[to] = (cand, ways, (path, m))
+                    nxt[to] = (cand, ways, path + (m,))
                 elif cand == have[0]:
                     nxt[to] = (cand, have[1] + ways, have[2])
         layer = nxt
+        if len(nxt) == 1:
+            [(state, (p_len, ways, path))] = nxt.items()
+            layer = None
+    if layer is None:
+        layer = {state: (p_len, ways, path)}
     least, ties = None, 0
     for state, end in layer.items():
         if not accepts(state):
@@ -193,23 +227,18 @@ def fiber_minimum(split_cls, runs, r_counts, automaton, trusted=False) -> tuple[
             ties += end[1]
     if least is None:
         return None, 0, None
-    if ties != 1:
-        return least[0], ties, None
-    path = least[2]
-    r_parts, p_parts = [], []
-    for e, q in reversed(runs):
-        path, m = path
-        r_parts += [e] * m
-        p_parts += [e] * (q - m)
-    # rebuilt smallest value first: reversed, both sides are sorted
-    r = Partition._from_sorted(tuple(r_parts[::-1]))
-    p = Partition._from_sorted(tuple(p_parts[::-1]))
-    if trusted:
-        return least[0], 1, split_cls._trusted(r, p)
-    try:  # the validating constructor re-checks both families on the argmin
-        return least[0], 1, split_cls(r, p)
+    return least[0], ties, least[2] if ties == 1 else None
+
+
+def least_split(split_cls, runs, r_counts, automaton) -> tuple[int | None, int, Split | None]:
+    """``fiber_minimum`` with its unique minimiser built by ``from_choices``; a refusal is a ContradictionError."""
+    p_len, ties, best = fiber_minimum(runs, r_counts, automaton)
+    if best is None:
+        return p_len, ties, None
+    try:
+        return p_len, ties, split_cls.from_choices(runs, best)
     except DomainError as exc:
-        raise ContradictionError(f"fiber minimum over {merge(r, p).text()} is not a split: {exc}") from None
+        raise ContradictionError(f"fiber minimum over {_type_text(runs)} is not a split: {exc}") from None
 
 
 def fiber(xs: Iterable[Split]) -> list[Split]:
@@ -217,26 +246,36 @@ def fiber(xs: Iterable[Split]) -> list[Split]:
     return sorted(xs, key=lambda x: (len(x.p), x.p.parts, x.r.parts))
 
 
-def minimal_split(split_cls, c: Partition, runs, r_counts, automaton, route) -> Split:
+def minimal_split(split_cls, c: Partition, runs, r_counts, automaton, route_choices) -> Split:
     """The unique split of c minimizing the number of parts of p.
 
-    The caller has tested c for its family and counted its ``runs`` once,
-    for both routes: the minimum of ``fiber_minimum``, its argmin
-    built trusted, must exist, be unique and equal ``route(c, runs)``, the
-    side's closed-form routing, which builds its split validated; else
+    The caller has tested c and counted its ``runs`` once, for both routes:
+    the minimum of ``fiber_minimum`` must exist, be unique and have the
+    choice vector ``route_choices(runs)`` of the closed-form routing, else
     ContradictionError (none can happen; this is the point being verified).
-    Equality with the validated split certifies the argmin's families.
+    The answer is built once, validated, from that vector.
     """
-    p_len, ties, best = fiber_minimum(split_cls, runs, r_counts, automaton, trusted=True)
+    p_len, ties, best = fiber_minimum(runs, r_counts, automaton)
     if p_len is None:
         raise ContradictionError(f"empty fiber over {c.text()}")
     if ties != 1:
+        raise ContradictionError(f"{ties} fiber elements over {c.text()} share the minimal p-length {p_len}")
+    routed = route_choices(runs)
+    out = split_cls.from_choices(runs, routed)
+    if best != routed:
         raise ContradictionError(
-            f"{ties} fiber elements over {c.text()} share the minimal p-length {p_len}"
+            f"fiber minimum {_split_text(runs, best)} differs from canonical split {out.text()} over {c.text()}"
         )
-    want = route(c, runs)
-    if best != want:
-        raise ContradictionError(
-            f"fiber minimum {best.text()} differs from canonical split {want.text()} over {c.text()}"
-        )
-    return best
+    return out
+
+
+def _type_text(runs) -> str:
+    """The text of the Jordan type with these runs, for messages."""
+    return Partition([e for e, q in runs for _ in range(q)]).text()
+
+
+def _split_text(runs, choices) -> str:
+    """The text of the split a choice vector names, built with no check, for messages."""
+    r = [e for (e, q), m in zip(runs, choices) for _ in range(m)]
+    p = [e for (e, q), m in zip(runs, choices) for _ in range(q - m)]
+    return f"r={Partition(r).text()};p={Partition(p).text()}"

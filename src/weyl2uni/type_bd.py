@@ -13,26 +13,24 @@ and ``weyl.decode_class`` reads them back.
 Over the engine in ``splits``, the split rules of series B and D, where r is
 drawn from family R: ``Split`` (``R_FAMILY = CHAINED``), ``_r_counts`` (an
 odd value sends 0, 1 or 2 copies to r, an even value keeps an even count for
-p), the routing ``canonical_split`` (rules 1-5 below, with ``_star``) and a
-finite automaton for family R read largest value first (``_R_START``,
-``_r_step``, ``_r_accepts``), whose states come from the definition of R.
-A value joins r below every part so far, so R asks only its parity: the
-rules read that, never the value, and the engine's move table (keyed by
-rules, state, parity and multiplicity; at most 4,096 keys, ``splits._moves``)
-holds their moves, which its ``fiber_minimum`` and ``iter_fiber`` read: the
-minimum needs no routing and the listing costs time in proportion to the
-splits.  Each public function tests c for family Q in ``_runs``, then calls
-a body that does not: the routing body ``_route`` or the engine.
+p), the routing ``_route_choices`` (rules 1-5 below) and a finite automaton
+for family R read largest value first (``_R_START``, ``_r_step``,
+``_r_accepts``), whose states come from the definition of R.  A value joins
+r below every part so far, so R asks only its parity, and the rules read
+nothing else of it.  Each public function tests c for family Q once, in
+``_runs``; the checks each makes are counted in the ``splits`` docstring.
 
-Routing rules of ``canonical_split`` for a value e with multiplicity q in c
-(writing d for the 1-based position where e's run starts inside the odd
-subsequence of c):
+Routing rules of ``canonical_split`` for a value e with multiplicity q in c,
+as the number m of copies that go to r (writing d for the 1-based position
+where e's run starts inside the odd subsequence of c):
 
-1. e odd, q odd: one copy to r, the rest to p.
-2. e odd, q even, d even: two copies to r, the rest to p.
-3. e odd, q even, d odd: all copies to p.
-4. e even and ``_star`` holds against the odd entries already in r: all to p.
-5. e even otherwise: all copies to r.
+1. e odd, q odd: m = 1.
+2. e odd, q even, d even: m = 2.
+3. e odd, q even, d odd: m = 0.
+4. e even and evenly many odd entries already in r (``_star``): m = 0.
+   Runs come largest first, so every odd entry already in r exceeds e:
+   only the parity of their count is read.
+5. e even otherwise: m = q.
 """
 
 from __future__ import annotations
@@ -47,7 +45,6 @@ from .partitions import (
     ORTHOGONAL,
     Partition,
     is_member,
-    merge,
 )
 
 
@@ -171,49 +168,34 @@ class Split(splits.Split):
     R_VIOLATION = "is not in family R"
 
 
-def _star(odds: list[int], e: int) -> bool:
-    """Whether an even value e belongs in p: evenly many odd entries of r exceed e.
+def _star(parity: int, e: int) -> bool:
+    """Rule 4: the even value e goes wholly to p when the odd entries in r so far are even in number.
 
-    odds holds the odd entries already routed to r, decreasing.  Read on
-    that chain, the count is even exactly when e lies above its top, inside
-    a gap between positions 2v and 2v+1, or below its bottom when the chain
-    has even length; e is even and the entries odd, so there are no ties.
-    With no odd entries the test is vacuously true (everything even stays
-    in p; anything else would break family R).
+    All of them exceed e, so ``parity`` (of their count) decides alone.
     """
-    return len([v for v in odds if v > e]) % 2 == 0
+    return parity == 0
 
 
 def canonical_split(c: Partition) -> Split:
     """The distinguished split of an orthogonal Jordan type (rules 1-5)."""
-    return _route(c, _runs(c))
+    runs = _runs(c)
+    return Split.from_choices(runs, _route_choices(runs))
 
 
-def _route(c: Partition, runs) -> Split:
-    """``canonical_split`` of c, already tested for family Q, from its runs.
-
-    One pass, largest value first: when an even value is routed, the odd
-    entries of r above it are all placed, and both sides come out sorted.
-    """
-    r_parts: list[int] = []
-    p_parts: list[int] = []
-    r_odds: list[int] = []  # the odd entries routed to r so far, decreasing
+def _route_choices(runs) -> tuple[int, ...]:
+    """The choice vector of ``canonical_split`` over the runs of c, by rules 1-5, in one pass."""
+    out = []
+    parity = 0  # of the odd entries routed to r so far
     d = 1  # where the next odd run starts in the odd subsequence of c
     for e, q in runs:
         if e % 2 == 0:
-            m = 0 if _star(r_odds, e) else q
+            m = 0 if _star(parity, e) else q
         else:
             m = 1 if q % 2 == 1 else 2 if d % 2 == 0 else 0  # rules 1, 2 and 3
-            r_odds += [e] * m
+            parity ^= m % 2
             d += q
-        r_parts += [e] * m
-        p_parts += [e] * (q - m)
-    # Split tests r for family R and p for family Ptilde
-    r, p = Partition._from_sorted(tuple(r_parts)), Partition._from_sorted(tuple(p_parts))
-    out = Split(r, p)
-    if merge(r, p) != c:  # c was tested for family Q, so equality is enough
-        raise ContradictionError(f"canonical split of {c.text()} does not merge back")
-    return out
+        out.append(m)
+    return tuple(out)
 
 
 def _r_counts(odd: int, q: int) -> list[int]:
@@ -278,7 +260,8 @@ def iter_fiber(c: Partition) -> Iterator[Split]:
 def _claim_and_walk(c: Partition) -> tuple[Split, Iterator[Split]]:
     """The canonical split of c and its lazy fiber, c tested for family Q and its runs counted once."""
     runs = _runs(c)
-    return _route(c, runs), splits.iter_fiber(Split, runs, _r_counts, (_R_START, _r_step, _r_accepts))
+    walk = splits.iter_fiber(Split, runs, _r_counts, (_R_START, _r_step, _r_accepts))
+    return Split.from_choices(runs, _route_choices(runs)), walk
 
 
 def fiber(c: Partition) -> list[Split]:
@@ -287,10 +270,10 @@ def fiber(c: Partition) -> list[Split]:
 
 
 def fiber_minimum(c: Partition) -> tuple[int | None, int, Split | None]:
-    """(least p-length, splits reaching it, the minimiser if unique): ``splits.fiber_minimum``."""
-    return splits.fiber_minimum(Split, _runs(c), _r_counts, (_R_START, _r_step, _r_accepts))
+    """(least p-length, splits reaching it, the minimiser if unique): ``splits.least_split``."""
+    return splits.least_split(Split, _runs(c), _r_counts, (_R_START, _r_step, _r_accepts))
 
 
 def minimal_split(c: Partition) -> Split:
     """The unique split minimizing the number of parts of p (``splits.minimal_split``)."""
-    return splits.minimal_split(Split, c, _runs(c), _r_counts, (_R_START, _r_step, _r_accepts), _route)
+    return splits.minimal_split(Split, c, _runs(c), _r_counts, (_R_START, _r_step, _r_accepts), _route_choices)

@@ -4,13 +4,10 @@ Series C draws r from family S (all even).  Over the engine in ``splits``
 this module keeps only its rules: ``Split`` (``R_FAMILY = ALL_EVEN``),
 ``_r_counts`` (an odd value goes wholly to p, an even value keeps an even
 count for p), the one-state automaton for family S (``_R_START``,
-``_r_step``, ``_r_accepts``) and the routing ``canonical_split`` (odd parts
-to p, even parts to r).  The rules read a value's parity, never the
-value, so the engine's move table, keyed by rules, state, parity and
-multiplicity and bounded at 4,096 keys (``splits._moves``), holds their
-moves.  Each public function tests c for family T once, in
-``_require_symplectic``, then calls a body that does not: the routing
-``_route`` or the engine, as for B and D.
+``_r_step``, ``_r_accepts``) and the routing ``_route_choices`` (odd values
+to p, even values to r).  The rules read a value's parity, never the value.
+Each public function tests c for family T once, in ``_runs``; the checks
+each makes are counted in the ``splits`` docstring.
 """
 
 from __future__ import annotations
@@ -18,7 +15,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from . import splits
-from .partitions import ALL_EVEN, ContradictionError, DomainError, Partition, SYMPLECTIC, is_member, merge
+from .partitions import ALL_EVEN, DomainError, Partition, SYMPLECTIC, is_member
 
 
 class Split(splits.Split):
@@ -29,35 +26,25 @@ class Split(splits.Split):
     R_VIOLATION = "has an odd part (family S violated)"
 
 
-def _require_symplectic(c: Partition) -> None:
+def _runs(c: Partition) -> list[tuple[int, int]]:
+    """The runs of c, largest value first, once c passes its family T test."""
     if not is_member(c, SYMPLECTIC):
         raise DomainError(
             f"{c.text()} is not a symplectic Jordan type (family T): "
             "some odd value occurs an odd number of times"
         )
-
-
-def _runs(c: Partition) -> list[tuple[int, int]]:
-    """The runs of c, largest value first, once c passes its family T test."""
-    _require_symplectic(c)
     return list(c.multiplicities().items())
 
 
 def canonical_split(c: Partition) -> Split:
     """The distinguished split: odd parts all to p, even parts all to r."""
-    _require_symplectic(c)
-    return _route(c, None)
+    runs = _runs(c)
+    return Split.from_choices(runs, _route_choices(runs))
 
 
-def _route(c: Partition, runs) -> Split:
-    """``canonical_split`` of c, tested for family T; the parity rule reads parts, not ``runs``."""
-    evens = tuple([v for v in c.parts if v % 2 == 0])  # sub-sequences of c: already sorted
-    odds = tuple([v for v in c.parts if v % 2 == 1])
-    r, p = Partition._from_sorted(evens), Partition._from_sorted(odds)
-    out = Split(r, p)
-    if merge(r, p) != c:  # c was tested for family T, so equality is enough
-        raise ContradictionError(f"canonical split of {c.text()} does not merge back")
-    return out
+def _route_choices(runs) -> tuple[int, ...]:
+    """The choice vector of ``canonical_split`` over the runs of c: each even value wholly to r."""
+    return tuple([0 if e % 2 else q for e, q in runs])
 
 
 def _r_counts(odd: int, q: int) -> list[int]:
@@ -91,14 +78,15 @@ def iter_fiber(c: Partition) -> Iterator[Split]:
 
 
 def _claim_and_walk(c: Partition) -> tuple[Split, Iterator[Split]]:
-    """The canonical split of c and its lazy fiber: ``iter_fiber`` tests c and counts its runs once.
+    """The canonical split of c and its lazy fiber; ``iter_fiber`` tests c for family T.
 
-    Unlike B and D, the walk enters through the public ``iter_fiber``: it is
-    the only traced ``type_c`` entry the scan passes, and perfbench's
-    self-test needs a positive ``type_c`` reading on ``verify_sweep``.
+    Unlike B and D, the walk enters through the public ``iter_fiber``, the
+    only traced ``type_c`` entry the scan passes (perfbench's self-test
+    needs a ``type_c`` reading on ``verify_sweep``), so the runs are counted twice.
     """
     walk = iter_fiber(c)
-    return _route(c, None), walk
+    runs = list(c.multiplicities().items())
+    return Split.from_choices(runs, _route_choices(runs)), walk
 
 
 def fiber(c: Partition) -> list[Split]:
@@ -107,10 +95,10 @@ def fiber(c: Partition) -> list[Split]:
 
 
 def fiber_minimum(c: Partition) -> tuple[int | None, int, Split | None]:
-    """(least p-length, splits reaching it, the minimiser if unique): ``splits.fiber_minimum``."""
-    return splits.fiber_minimum(Split, _runs(c), _r_counts, (_R_START, _r_step, _r_accepts))
+    """(least p-length, splits reaching it, the minimiser if unique): ``splits.least_split``."""
+    return splits.least_split(Split, _runs(c), _r_counts, (_R_START, _r_step, _r_accepts))
 
 
 def minimal_split(c: Partition) -> Split:
     """The unique split minimizing the number of parts of p (``splits.minimal_split``)."""
-    return splits.minimal_split(Split, c, _runs(c), _r_counts, (_R_START, _r_step, _r_accepts), _route)
+    return splits.minimal_split(Split, c, _runs(c), _r_counts, (_R_START, _r_step, _r_accepts), _route_choices)

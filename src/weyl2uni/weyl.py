@@ -16,16 +16,11 @@ no series branch.
 
 Checked objects are certificates: a ``JordanType`` or ``Split`` has had its
 families tested by its public constructor, so a function handed one does
-not test them again.  A ``Split`` derived from certified data is built
-with the trusted ``Split._trusted``.  ``JordanType`` has no trusted
-constructor: ``phi_classical`` builds its answer with the validating one,
-so every Jordan type it returns has had its family tested.
-``psi_classical`` still checks its answer twice on purpose, each check
-once per call: the two routes of ``minimal_split`` (which tests the
-Jordan type for family T or Q once, at entry, and the routed split for
-its r-family and Ptilde once) and the ``phi`` round trip (encode the
-class again, B/D testing its r for family R once, and compare the merged
-sides with the Jordan type's parts).
+not test them again.  ``JordanType`` has no trusted constructor, so every
+Jordan type ``phi_classical`` returns has had its family tested.
+``psi_classical`` checks its answer twice on purpose: the two routes of
+``minimal_split`` and the ``phi`` round trip.  The ``splits`` docstring
+counts the family tests of each call.
 """
 
 from __future__ import annotations
@@ -281,11 +276,11 @@ def _check_jordan(j: JordanType, g: GroupKind) -> None:
 def psi_classical(j: JordanType, g: GroupKind) -> SignedCycleType:
     """The preimage class of phi_classical with strictly minimal fixed space.
 
-    ``side.minimal_split`` tests j's parts for family T or Q once, then
-    checks its two routes against each other; the decoded class is
-    encoded again and must merge back to j's parts.  That equality stands
-    for the round trip through ``phi_classical``: j is certified, so the
-    family test a rebuilt ``JordanType`` would run adds nothing.
+    ``side.minimal_split`` checks its two routes against each other; the
+    decoded class is encoded again and must merge back to j's parts.  That
+    equality stands for the round trip through ``phi_classical``: j is
+    certified, so the family test a rebuilt ``JordanType`` would run adds
+    nothing.
     """
     _check_jordan(j, g)
     side = type_c if g.series == "C" else type_bd

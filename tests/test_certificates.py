@@ -46,7 +46,7 @@ from weyl2uni.weyl import (
 # constructor ``splits.Split._trusted``: each builds a split whose families
 # its own derivation guarantees.
 TRUSTED_SPLIT_CALLERS = {
-    "splits": {"iter_fiber", "fiber_minimum"},
+    "splits": {"iter_fiber"},
     "weyl": {"encode_class"},
 }
 
@@ -138,8 +138,8 @@ def tally(monkeypatch):
 @pytest.mark.parametrize(
     "series, jordan, psi_tests, phi_tests",
     [
-        # psi: minimal_split tests the Jordan type at entry and the routed
-        # split (its fiber minimum is built trusted), and on B/D the round
+        # psi: minimal_split tests the Jordan type at entry and the one
+        # split it builds (from the routed choice vector), and on B/D the round
         # trip's blocks_from_halves tests its r; phi tests its block side
         # once and its JordanType once
         ("C", (4, 2, 1, 1), {"T": 1, "S": 1, "Ptilde": 1}, {"T": 1}),
@@ -166,15 +166,15 @@ def test_family_tests_per_call(tally, series, jordan, psi_tests, phi_tests):
 def test_the_unique_minimum_scan_checks_each_fact_once(tally, monkeypatch, side, family, r_family):
     # per Jordan type: one test of c's family, one validated routing (one
     # r-family and one Ptilde test) and one r-family test per listed split
-    original = side._route
+    original = side._route_choices
     routes = 0
 
-    def counting_route(c, runs):
+    def counting_route(runs):
         nonlocal routes
         routes += 1
-        return original(c, runs)
+        return original(runs)
 
-    monkeypatch.setattr(side, "_route", counting_route)
+    monkeypatch.setattr(side, "_route_choices", counting_route)
     seen = 0
     for nu in range(1, 17):
         for c in iter_members(nu, family):
@@ -290,7 +290,7 @@ def test_bad_p_counts_in_the_dp_are_caught_by_the_split_test(monkeypatch):
 
 
 def _forged_minima(monkeypatch, **mutations):
-    """The B/D types of total <= 12 whose trusted DP argmin leaves a family, under mutations."""
+    """The B/D types of total <= 12 whose DP argmin leaves a family, under mutations."""
     for name, value in mutations.items():
         monkeypatch.setattr(type_bd, name, value)
     automaton = (type_bd._R_START, type_bd._r_step, type_bd._r_accepts)
@@ -299,8 +299,12 @@ def _forged_minima(monkeypatch, **mutations):
         if g.series == "C":
             continue
         runs = list(j.parts.multiplicities().items())
-        _, _, x = splits.fiber_minimum(type_bd.Split, runs, type_bd._r_counts, automaton, trusted=True)
-        if x is not None and not (is_member(x.r, "R") and is_member(x.p, DOUBLED)):
+        _, _, choices = splits.fiber_minimum(runs, type_bd._r_counts, automaton)
+        if choices is None:
+            continue
+        r = Partition([e for (e, q), m in zip(runs, choices) for _ in range(m)])
+        p = Partition([e for (e, q), m in zip(runs, choices) for _ in range(q - m)])
+        if not (is_member(r, "R") and is_member(p, DOUBLED)):
             out.append((j, g))
     return out
 
@@ -316,8 +320,8 @@ def _forged_minima(monkeypatch, **mutations):
     ids=["p-undoubled", "r-outside-R"],
 )
 def test_a_trusted_dp_argmin_outside_its_families_is_caught_by_the_dual_route(monkeypatch, mutations):
-    # minimal_split builds the DP argmin trusted: comparing it with the
-    # validated canonical split (or finding it tied) is what rejects it
+    # minimal_split builds no split from the DP argmin: comparing its choice
+    # vector with the routed one (or finding it tied) is what rejects it
     forged = _forged_minima(monkeypatch, **mutations)
     assert len(forged) > 20
     for j, g in forged:
@@ -385,24 +389,53 @@ def test_merged_type_outside_its_family_is_caught_by_jordan_type(monkeypatch, se
 
 
 @pytest.mark.parametrize("side", [type_c, type_bd])
-def test_lost_parts_in_canonical_split_are_caught_by_the_merge_check(side):
-    # canonical_split compares merge(r, p) with c instead of testing the
-    # merged type for its family again: a routing that drops the smallest
-    # value still fails
-    class Lossy(Partition):
-        __slots__ = ()
+def test_lost_parts_in_canonical_split_are_caught_by_the_merge_check(side, monkeypatch):
+    # a split is built from c's own runs, so it merges back to c exactly
+    # when the choice vector has one count per run, each within 0..q: a
+    # routing that drops the smallest value fails instead of losing parts
+    original = side._route_choices
+    monkeypatch.setattr(side, "_route_choices", lambda runs: original(runs)[:-1])
+    for build in (side.canonical_split, side.minimal_split):
+        with pytest.raises(ContradictionError, match="do not merge back"):
+            build(P(5, 5, 3, 3))
 
-        @property
-        def parts(self):
-            return tuple(v for v in self if v != self[-1])
 
-        def multiplicities(self):
-            out = super().multiplicities()
-            out.popitem()
-            return out
+@pytest.mark.parametrize("bad", [lambda q: q + 1, lambda q: -1], ids=["m>q", "m<0"])
+@pytest.mark.parametrize("series", ["C", "D"])
+def test_a_routed_count_outside_its_run_is_a_contradiction(monkeypatch, series, bad):
+    # a count above q takes copies c does not have, one below 0 hands p
+    # copies c does not have: the builder refuses both, before any family
+    # test, for canonical_split, minimal_split and the unique-minimum scan
+    side = type_c if series == "C" else type_bd
+    original = side._route_choices
 
-    with pytest.raises(ContradictionError, match="does not merge back"):
-        side.canonical_split(Lossy([5, 5, 3, 3]))
+    def routed(runs):
+        return (bad(runs[0][1]),) + original(runs)[1:] if runs else ()
+
+    monkeypatch.setattr(side, "_route_choices", routed)
+    for build in (side.canonical_split, side.minimal_split):
+        with pytest.raises(ContradictionError, match=r"choices \((3|-1), 0\) over 4,4,3,3 do not merge back"):
+            build(P(4, 4, 3, 3))
+    scan, bridge = verify.run_all(verify.SweepConfig(series=(series,), max_nu=8, max_rank=2)).checks
+    assert (scan.name, bridge.name, bridge.passed) == (f"unique_minimum[{series}]", f"fixed_space_bridge[{series}]", True)
+    # every type but the empty one, which has no run to route (D skips it as very even)
+    assert len(scan.counterexamples) == scan.scanned - (series == "C") > 10
+    assert all(ce["error"].endswith("do not merge back") for ce in scan.counterexamples)
+
+
+@pytest.mark.parametrize(
+    "side, c, forged, dp, routed",
+    [
+        (type_c, P(4, 4, 3, 3), (0, 0), "r=-;p=4,4,3,3", "r=4,4;p=3,3"),
+        (type_bd, P(5, 3, 3, 1), (1, 0, 1), "r=5,1;p=3,3", "r=5,3,3,1;p=-"),
+    ],
+    ids=["C", "BD"],
+)
+def test_a_dp_vector_unlike_the_routed_one_names_both_splits(monkeypatch, side, c, forged, dp, routed):
+    monkeypatch.setattr(splits, "fiber_minimum", lambda runs, r_counts, automaton: (4, 1, forged))
+    with pytest.raises(ContradictionError) as exc:
+        side.minimal_split(c)
+    assert str(exc.value) == f"fiber minimum {dp} differs from canonical split {routed} over {c.text()}"
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ raise ContradictionError.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import brute_fiber
 from weyl2uni import (
@@ -123,7 +123,7 @@ ONE_VALUE_R = (0, lambda s, odd, m: None if m and odd else s + (m > 0), lambda s
 
 def tie_admitting_minimum(c: Partition):
     runs = list(c.multiplicities().items())
-    return splits.fiber_minimum(type_c.Split, runs, type_c._r_counts, ONE_VALUE_R)
+    return splits.least_split(type_c.Split, runs, type_c._r_counts, ONE_VALUE_R)
 
 
 def test_fiber_minimum_counts_every_tied_split():
@@ -175,3 +175,39 @@ def test_deep_staircase_is_answered_without_enumeration(series):
     w = psi_classical(j, g)
     assert module.minimal_split(c) == module.canonical_split(c)
     assert phi_classical(w, g).parts == c
+
+
+@st.composite
+def large_types(draw) -> tuple[str, Partition]:
+    """A series and one of its Jordan types: total at most 200, values repeated up to 40 times.
+
+    Up to 16 distinct values are drawn, each with a multiplicity of at most
+    its share of the total, then cut to what the total of 200 leaves and,
+    for a value of the series' paired parity (odd for C, even for B and D),
+    to an even count.  An orthogonal type of odd total is series B, of even
+    total series D.
+    """
+    symplectic = draw(st.booleans())
+    values = draw(st.lists(st.integers(1, 40), min_size=1, max_size=16, unique=True))
+    parts: list[int] = []
+    for v in values:
+        q = draw(st.integers(1, min(40, max(2, 200 // (v * len(values))))))
+        q = min(q, (200 - sum(parts)) // v)
+        q -= q % 2 if v % 2 == symplectic else 0
+        parts += [v] * q
+    c = Partition(parts)
+    series = "C" if symplectic else "BD"[c.size % 2 == 0]
+    assume(c.size >= {"B": 3, "C": 2, "D": 4}[series])  # a group of the least rank
+    return series, c
+
+
+@settings(max_examples=300, deadline=1000)
+@given(drawn=large_types())
+def test_psi_round_trips_and_both_routes_agree_up_to_total_200(drawn):
+    series, c = drawn
+    module = ENGINES[series][0]
+    g = GroupKind(series, c.size // 2)
+    w = psi_classical(JordanType(c, g.epsilon), g)
+    assert phi_classical(w, g).parts == c
+    least, ties, best = module.fiber_minimum(c)
+    assert ties == 1 and best == module.canonical_split(c) and len(best.p) == least

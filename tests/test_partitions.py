@@ -296,9 +296,8 @@ class TestIterMembers:
 # never appear here.
 TRUSTED_CALLERS = {
     "partitions": {"merge", "double_parts", "iter_members"},
-    "splits": {"iter_fiber", "fiber_minimum"},
-    "type_c": {"_route"},
-    "type_bd": {"blocks_from_halves", "_halves_of_chained", "_route"},
+    "splits": {"iter_fiber", "from_choices"},
+    "type_bd": {"blocks_from_halves", "_halves_of_chained"},
     "weyl": {"encode_class", "decode_class"},
 }
 

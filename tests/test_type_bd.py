@@ -103,7 +103,7 @@ class TestHalvesFromBlocks:
 
 class TestStar:
     def test_empty_chain_sends_evens_to_p(self):
-        assert type_bd._star((), 4)
+        assert type_bd._star(0, 4)
         assert type_bd.canonical_split(P(3, 3, 2, 2)) == type_bd.Split(
             Partition(), P(3, 3, 2, 2)
         )
@@ -171,9 +171,8 @@ class TestMinimalSplit:
 
     def test_disagreement_reports_contradiction(self, monkeypatch):
         # a genuine fiber element, but not the minimum
-        monkeypatch.setattr(
-            type_bd, "_route", lambda c, runs: type_bd.Split(P(5, 1), P(3, 3))
-        )
+        # runs 5, 3^2, 1: the split (5,1 ; 3,3)
+        monkeypatch.setattr(type_bd, "_route_choices", lambda runs: (1, 0, 1))
         with pytest.raises(ContradictionError):
             type_bd.minimal_split(P(5, 3, 3, 1))
 

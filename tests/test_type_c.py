@@ -97,8 +97,7 @@ class TestMinimalSplit:
                     assert value_counts(other.p)[e] >= value_counts(canon.p)[e]
 
     def test_disagreement_reports_contradiction(self, monkeypatch):
-        monkeypatch.setattr(
-            type_c, "_route", lambda c, runs: type_c.Split(Partition(), P(2, 2, 1, 1))
-        )
+        # runs 2^2, 1^2: the split (- ; 2,2,1,1)
+        monkeypatch.setattr(type_c, "_route_choices", lambda runs: (0, 0))
         with pytest.raises(ContradictionError):
             type_c.minimal_split(P(2, 2, 1, 1))
