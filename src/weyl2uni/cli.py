@@ -13,11 +13,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import type_bd, type_c, verify
+from . import verify
 from .exceptional import GROUPS, load_table
 from .partitions import ContradictionError, DomainError, Partition
 from .weyl import (
     SERIES,
+    SIDES,
     GroupKind,
     JordanType,
     SignedCycleType,
@@ -101,7 +102,7 @@ def _cmd_psi(args, parser) -> int:
 def _cmd_fiber(args, parser) -> int:
     _need(args, parser, "series", "jordan")
     j, g = _parse_jordan(args.series, args.jordan, args.nu)
-    splits = type_c.fiber(j.parts) if g.series == "C" else type_bd.fiber(j.parts)
+    splits = SIDES[g.series].fiber(j.parts)
     if args.format == "json":
         _print_json([s.to_json() for s in splits])
     else:

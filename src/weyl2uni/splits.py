@@ -9,10 +9,11 @@ state for S, at most 24 for R) through one move table, the cache of
 ``_moves``.  This module holds the machinery once: ``Split`` and its
 validated builder ``Split.from_choices``, the listing ``iter_fiber`` and
 ``fiber``, the dynamic program ``fiber_minimum`` and the dual-route guard
-``minimal_split``.  ``type_c`` and ``type_bd`` keep only their rules: a
-``Split`` subclass, ``_r_counts``, the automaton and the closed-form
-routing ``_route_choices``.  The two routes of ``minimal_split`` meet as
-choice vectors, and its answer is built once, from the routed one.
+``minimal_split``.  The sides ``type_c`` and ``type_bd``, which
+``weyl.SIDES`` picks per series, keep only their rules: ``FAMILY``, a
+``Split`` subclass, ``_r_counts``, the automaton and the routing
+``_route_choices``.  The two routes of ``minimal_split`` meet as choice
+vectors, and its answer is built once, from the routed one.
 
 The checks, per call.  A ``Split`` is a certificate: its public constructor
 tests r for the r-family and p for family Ptilde, so no function handed one
@@ -21,8 +22,8 @@ derivations guarantee both, use the trusted ``Split._trusted``.
 ``from_choices`` builds from c's own runs, so r and p merge back to c
 exactly when the vector has one m in 0..q per run, which it checks
 (ContradictionError) instead of re-sorting r + p.  Each public function of
-``type_c`` and ``type_bd`` tests c for family T (C) or Q (B/D) once, at
-entry, and nothing in here tests it again.  Then:
+a side tests c for its ``FAMILY``, T (C) or Q (B/D), once, at entry, by
+``check_jordan``, and nothing else in here tests it again.  Then:
 
 * ``canonical_split`` builds the routed vector: one r-family and one
   Ptilde test.
@@ -40,7 +41,14 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from functools import lru_cache
 
-from .partitions import ContradictionError, DOUBLED, DomainError, Partition, Record, is_member, merge
+from .partitions import ContradictionError, DOUBLED, DomainError, Partition, Record, SYMPLECTIC, is_member, merge
+
+
+def check_jordan(c: Partition, family: str) -> None:
+    """Refuse c (DomainError) outside ``family``: T or Q, a side's ``FAMILY`` or a ``JordanType``'s."""
+    if not is_member(c, family):
+        kind = "a symplectic" if family == SYMPLECTIC else "an orthogonal"
+        raise DomainError(f"{c.text()} is not {kind} Jordan type (family {family})")
 
 
 class Split(Record):

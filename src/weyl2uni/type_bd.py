@@ -17,8 +17,8 @@ p), the routing ``_route_choices`` (rules 1-5 below) and a finite automaton
 for family R read largest value first (``_R_START``, ``_r_step``,
 ``_r_accepts``), whose states come from the definition of R.  A value joins
 r below every part so far, so R asks only its parity, and the rules read
-nothing else of it.  Each public function tests c for family Q once, in
-``_runs``; the checks each makes are counted in the ``splits`` docstring.
+nothing else of it.  Each public function tests c for ``FAMILY`` (Q) once,
+by ``splits.check_jordan``; the ``splits`` docstring counts its checks.
 
 Routing rules of ``canonical_split`` for a value e with multiplicity q in c,
 as the number m of copies that go to r (writing d for the 1-based position
@@ -47,20 +47,12 @@ from .partitions import (
     is_member,
 )
 
+FAMILY = ORTHOGONAL
+
 
 def _require_kappa(kappa: int) -> None:
     if kappa not in (0, 1):
         raise DomainError(f"kappa must be 0 or 1, got {kappa!r}")
-
-
-def _runs(c: Partition) -> list[tuple[int, int]]:
-    """The runs of c, largest value first, once c passes its family Q test."""
-    if not is_member(c, ORTHOGONAL):
-        raise DomainError(
-            f"{c.text()} is not an orthogonal Jordan type (family Q): "
-            "some even value occurs an odd number of times"
-        )
-    return list(c.multiplicities().items())
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +170,8 @@ def _star(parity: int, e: int) -> bool:
 
 def canonical_split(c: Partition) -> Split:
     """The distinguished split of an orthogonal Jordan type (rules 1-5)."""
-    runs = _runs(c)
+    splits.check_jordan(c, FAMILY)
+    runs = list(c.multiplicities().items())
     return Split.from_choices(runs, _route_choices(runs))
 
 
@@ -254,12 +247,14 @@ def _r_accepts(state: tuple) -> bool:
 
 def iter_fiber(c: Partition) -> Iterator[Split]:
     """Lazily enumerate every split of c (checked for family Q at the call)."""
-    return splits.iter_fiber(Split, _runs(c), _r_counts, (_R_START, _r_step, _r_accepts))
+    splits.check_jordan(c, FAMILY)
+    return splits.iter_fiber(Split, list(c.multiplicities().items()), _r_counts, (_R_START, _r_step, _r_accepts))
 
 
 def _claim_and_walk(c: Partition) -> tuple[Split, Iterator[Split]]:
     """The canonical split of c and its lazy fiber, c tested for family Q and its runs counted once."""
-    runs = _runs(c)
+    splits.check_jordan(c, FAMILY)
+    runs = list(c.multiplicities().items())
     walk = splits.iter_fiber(Split, runs, _r_counts, (_R_START, _r_step, _r_accepts))
     return Split.from_choices(runs, _route_choices(runs)), walk
 
@@ -271,9 +266,12 @@ def fiber(c: Partition) -> list[Split]:
 
 def fiber_minimum(c: Partition) -> tuple[int | None, int, Split | None]:
     """(least p-length, splits reaching it, the minimiser if unique): ``splits.least_split``."""
-    return splits.least_split(Split, _runs(c), _r_counts, (_R_START, _r_step, _r_accepts))
+    splits.check_jordan(c, FAMILY)
+    return splits.least_split(Split, list(c.multiplicities().items()), _r_counts, (_R_START, _r_step, _r_accepts))
 
 
 def minimal_split(c: Partition) -> Split:
     """The unique split minimizing the number of parts of p (``splits.minimal_split``)."""
-    return splits.minimal_split(Split, c, _runs(c), _r_counts, (_R_START, _r_step, _r_accepts), _route_choices)
+    splits.check_jordan(c, FAMILY)
+    runs = list(c.multiplicities().items())
+    return splits.minimal_split(Split, c, runs, _r_counts, (_R_START, _r_step, _r_accepts), _route_choices)

@@ -6,8 +6,8 @@ this module keeps only its rules: ``Split`` (``R_FAMILY = ALL_EVEN``),
 count for p), the one-state automaton for family S (``_R_START``,
 ``_r_step``, ``_r_accepts``) and the routing ``_route_choices`` (odd values
 to p, even values to r).  The rules read a value's parity, never the value.
-Each public function tests c for family T once, in ``_runs``; the checks
-each makes are counted in the ``splits`` docstring.
+Each public function tests c for ``FAMILY`` (T) once, by
+``splits.check_jordan``; the ``splits`` docstring counts its checks.
 """
 
 from __future__ import annotations
@@ -15,7 +15,9 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from . import splits
-from .partitions import ALL_EVEN, DomainError, Partition, SYMPLECTIC, is_member
+from .partitions import ALL_EVEN, Partition, SYMPLECTIC
+
+FAMILY = SYMPLECTIC
 
 
 class Split(splits.Split):
@@ -26,19 +28,10 @@ class Split(splits.Split):
     R_VIOLATION = "has an odd part (family S violated)"
 
 
-def _runs(c: Partition) -> list[tuple[int, int]]:
-    """The runs of c, largest value first, once c passes its family T test."""
-    if not is_member(c, SYMPLECTIC):
-        raise DomainError(
-            f"{c.text()} is not a symplectic Jordan type (family T): "
-            "some odd value occurs an odd number of times"
-        )
-    return list(c.multiplicities().items())
-
-
 def canonical_split(c: Partition) -> Split:
     """The distinguished split: odd parts all to p, even parts all to r."""
-    runs = _runs(c)
+    splits.check_jordan(c, FAMILY)
+    runs = list(c.multiplicities().items())
     return Split.from_choices(runs, _route_choices(runs))
 
 
@@ -74,7 +67,8 @@ def _r_accepts(state: int) -> bool:
 
 def iter_fiber(c: Partition) -> Iterator[Split]:
     """Lazily enumerate every split of c (checked for family T at the call): 2^k over 2k,2k,...,2,2."""
-    return splits.iter_fiber(Split, _runs(c), _r_counts, (_R_START, _r_step, _r_accepts))
+    splits.check_jordan(c, FAMILY)
+    return splits.iter_fiber(Split, list(c.multiplicities().items()), _r_counts, (_R_START, _r_step, _r_accepts))
 
 
 def _claim_and_walk(c: Partition) -> tuple[Split, Iterator[Split]]:
@@ -96,9 +90,12 @@ def fiber(c: Partition) -> list[Split]:
 
 def fiber_minimum(c: Partition) -> tuple[int | None, int, Split | None]:
     """(least p-length, splits reaching it, the minimiser if unique): ``splits.least_split``."""
-    return splits.least_split(Split, _runs(c), _r_counts, (_R_START, _r_step, _r_accepts))
+    splits.check_jordan(c, FAMILY)
+    return splits.least_split(Split, list(c.multiplicities().items()), _r_counts, (_R_START, _r_step, _r_accepts))
 
 
 def minimal_split(c: Partition) -> Split:
     """The unique split minimizing the number of parts of p (``splits.minimal_split``)."""
-    return splits.minimal_split(Split, c, _runs(c), _r_counts, (_R_START, _r_step, _r_accepts), _route_choices)
+    splits.check_jordan(c, FAMILY)
+    runs = list(c.multiplicities().items())
+    return splits.minimal_split(Split, c, runs, _r_counts, (_R_START, _r_step, _r_accepts), _route_choices)

@@ -19,26 +19,19 @@ from __future__ import annotations
 
 import time
 
-from . import exceptional, type_bd, type_c
+from . import exceptional
 from .partitions import (
     ContradictionError,
     DOUBLED_EVEN,
     DomainError,
-    ORTHOGONAL,
     Partition,
     Record,
-    SYMPLECTIC,
     is_member,
     iter_members,
 )
-from .weyl import SERIES, GroupKind, encode_class, enumerate_classes, fixed_space_dim, fixed_space_dim_from_matrix
+from .weyl import (LEAST_RANK, SERIES, SIDES, GroupKind, encode_class, enumerate_classes, fixed_space_dim,
+                   fixed_space_dim_from_matrix)
 
-# series: (parity of the Jordan type's total, its family, the side's split rules)
-_SERIES = {
-    "B": (1, ORTHOGONAL, type_bd),
-    "C": (0, SYMPLECTIC, type_c),
-    "D": (0, ORTHOGONAL, type_bd),
-}
 ALL_SERIES = SERIES + exceptional.GROUPS
 HARD_NU_CAP = 30
 HARD_RANK_CAP = 7
@@ -163,10 +156,10 @@ def check_classical(cfg: SweepConfig) -> VerificationReport:
     for series in (s for s in SERIES if s in cfg.series):
         start = time.perf_counter()
         result = CheckResult(name=f"unique_minimum[{series}]")
-        parity, family, side = _SERIES[series]
+        side = SIDES[series]
         skipped = 0
-        for nu in range(parity, cfg.max_nu + 1, 2):
-            for c in iter_members(nu, family):
+        for nu in range(int(series == "B"), cfg.max_nu + 1, 2):  # the total is odd on B only
+            for c in iter_members(nu, side.FAMILY):
                 if series == "D" and is_member(c, DOUBLED_EVEN):
                     skipped += 1  # the statement is vacuous there (singleton fiber)
                     continue
@@ -189,8 +182,7 @@ def check_bridge(cfg: SweepConfig) -> VerificationReport:
     for series in (s for s in SERIES if s in cfg.series):
         start = time.perf_counter()
         result = CheckResult(name=f"fixed_space_bridge[{series}]")
-        least = 2 if series == "D" else 1
-        for n in range(least, cfg.max_rank + 1):
+        for n in range(LEAST_RANK[series], cfg.max_rank + 1):
             g = GroupKind(series, n)
             for w in enumerate_classes(g):
                 result.scanned += 1

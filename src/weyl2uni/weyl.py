@@ -10,9 +10,10 @@ cycles); ``fixed_space_dim_from_matrix`` recomputes it as an exact matrix
 nullity and serves as the independent oracle.
 
 A class has one encoded form, its split (r, p): ``encode_class`` returns
-it on every series and ``decode_class`` inverts it, so ``phi_classical``
-merges the two sides and ``psi_classical`` decodes the minimal split, with
-no series branch.
+it on every series and ``decode_class`` inverts it.  ``SIDES`` is the one
+place a series picks its side (``type_c`` for C, ``type_bd`` for B and D);
+a side's Jordan family ``FAMILY`` (T or Q) is tested by
+``splits.check_jordan``, which ``JordanType`` shares.
 
 Checked objects are certificates: a ``JordanType`` or ``Split`` has had its
 families tested by its public constructor, so a function handed one does
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from . import type_bd, type_c
+from . import splits, type_bd, type_c
 from .partitions import (
     ContradictionError,
     DomainError,
@@ -36,13 +37,14 @@ from .partitions import (
     Record,
     SYMPLECTIC,
     double_parts,
-    is_member,
     iter_members,
     iter_partitions,
     merge,
 )
 
-SERIES = ("B", "C", "D")
+SIDES = {"B": type_bd, "C": type_c, "D": type_bd}
+SERIES = tuple(SIDES)
+LEAST_RANK = {"B": 1, "C": 1, "D": 2}  # SO(2), of series D and rank 1, is a torus
 
 
 class GroupKind(Record):
@@ -53,9 +55,8 @@ class GroupKind(Record):
     def __init__(self, series: str, rank: int) -> None:
         if series not in SERIES:
             raise DomainError(f"series must be one of {SERIES}, got {series!r}")
-        least = 2 if series == "D" else 1
-        if rank < least:
-            raise DomainError(f"series {series} needs rank >= {least}, got {rank}")
+        if rank < LEAST_RANK[series]:
+            raise DomainError(f"series {series} needs rank >= {LEAST_RANK[series]}, got {rank}")
         object.__setattr__(self, "series", series)
         object.__setattr__(self, "rank", rank)
 
@@ -117,7 +118,7 @@ class JordanType(Record):
     """A unipotent class in a classical group, as its Jordan block multiset.
 
     epsilon = -1 demands family T (symplectic, even total); epsilon = +1
-    demands family Q (orthogonal).
+    demands family Q (orthogonal), tested by ``splits.check_jordan``.
     """
 
     _fields = __slots__ = ("parts", "epsilon")
@@ -125,11 +126,7 @@ class JordanType(Record):
     def __init__(self, parts: Partition, epsilon: int) -> None:
         if epsilon not in (1, -1):
             raise DomainError(f"epsilon must be +1 or -1, got {epsilon!r}")
-        if epsilon == -1:
-            if not is_member(parts, SYMPLECTIC):  # family T forces an even total
-                raise DomainError(f"{parts.text()} is not a symplectic Jordan type (family T)")
-        elif not is_member(parts, ORTHOGONAL):
-            raise DomainError(f"{parts.text()} is not an orthogonal Jordan type (family Q)")
+        splits.check_jordan(parts, SYMPLECTIC if epsilon == -1 else ORTHOGONAL)  # T forces an even total
         object.__setattr__(self, "parts", parts)
         object.__setattr__(self, "epsilon", epsilon)
 
@@ -185,13 +182,12 @@ def decode_class(x: type_c.Split | type_bd.Split, g: GroupKind) -> SignedCycleTy
     through ``type_bd._halves_of_chained``, which checks the parity of its
     total against kappa and that the halves rebuild r exactly.
     """
+    side = SIDES[g.series]
+    if not isinstance(x, side.Split):
+        raise DomainError(f"series {g.series} decodes a {side.__name__.rsplit('.', 1)[1]}.Split")
     if g.series == "C":
-        if not isinstance(x, type_c.Split):
-            raise DomainError("series C decodes a type_c.Split")
         neg = Partition._from_sorted(tuple([v // 2 for v in x.r.parts]))  # r is all even
     else:
-        if not isinstance(x, type_bd.Split):
-            raise DomainError(f"series {g.series} decodes a type_bd.Split")
         neg = type_bd._halves_of_chained(x.r, g.kappa)
     pos = Partition._from_sorted(x.p.parts[0::2])
     w = SignedCycleType(pos, neg)
@@ -276,15 +272,14 @@ def _check_jordan(j: JordanType, g: GroupKind) -> None:
 def psi_classical(j: JordanType, g: GroupKind) -> SignedCycleType:
     """The preimage class of phi_classical with strictly minimal fixed space.
 
-    ``side.minimal_split`` checks its two routes against each other; the
-    decoded class is encoded again and must merge back to j's parts.  That
-    equality stands for the round trip through ``phi_classical``: j is
-    certified, so the family test a rebuilt ``JordanType`` would run adds
-    nothing.
+    ``SIDES[g.series].minimal_split`` checks its two routes against each
+    other; the decoded class is encoded again and must merge back to j's
+    parts.  That equality stands for the round trip through
+    ``phi_classical``: j is certified, so the family test a rebuilt
+    ``JordanType`` would run adds nothing.
     """
     _check_jordan(j, g)
-    side = type_c if g.series == "C" else type_bd
-    w = decode_class(side.minimal_split(j.parts), g)
+    w = decode_class(SIDES[g.series].minimal_split(j.parts), g)
     x = encode_class(w, g)
     if merge(x.r, x.p) != j.parts:
         raise ContradictionError(f"psi of {j.text()} does not round-trip through phi")
@@ -311,6 +306,5 @@ def enumerate_classes(g: GroupKind) -> list[SignedCycleType]:
 
 def iter_jordan_types(g: GroupKind) -> Iterator[JordanType]:
     """All valid Jordan types for the group, in reverse lexicographic order."""
-    fam = SYMPLECTIC if g.series == "C" else ORTHOGONAL
-    for c in iter_members(g.nu, fam):
+    for c in iter_members(g.nu, SIDES[g.series].FAMILY):
         yield JordanType(c, g.epsilon)

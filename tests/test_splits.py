@@ -63,22 +63,28 @@ def family_tests(monkeypatch):
         return original(c, family)
 
     for module in (splits, type_c, type_bd):
-        monkeypatch.setattr(module, "is_member", counting)
+        if getattr(module, "is_member", None) is original:
+            monkeypatch.setattr(module, "is_member", counting)
     return counts
 
 
 @pytest.mark.parametrize("name", PUBLIC[1:])
 @pytest.mark.parametrize(
-    "side, c, good, family",
-    [(type_c, P(3, 1), P(4, 3, 3, 2), SYMPLECTIC), (type_bd, P(4, 2), P(5, 4, 4, 3), ORTHOGONAL)],
+    "side, c, good, family, refusal",
+    [
+        (type_c, P(3, 1), P(4, 3, 3, 2), SYMPLECTIC, "3,1 is not a symplectic Jordan type (family T)"),
+        (type_bd, P(4, 2), P(5, 4, 4, 3), ORTHOGONAL, "4,2 is not an orthogonal Jordan type (family Q)"),
+    ],
     ids=["C", "BD"],
 )
-def test_each_public_function_checks_the_jordan_family_once(family_tests, side, c, good, family, name):
+def test_each_public_function_checks_the_jordan_family_once(family_tests, side, c, good, family, refusal, name):
     # each public function tests its input's family at entry, when called,
-    # and its body (the engine in splits, the routing) never tests it again
+    # and its body (the engine in splits, the routing) never tests it again;
+    # the refusal is JordanType's, word for word
     fn = getattr(side, name)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError) as exc:
         fn(c)
+    assert str(exc.value) == refusal
     assert family_tests[family] == 1
     family_tests.clear()
     out = fn(good)

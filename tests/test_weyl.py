@@ -1,3 +1,6 @@
+import ast
+import pathlib
+
 import pytest
 
 from conftest import cycle_split_by_flip
@@ -31,6 +34,26 @@ def P(*parts):
 
 def W(pos, neg):
     return SignedCycleType(Partition(pos), Partition(neg))
+
+
+def side_imports(path: pathlib.Path) -> set[str]:
+    """The split sides, ``type_c`` and ``type_bd``, that a module imports, in any import form."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom):
+            names |= {(node.module or "").rsplit(".", 1)[-1]} | {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            names |= {a.name.rsplit(".", 1)[-1] for a in node.names}
+    return names & {"type_c", "type_bd"}
+
+
+def test_only_weyl_picks_a_side():
+    # weyl.SIDES is the one place a series picks its side; __init__ only
+    # re-exports the two modules
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "weyl2uni"
+    found = {path.stem: side_imports(path) for path in sorted(src.glob("*.py"))}
+    assert found.pop("weyl") == found.pop("__init__") == {"type_c", "type_bd"}
+    assert {stem: sides for stem, sides in found.items() if sides} == {}
 
 
 class TestGroupKind:
@@ -272,9 +295,9 @@ class TestJordanType:
     def test_validation(self):
         with pytest.raises(DomainError):
             JordanType(P(3, 2), -1)  # odd total: 3 occurs once, outside family T
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^3,2,1 is not a symplectic Jordan type \(family T\)$"):
             JordanType(P(3, 2, 1), -1)  # 3 occurs once: not symplectic
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^2,1 is not an orthogonal Jordan type \(family Q\)$"):
             JordanType(P(2, 1), 1)  # 2 occurs once: not orthogonal
         assert JordanType(P(3, 3), -1).nu == 6
         assert JordanType(P(3, 1, 1), 1).nu == 5
