@@ -19,6 +19,7 @@ from .partitions import ContradictionError, DomainError, Partition
 from .weyl import (
     SERIES,
     SIDES,
+    TOTAL_PARITY,
     GroupKind,
     JordanType,
     SignedCycleType,
@@ -47,12 +48,8 @@ _CHAR_TAGS = {"good": "good", "0": "good", "2": "p2", "3": "p3", "p2": "p2", "p3
 
 
 def _group_for(series: str, nu: int) -> GroupKind:
-    if series == "B":
-        if nu % 2 == 0:
-            raise DomainError(f"series B needs an odd total, got {nu}")
-        return GroupKind("B", nu // 2)
-    if nu % 2:
-        raise DomainError(f"series {series} needs an even total, got {nu}")
+    if nu % 2 != TOTAL_PARITY[series]:
+        raise DomainError(f"series {series} needs an {'odd' if TOTAL_PARITY[series] else 'even'} total, got {nu}")
     return GroupKind(series, nu // 2)
 
 

@@ -114,8 +114,8 @@ class Partition(tuple):
         ``TRUSTED_CALLERS``:
 
         * ``merge``, ``double_parts`` and ``iter_members`` here;
-        * the fiber assembly ``splits.iter_fiber`` and the choice-vector
-          builder ``splits.Split.from_choices``;
+        * the fiber walk ``splits.walk`` (r), its wrapper ``splits.iter_fiber``
+          (p) and the choice-vector builder ``splits.Split.from_choices``;
         * ``type_bd.blocks_from_halves`` and ``_halves_of_chained``;
         * ``weyl.encode_class`` (series C) and ``decode_class``.
 

@@ -7,13 +7,13 @@ split is a choice vector: per run, the number m of copies that go to r.
 Each side reads its r-family with a finite automaton over the runs (one
 state for S, at most 24 for R) through one move table, the cache of
 ``_moves``.  This module holds the machinery once: ``Split`` and its
-validated builder ``Split.from_choices``, the listing ``iter_fiber`` and
-``fiber``, the dynamic program ``fiber_minimum`` and the dual-route guard
-``minimal_split``.  The sides ``type_c`` and ``type_bd``, which
-``weyl.SIDES`` picks per series, keep only their rules: ``FAMILY``, a
-``Split`` subclass, ``_r_counts``, the automaton and the routing
-``_route_choices``.  The two routes of ``minimal_split`` meet as choice
-vectors, and its answer is built once, from the routed one.
+validated builder ``Split.from_choices``, the one fiber walk ``walk`` and
+its listings ``iter_fiber`` and ``fiber``, the dynamic program
+``fiber_minimum`` and the dual-route guard ``minimal_split``.  The sides
+``type_c`` and ``type_bd``, which ``weyl.SIDES`` picks per series, keep only
+their rules: ``FAMILY``, a ``Split`` subclass, ``_r_counts``, the automaton
+and the routing ``_route_choices``.  The two routes of ``minimal_split``
+meet as choice vectors, and its answer is built once, from the routed one.
 
 The checks, per call.  A ``Split`` is a certificate: its public constructor
 tests r for the r-family and p for family Ptilde, so no function handed one
@@ -33,7 +33,8 @@ a side tests c for its ``FAMILY``, T (C) or Q (B/D), once, at entry, by
   ``blocks_from_halves`` tests r for family R: a C ``psi`` tests T, S and
   Ptilde once each, a B/D ``psi`` tests Q and Ptilde once and R twice.
 * The scan of ``verify`` (``_claim_and_walk``) builds the routed split and
-  tests each r the walk lists for the r-family once.
+  reads ``walk`` itself, which tests each r it lists for the r-family once:
+  the scan compares (r, p-length) and builds no ``Split`` per element.
 """
 
 from __future__ import annotations
@@ -134,8 +135,8 @@ def _moves(r_counts, step, state, odd: int, q: int) -> tuple[tuple, tuple]:
     return moves, tuple(dict(sorted(moves, key=lambda move: move[1])).items())
 
 
-def iter_fiber(split_cls, runs, r_counts, automaton) -> Iterator[Split]:
-    """Lazily enumerate the splits over ``runs``: the choice sequences the automaton accepts.
+def walk(r_family, runs, r_counts, automaton) -> Iterator[tuple[Partition, tuple[int, ...]]]:
+    """Lazily enumerate the splits over ``runs`` as (r, parts of p): the choice sequences the automaton accepts.
 
     ``runs`` are the (value, multiplicity) pairs of a Jordan type c, largest
     value first; ``r_counts(odd, q)`` lists how many copies of a value of
@@ -151,13 +152,13 @@ def iter_fiber(split_cls, runs, r_counts, automaton) -> Iterator[Split]:
     exponential: every one of the 2^k choice sequences over the series C
     type 2k,2k,...,2,2 is a split.
 
-    An r outside the r-family is a ContradictionError (automaton and family
-    disagree), never a skip.
+    A leaf is handed out as r, tested for ``r_family`` (an r outside it is a
+    ContradictionError: automaton and family disagree), and p's parts.
     """
     start, step, accepts = automaton
     runs = runs or [(0, 0)]  # the empty type: one run of no copies, which keeps the start state
     keys = [(e % 2, q) for e, q in runs]
-    depth = len(runs)
+    last = len(runs) - 1
     dead: set[tuple[int, object]] = set()
     listed = 0
     # per entered node: its state, the r and p parts so far, its untried
@@ -168,22 +169,28 @@ def iter_fiber(split_cls, runs, r_counts, automaton) -> Iterator[Split]:
         state, r, p, untried, listed_before = frames[i]
         e, q = runs[i]
         for to, m in untried:
-            if i + 1 < depth:
+            if i < last:
                 if (i + 1, to) not in dead:
                     moves = _moves(r_counts, step, to, *keys[i + 1])[0]
                     frames.append((to, r + (e,) * m, p + (e,) * (q - m), iter(moves), listed))
                     break
             elif accepts(to):
                 listed += 1
-                x, y = Partition._from_sorted(r + (e,) * m), Partition._from_sorted(p + (e,) * (q - m))
-                if not is_member(x, split_cls.R_FAMILY):
-                    raise ContradictionError(f"fiber walk over {merge(x, y).text()} accepted "
-                                             f"r={x.text()} outside family {split_cls.R_FAMILY}")
-                yield split_cls._trusted(x, y)
+                x, y = Partition._from_sorted(r + (e,) * m), p + (e,) * (q - m)
+                if not is_member(x, r_family):
+                    raise ContradictionError(f"fiber walk over {merge(x, Partition(y)).text()} accepted "
+                                             f"r={x.text()} outside family {r_family}")
+                yield x, y
         else:
             frames.pop()
             if listed == listed_before:
                 dead.add((i, state))
+
+
+def iter_fiber(split_cls, runs, r_counts, automaton) -> Iterator[Split]:
+    """The leaves of ``walk`` over ``runs``, in its order, each as a trusted ``split_cls``."""
+    for r, p in walk(split_cls.R_FAMILY, runs, r_counts, automaton):
+        yield split_cls._trusted(r, Partition._from_sorted(p))
 
 
 def fiber_minimum(runs, r_counts, automaton) -> tuple[int | None, int, tuple[int, ...] | None]:
@@ -191,7 +198,7 @@ def fiber_minimum(runs, r_counts, automaton) -> tuple[int | None, int, tuple[int
 
     A dynamic program over ``runs``, the (value, multiplicity) pairs of a
     Jordan type c largest value first, on the choices and automaton of
-    ``iter_fiber``, reading only the cheapest move per target of ``_moves``.
+    ``walk``, reading only the cheapest move per target of ``_moves``.
     Each state keeps its least p-length, how many choice sequences reach it
     and the choice vector of one of them, so the cost is linear in the
     number of distinct values; one pass over the accepting states picks the
@@ -251,7 +258,7 @@ def least_split(split_cls, runs, r_counts, automaton) -> tuple[int | None, int, 
 
 def fiber(xs: Iterable[Split]) -> list[Split]:
     """The splits of a listing, minimal p-length first, deterministically ordered (C: 2^k over 2k,2k,...,2,2)."""
-    return sorted(xs, key=lambda x: (len(x.p), x.p.parts, x.r.parts))
+    return sorted(xs, key=lambda x: (len(x.p), x.p, x.r))
 
 
 def minimal_split(split_cls, c: Partition, runs, r_counts, automaton, route_choices) -> Split:

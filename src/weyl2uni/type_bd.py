@@ -251,11 +251,11 @@ def iter_fiber(c: Partition) -> Iterator[Split]:
     return splits.iter_fiber(Split, list(c.multiplicities().items()), _r_counts, (_R_START, _r_step, _r_accepts))
 
 
-def _claim_and_walk(c: Partition) -> tuple[Split, Iterator[Split]]:
-    """The canonical split of c and its lazy fiber, c tested for family Q and its runs counted once."""
+def _claim_and_walk(c: Partition) -> tuple[Split, Iterator[tuple[Partition, tuple[int, ...]]]]:
+    """The canonical split of c and the leaves of its ``splits.walk``, c tested for Q and its runs counted once."""
     splits.check_jordan(c, FAMILY)
     runs = list(c.multiplicities().items())
-    walk = splits.iter_fiber(Split, runs, _r_counts, (_R_START, _r_step, _r_accepts))
+    walk = splits.walk(CHAINED, runs, _r_counts, (_R_START, _r_step, _r_accepts))
     return Split.from_choices(runs, _route_choices(runs)), walk
 
 

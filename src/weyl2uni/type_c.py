@@ -71,16 +71,14 @@ def iter_fiber(c: Partition) -> Iterator[Split]:
     return splits.iter_fiber(Split, list(c.multiplicities().items()), _r_counts, (_R_START, _r_step, _r_accepts))
 
 
-def _claim_and_walk(c: Partition) -> tuple[Split, Iterator[Split]]:
-    """The canonical split of c and its lazy fiber; ``iter_fiber`` tests c for family T.
+def _claim_and_walk(c: Partition) -> tuple[Split, Iterator[tuple[Partition, tuple[int, ...]]]]:
+    """The canonical split of c and the leaves of its ``splits.walk``; c's runs are counted twice.
 
-    Unlike B and D, the walk enters through the public ``iter_fiber``, the
-    only traced ``type_c`` entry the scan passes (perfbench's self-test
-    needs a ``type_c`` reading on ``verify_sweep``), so the runs are counted twice.
+    The claim comes through the public ``canonical_split``, which tests c for
+    T: perfbench's self-test needs a traced ``type_c`` call on ``verify_sweep``.
     """
-    walk = iter_fiber(c)
-    runs = list(c.multiplicities().items())
-    return Split.from_choices(runs, _route_choices(runs)), walk
+    claimed = canonical_split(c)
+    return claimed, splits.walk(ALL_EVEN, list(c.multiplicities().items()), _r_counts, (_R_START, _r_step, _r_accepts))
 
 
 def fiber(c: Partition) -> list[Split]:

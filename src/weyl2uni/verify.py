@@ -29,8 +29,8 @@ from .partitions import (
     is_member,
     iter_members,
 )
-from .weyl import (LEAST_RANK, SERIES, SIDES, GroupKind, encode_class, enumerate_classes, fixed_space_dim,
-                   fixed_space_dim_from_matrix)
+from .weyl import (LEAST_RANK, SERIES, SIDES, TOTAL_PARITY, GroupKind, encode_class, enumerate_classes,
+                   fixed_space_dim, fixed_space_dim_from_matrix)
 
 ALL_SERIES = SERIES + exceptional.GROUPS
 HARD_NU_CAP = 30
@@ -132,19 +132,18 @@ class VerificationReport:
 def _scan_unique_minimum(module, c: Partition) -> dict | None:
     """One Jordan type: the canonical split must be the strict fiber minimum.
 
-    The side's ``_claim_and_walk`` tests c once and hands its runs to the
-    validated routing and the lazy fiber walk; the scan stops at the first
-    witness of non-minimality or non-uniqueness (a second element at the
-    claimed minimum).  A routing or walk error is that type's counterexample.
+    The side's ``_claim_and_walk`` tests c once, routes the claim and hands
+    out ``splits.walk``, read as (r, p-length) with no ``Split`` per element,
+    up to a shorter p or another r at the claimed length (over one c, r
+    fixes the split).  A routing or walk error is the type's counterexample.
     """
     try:
         claimed, walk = module._claim_and_walk(c)
-        least = len(claimed.p)
-        for x in walk:
-            if len(x.p) < least:
-                return {"jordan": c.text(), "claimed": claimed.text(), "smaller": x.text()}
-            if len(x.p) == least and x != claimed:
-                return {"jordan": c.text(), "claimed": claimed.text(), "tied": x.text()}
+        least, claimed_r = len(claimed.p), claimed.r
+        for r, p in walk:
+            if len(p) <= least and (len(p) < least or r != claimed_r):
+                kind = "smaller" if len(p) < least else "tied"
+                return {"jordan": c.text(), "claimed": claimed.text(), kind: f"r={r.text()};p={Partition(p).text()}"}
     except (DomainError, ContradictionError) as exc:
         return {"jordan": c.text(), "error": str(exc)}
     return None
@@ -158,7 +157,7 @@ def check_classical(cfg: SweepConfig) -> VerificationReport:
         result = CheckResult(name=f"unique_minimum[{series}]")
         side = SIDES[series]
         skipped = 0
-        for nu in range(int(series == "B"), cfg.max_nu + 1, 2):  # the total is odd on B only
+        for nu in range(TOTAL_PARITY[series], cfg.max_nu + 1, 2):
             for c in iter_members(nu, side.FAMILY):
                 if series == "D" and is_member(c, DOUBLED_EVEN):
                     skipped += 1  # the statement is vacuous there (singleton fiber)

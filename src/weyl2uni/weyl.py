@@ -45,6 +45,7 @@ from .partitions import (
 SIDES = {"B": type_bd, "C": type_c, "D": type_bd}
 SERIES = tuple(SIDES)
 LEAST_RANK = {"B": 1, "C": 1, "D": 2}  # SO(2), of series D and rank 1, is a torus
+TOTAL_PARITY = {"B": 1, "C": 0, "D": 0}  # nu = 2 * rank + TOTAL_PARITY: odd on B only
 
 
 class GroupKind(Record):
@@ -62,7 +63,7 @@ class GroupKind(Record):
 
     @property
     def nu(self) -> int:
-        return 2 * self.rank + (1 if self.series == "B" else 0)
+        return 2 * self.rank + TOTAL_PARITY[self.series]
 
     @property
     def kappa(self) -> int:

@@ -296,7 +296,7 @@ class TestIterMembers:
 # never appear here.
 TRUSTED_CALLERS = {
     "partitions": {"merge", "double_parts", "iter_members"},
-    "splits": {"iter_fiber", "from_choices"},
+    "splits": {"walk", "iter_fiber", "from_choices"},
     "type_bd": {"blocks_from_halves", "_halves_of_chained"},
     "weyl": {"encode_class", "decode_class"},
 }

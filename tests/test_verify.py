@@ -4,8 +4,10 @@ import shlex
 import pytest
 
 from weyl2uni import DomainError, Partition
-from weyl2uni import cli, exceptional, type_bd, verify
+from weyl2uni import cli, exceptional, type_bd, type_c, verify
 from weyl2uni.cli import main
+from weyl2uni.partitions import iter_members
+from weyl2uni.weyl import SIDES, TOTAL_PARITY
 
 
 def scrub(report_json: dict) -> dict:
@@ -55,6 +57,29 @@ class TestReports:
         text = report.text()
         assert text.startswith("PASS unique_minimum[C]")
         assert text.endswith("OVERALL PASS")
+
+    def test_the_scan_and_the_listing_read_one_walk(self, monkeypatch):
+        # the (r, p-length) pairs the scan reads are, in order, those of the
+        # public listing: both come from one walk
+        read = []
+
+        def recording(original):
+            def claim_and_walk(c):
+                claimed, walk = original(c)
+                return claimed, (read.append((r, len(p))) or (r, p) for r, p in walk)
+            return claim_and_walk
+
+        for side in (type_c, type_bd):
+            monkeypatch.setattr(side, "_claim_and_walk", recording(side._claim_and_walk))
+        seen = 0
+        for series, side in SIDES.items():
+            for nu in range(TOTAL_PARITY[series], 17, 2):
+                for c in iter_members(nu, side.FAMILY):
+                    read.clear()
+                    assert verify._scan_unique_minimum(side, c) is None
+                    assert read == [(x.r, len(x.p)) for x in side.iter_fiber(c)], c.text()
+                    seen += 1
+        assert seen > 400
 
 
 class TestMutationSensitivity:
@@ -110,6 +135,36 @@ class TestMutationSensitivity:
         assert main(["verify", "--series", "D", "--max-nu", "8", "--max-rank", "2"]) == 1
         out, err = capsys.readouterr()
         assert err == "" and scrub(json.loads(out)) == scrub(report.to_json())
+
+    @pytest.mark.parametrize(
+        "side, jordan, claim, tie, expected",
+        [
+            (type_c, (4, 4, 2, 2), ((4, 4), (2, 2)), (2, 2),
+             '{"jordan": "4,4,2,2", "claimed": "r=4,4;p=2,2", "tied": "r=2,2;p=4,4"}'),
+            (type_bd, (3, 2, 2, 1, 1), ((3, 2, 2), (1, 1)), (3, 1, 1),
+             '{"jordan": "3,2,2,1,1", "claimed": "r=3,2,2;p=1,1", "tied": "r=3,1,1;p=2,2"}'),
+        ],
+        ids=["C", "BD"],
+    )
+    def test_a_tie_at_the_claimed_length_is_a_counterexample(self, monkeypatch, side, jordan, claim, tie, expected):
+        # the routing mutations always meet a smaller element first, so the
+        # tie branch is reached with a forged claim: a non-minimal split of c,
+        # handed with c's real walk less the true minimum (and less the tie)
+        c = Partition(jordan)
+        minimum = side.minimal_split(c).r
+        original = side._claim_and_walk
+
+        def forged(dropped):
+            def claim_and_walk(c):
+                walk = original(c)[1]
+                return side.Split(*map(Partition, claim)), (leaf for leaf in walk if leaf[0] not in dropped)
+            return claim_and_walk
+
+        monkeypatch.setattr(side, "_claim_and_walk", forged({minimum}))
+        assert json.dumps(verify._scan_unique_minimum(side, c)) == expected
+        # left as the only element at its length, the claim passes
+        monkeypatch.setattr(side, "_claim_and_walk", forged({minimum, tie}))
+        assert verify._scan_unique_minimum(side, c) is None
 
     def test_each_counterexample_carries_a_command_that_reproduces_it(self, monkeypatch, capsys):
         original = type_bd._star
