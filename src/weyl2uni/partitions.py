@@ -41,6 +41,12 @@ class ContradictionError(RuntimeError):
     """A property that must hold by construction failed; indicates a bug."""
 
 
+def check_int(name: str, value) -> None:
+    """Refuse (DomainError) a field ``name`` whose value is not an int, or is a bool."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
 class Record:
     """Base of the frozen value records: equality, hash and repr by the fields ``_fields``.
 
@@ -136,12 +142,12 @@ class Partition(tuple):
     def __repr__(self) -> str:
         return f"Partition({list(self)})"
 
-    def multiplicities(self) -> dict[int, int]:
-        """Each distinct value with its multiplicity, largest value first (one pass)."""
+    def runs(self) -> list[tuple[int, int]]:
+        """The runs (e, q): each distinct value e with its multiplicity q, largest value first (one pass)."""
         out: dict[int, int] = {}
         for p in self:
             out[p] = out.get(p, 0) + 1
-        return out
+        return list(out.items())
 
     def text(self) -> str:
         """Comma-separated decimal parts; "-" for the empty partition."""

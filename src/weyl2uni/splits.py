@@ -2,13 +2,13 @@
 
 A split of a Jordan type c is a pair (r, p) that merges back to c, with p
 doubled (family Ptilde) and r in the side's r-family: S (all even) for C, R
-(chained) for B and D.  Over the runs (e, q) of c, largest value first, a
-split is a choice vector: per run, the number m of copies that go to r.
-Each side reads its r-family with a finite automaton over the runs (one
-state for S, at most 24 for R) through one move table, the cache of
-``_moves``.  This module holds the machinery once: ``Split`` and its
-validated builder ``Split.from_choices``, the one fiber walk ``walk`` and
-its listings ``iter_fiber`` and ``fiber``, the dynamic program
+(chained) for B and D.  Over the runs (e, q) of c, largest value first
+(``Partition.runs()``), a split is a choice vector: per run, the number m of
+copies that go to r.  Each side reads its r-family with a finite automaton
+over the runs (one state for S, at most 24 for R) through one move table,
+the cache of ``_moves``.  This module holds the machinery once: ``Split``
+and its validated builder ``Split.from_choices``, the one fiber walk
+``walk`` and its listings ``iter_fiber`` and ``fiber``, the dynamic program
 ``fiber_minimum`` and the dual-route guard ``minimal_split``.  The sides
 ``type_c`` and ``type_bd``, which ``weyl.SIDES`` picks per series, keep only
 their rules: ``FAMILY``, a ``Split`` subclass, ``_r_counts``, the automaton
@@ -56,8 +56,9 @@ class Split(Record):
     """(r, p) with r in the family ``R_FAMILY`` and p in family Ptilde.
 
     Subclasses set ``R_FAMILY`` and ``R_VIOLATION``, the end of the message
-    raised when r is not in that family.  Splits of different subclasses
-    never compare equal.
+    raised when r is not in that family.  Equality and hash are
+    ``Record``'s, over (r, p): splits of different subclasses never compare
+    equal.
     """
 
     _fields = __slots__ = ("r", "p")
@@ -102,14 +103,6 @@ class Split(Record):
             else:  # both sides are sub-sequences of c: already sorted
                 return cls(Partition._from_sorted(r), Partition._from_sorted(p))
         raise ContradictionError(f"choices {tuple(choices)} over {_type_text(runs)} do not merge back")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.r == other.r and self.p == other.p
-
-    def __hash__(self) -> int:
-        return hash((self.r, self.p))
 
     def text(self) -> str:
         return f"r={self.r.text()};p={self.p.text()}"

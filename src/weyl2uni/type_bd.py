@@ -27,7 +27,7 @@ where e's run starts inside the odd subsequence of c):
 1. e odd, q odd: m = 1.
 2. e odd, q even, d even: m = 2.
 3. e odd, q even, d odd: m = 0.
-4. e even and evenly many odd entries already in r (``_star``): m = 0.
+4. e even and evenly many odd entries already in r: m = 0.
    Runs come largest first, so every odd entry already in r exceeds e:
    only the parity of their count is read.
 5. e even otherwise: m = q.
@@ -160,29 +160,24 @@ class Split(splits.Split):
     R_VIOLATION = "is not in family R"
 
 
-def _star(parity: int, e: int) -> bool:
-    """Rule 4: the even value e goes wholly to p when the odd entries in r so far are even in number.
-
-    All of them exceed e, so ``parity`` (of their count) decides alone.
-    """
-    return parity == 0
-
-
 def canonical_split(c: Partition) -> Split:
     """The distinguished split of an orthogonal Jordan type (rules 1-5)."""
     splits.check_jordan(c, FAMILY)
-    runs = list(c.multiplicities().items())
+    runs = c.runs()
     return Split.from_choices(runs, _route_choices(runs))
 
 
 def _route_choices(runs) -> tuple[int, ...]:
-    """The choice vector of ``canonical_split`` over the runs of c, by rules 1-5, in one pass."""
+    """The choice vector of ``canonical_split`` over the runs of c, by rules 1-5, in one pass.
+
+    An even value only reads ``parity`` (rules 4 and 5): it changes neither it nor d.
+    """
     out = []
     parity = 0  # of the odd entries routed to r so far
     d = 1  # where the next odd run starts in the odd subsequence of c
     for e, q in runs:
         if e % 2 == 0:
-            m = 0 if _star(parity, e) else q
+            m = q if parity else 0  # rules 4 and 5
         else:
             m = 1 if q % 2 == 1 else 2 if d % 2 == 0 else 0  # rules 1, 2 and 3
             parity ^= m % 2
@@ -248,13 +243,13 @@ def _r_accepts(state: tuple) -> bool:
 def iter_fiber(c: Partition) -> Iterator[Split]:
     """Lazily enumerate every split of c (checked for family Q at the call)."""
     splits.check_jordan(c, FAMILY)
-    return splits.iter_fiber(Split, list(c.multiplicities().items()), _r_counts, (_R_START, _r_step, _r_accepts))
+    return splits.iter_fiber(Split, c.runs(), _r_counts, (_R_START, _r_step, _r_accepts))
 
 
 def _claim_and_walk(c: Partition) -> tuple[Split, Iterator[tuple[Partition, tuple[int, ...]]]]:
     """The canonical split of c and the leaves of its ``splits.walk``, c tested for Q and its runs counted once."""
     splits.check_jordan(c, FAMILY)
-    runs = list(c.multiplicities().items())
+    runs = c.runs()
     walk = splits.walk(CHAINED, runs, _r_counts, (_R_START, _r_step, _r_accepts))
     return Split.from_choices(runs, _route_choices(runs)), walk
 
@@ -267,11 +262,11 @@ def fiber(c: Partition) -> list[Split]:
 def fiber_minimum(c: Partition) -> tuple[int | None, int, Split | None]:
     """(least p-length, splits reaching it, the minimiser if unique): ``splits.least_split``."""
     splits.check_jordan(c, FAMILY)
-    return splits.least_split(Split, list(c.multiplicities().items()), _r_counts, (_R_START, _r_step, _r_accepts))
+    return splits.least_split(Split, c.runs(), _r_counts, (_R_START, _r_step, _r_accepts))
 
 
 def minimal_split(c: Partition) -> Split:
     """The unique split minimizing the number of parts of p (``splits.minimal_split``)."""
     splits.check_jordan(c, FAMILY)
-    runs = list(c.multiplicities().items())
+    runs = c.runs()
     return splits.minimal_split(Split, c, runs, _r_counts, (_R_START, _r_step, _r_accepts), _route_choices)

@@ -31,7 +31,7 @@ class Split(splits.Split):
 def canonical_split(c: Partition) -> Split:
     """The distinguished split: odd parts all to p, even parts all to r."""
     splits.check_jordan(c, FAMILY)
-    runs = list(c.multiplicities().items())
+    runs = c.runs()
     return Split.from_choices(runs, _route_choices(runs))
 
 
@@ -68,7 +68,7 @@ def _r_accepts(state: int) -> bool:
 def iter_fiber(c: Partition) -> Iterator[Split]:
     """Lazily enumerate every split of c (checked for family T at the call): 2^k over 2k,2k,...,2,2."""
     splits.check_jordan(c, FAMILY)
-    return splits.iter_fiber(Split, list(c.multiplicities().items()), _r_counts, (_R_START, _r_step, _r_accepts))
+    return splits.iter_fiber(Split, c.runs(), _r_counts, (_R_START, _r_step, _r_accepts))
 
 
 def _claim_and_walk(c: Partition) -> tuple[Split, Iterator[tuple[Partition, tuple[int, ...]]]]:
@@ -78,7 +78,7 @@ def _claim_and_walk(c: Partition) -> tuple[Split, Iterator[tuple[Partition, tupl
     T: perfbench's self-test needs a traced ``type_c`` call on ``verify_sweep``.
     """
     claimed = canonical_split(c)
-    return claimed, splits.walk(ALL_EVEN, list(c.multiplicities().items()), _r_counts, (_R_START, _r_step, _r_accepts))
+    return claimed, splits.walk(ALL_EVEN, c.runs(), _r_counts, (_R_START, _r_step, _r_accepts))
 
 
 def fiber(c: Partition) -> list[Split]:
@@ -89,11 +89,11 @@ def fiber(c: Partition) -> list[Split]:
 def fiber_minimum(c: Partition) -> tuple[int | None, int, Split | None]:
     """(least p-length, splits reaching it, the minimiser if unique): ``splits.least_split``."""
     splits.check_jordan(c, FAMILY)
-    return splits.least_split(Split, list(c.multiplicities().items()), _r_counts, (_R_START, _r_step, _r_accepts))
+    return splits.least_split(Split, c.runs(), _r_counts, (_R_START, _r_step, _r_accepts))
 
 
 def minimal_split(c: Partition) -> Split:
     """The unique split minimizing the number of parts of p (``splits.minimal_split``)."""
     splits.check_jordan(c, FAMILY)
-    runs = list(c.multiplicities().items())
+    runs = c.runs()
     return splits.minimal_split(Split, c, runs, _r_counts, (_R_START, _r_step, _r_accepts), _route_choices)

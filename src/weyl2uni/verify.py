@@ -26,6 +26,7 @@ from .partitions import (
     DomainError,
     Partition,
     Record,
+    check_int,
     is_member,
     iter_members,
 )
@@ -55,6 +56,8 @@ class SweepConfig(Record):
         for s in series:
             if s not in ALL_SERIES:
                 raise DomainError(f"unknown series {s!r}; expected a subset of {ALL_SERIES}")
+        check_int("max_nu", max_nu)
+        check_int("max_rank", max_rank)
         if not 0 <= max_nu <= HARD_NU_CAP:
             raise DomainError(f"max_nu must lie in [0, {HARD_NU_CAP}]")
         if not 1 <= max_rank <= HARD_RANK_CAP:

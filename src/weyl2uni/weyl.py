@@ -36,6 +36,7 @@ from .partitions import (
     Partition,
     Record,
     SYMPLECTIC,
+    check_int,
     double_parts,
     iter_members,
     iter_partitions,
@@ -56,6 +57,7 @@ class GroupKind(Record):
     def __init__(self, series: str, rank: int) -> None:
         if series not in SERIES:
             raise DomainError(f"series must be one of {SERIES}, got {series!r}")
+        check_int("rank", rank)
         if rank < LEAST_RANK[series]:
             raise DomainError(f"series {series} needs rank >= {LEAST_RANK[series]}, got {rank}")
         object.__setattr__(self, "series", series)
@@ -100,11 +102,9 @@ class SignedCycleType(Record):
 
     @classmethod
     def from_text(cls, s: str) -> "SignedCycleType":
-        try:
-            pos, neg = s.split(";")
-            assert pos.startswith("pos=") and neg.startswith("neg=")
-        except (ValueError, AssertionError):
-            raise DomainError(f"expected 'pos=<partition>;neg=<partition>', got {s!r}") from None
+        pos, _, neg = s.partition(";")
+        if not (pos.startswith("pos=") and neg.startswith("neg=")) or ";" in neg:
+            raise DomainError(f"expected 'pos=<partition>;neg=<partition>', got {s!r}")
         return cls(Partition.from_text(pos[4:]), Partition.from_text(neg[4:]))
 
     def to_json(self, g: GroupKind) -> dict:

@@ -7,14 +7,15 @@ expands a cycle type to a concrete permutation of [1, nu] commuting with the
 flip i -> nu+1-i and reads the cycle data straight off it.
 
 ``uses_by_function`` is the ``ast`` scan shared by the allowlist tests of the
-trusted constructors.
+trusted constructors.  ``route_twos`` seeds the routing mutations of the
+B/D sweep tests.
 """
 
 import ast
 from collections import Counter
 from itertools import product
 
-from weyl2uni import Partition, is_member
+from weyl2uni import Partition, is_member, type_bd
 from weyl2uni.weyl import GroupKind, SignedCycleType
 
 
@@ -123,3 +124,18 @@ def uses_by_function(tree, name):
 
     walk(tree, "<module>")
     return found
+
+
+def route_twos(monkeypatch, m_of_q) -> None:
+    """Mutate the B/D routing: each run (2, q) sends ``m_of_q(q)`` copies to r.
+
+    Wraps ``type_bd._route_choices``.  An even run changes neither the
+    parity nor the position the routing carries along, so every other run
+    keeps its choice, as under a mutation of rules 4-5 alone.
+    """
+    original = type_bd._route_choices
+
+    def mutated(runs):
+        return tuple([m_of_q(q) if e == 2 else m for (e, q), m in zip(runs, original(runs))])
+
+    monkeypatch.setattr(type_bd, "_route_choices", mutated)

@@ -7,6 +7,7 @@ are the two runtime budgets.
 
 import time
 
+from conftest import route_twos
 from weyl2uni import (
     CHAINED,
     DOUBLED_EVEN,
@@ -220,22 +221,15 @@ def test_criterion_8_spot_vectors():
 def test_criterion_9_mutation_sensitivity(monkeypatch):
     """Seeded mutations must flip a check above to a failure."""
     # mutation A: route the even value 2 into r ("keep" branch) everywhere
-    original = type_bd._star
-
-    def mutated(odds, e):
-        return original(odds, e) if e != 2 else False
-
     caught_rule = False
-    monkeypatch.setattr(type_bd, "_star", mutated)
-    try:
+    with monkeypatch.context() as patched:
+        route_twos(patched, lambda q: q)
         c = Partition([5, 3, 2, 2])
         try:
             best = type_bd.minimal_split(c)
             caught_rule = best != type_bd.Split(Partition([5, 3]), Partition([2, 2]))
         except Exception:
             caught_rule = True  # criterion-2 machinery rejects the mutated split
-    finally:
-        monkeypatch.setattr(type_bd, "_star", original)
     assert type_bd.minimal_split(Partition([5, 3, 2, 2]))  # restored
 
     # mutation B: swap two labels inside one line of a table

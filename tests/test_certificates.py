@@ -298,7 +298,7 @@ def _forged_minima(monkeypatch, **mutations):
     for j, g in _all_types(12):
         if g.series == "C":
             continue
-        runs = list(j.parts.multiplicities().items())
+        runs = j.parts.runs()
         _, _, choices = splits.fiber_minimum(runs, type_bd._r_counts, automaton)
         if choices is None:
             continue

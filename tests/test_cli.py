@@ -1,8 +1,15 @@
+import ast
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from weyl2uni.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -220,6 +227,22 @@ class TestErrors:
         for check in tables:
             assert not check["passed"]
             assert str(path) in check["counterexamples"][0]["error"]
+
+    def test_class_text_is_refused_under_python_o(self):
+        # -O strips assert statements, so no refusal may rest on one
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "weyl2uni.cli", "phi", "--series", "C", "--class", "xxx=2;yyy=-"],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "error: expected 'pos=<partition>;neg=<partition>', got 'xxx=2;yyy=-'\n"
+
+    def test_the_package_holds_no_assert_statement(self):
+        for path in sorted((SRC / "weyl2uni").glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+            assert lines == [], f"{path.name}: assert statements at lines {lines}"
 
     def test_usage_error_exit_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -110,7 +110,7 @@ def test_minimum_never_consults_the_routing(module, parts, monkeypatch):
         raise AssertionError("fiber_minimum consulted the routing rules")
 
     monkeypatch.setattr(module, "canonical_split", forbidden)
-    monkeypatch.setattr(type_bd, "_star", forbidden)
+    monkeypatch.setattr(type_bd, "_route_choices", forbidden)
     assert module.fiber_minimum(Partition(parts))[1] == 1
 
 
@@ -122,7 +122,7 @@ ONE_VALUE_R = (0, lambda s, odd, m: None if m and odd else s + (m > 0), lambda s
 
 
 def tie_admitting_minimum(c: Partition):
-    runs = list(c.multiplicities().items())
+    runs = c.runs()
     return splits.least_split(type_c.Split, runs, type_c._r_counts, ONE_VALUE_R)
 
 
@@ -130,7 +130,7 @@ def test_fiber_minimum_counts_every_tied_split():
     assert tie_admitting_minimum(Partition([4, 4, 2, 2])) == (2, 2, None)
     seen_ties = 0
     for c in jordan_types("C", 20):
-        runs = list(c.multiplicities().items())
+        runs = c.runs()
         listed = list(splits.iter_fiber(type_c.Split, runs, type_c._r_counts, ONE_VALUE_R))
         if not listed:  # 4,2 say: both values must go wholly to r
             assert tie_admitting_minimum(c) == (None, 0, None)

@@ -38,7 +38,7 @@ MAX_RANK = 12
 
 def product(module, c):
     """Every combination of the module's ``_r_counts`` choices, as (r parts, p parts), in order."""
-    runs = list(c.multiplicities().items())
+    runs = c.runs()
     out = []
     for ms in itertools.product(*(module._r_counts(e % 2, q) for e, q in runs)):
         r_parts, p_parts = [], []
@@ -80,7 +80,7 @@ def test_c_walk_lists_the_whole_product_in_its_order():
 def accepted(module, r):
     """Whether the module's automaton accepts r, fed whole runs of any multiplicity."""
     state = module._R_START
-    for e, q in r.multiplicities().items():
+    for e, q in r.runs():
         state = module._r_step(state, e % 2, q)
         if state is None:
             return False
@@ -177,7 +177,7 @@ def test_a_too_strict_automaton_fails_the_oracle_and_the_count(monkeypatch):
 
 def candidate_count(c):
     out = 1
-    for e, q in c.multiplicities().items():
+    for e, q in c.runs():
         out *= len(type_bd._r_counts(e % 2, q))
     return out
 
@@ -255,7 +255,7 @@ def test_adversarial_listing_is_output_sensitive(monkeypatch, name):
     # every move there: per depth, the value's choices times (the one split
     # listed + at most 24 dead states), checked as the walk goes, so a walk
     # that stops pruning fails here instead of running for 2^20 nodes
-    choices = sum(len(type_bd._r_counts(e % 2, q)) for e, q in c.multiplicities().items())
+    choices = sum(len(type_bd._r_counts(e % 2, q)) for e, q in c.runs())
     bound = choices * (1 + 24)
     tried = 0
     original = splits._moves

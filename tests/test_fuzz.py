@@ -1,24 +1,27 @@
-"""No text input ends in a traceback: every parser and every CLI subcommand.
+"""No input ends in a traceback: every parser, every CLI subcommand, every rank and cap.
 
 The library parsers either return a value or raise ``DomainError``;
 ``cli.main`` exits 0, 1 or 2, and an exit 1 prints one ``error:`` line.
 Generated partitions keep their totals at 20 or below, so that the
 exponential type C fiber (2^k splits over ``2,2,4,4,...,2k,2k``) cannot
-make an example slow.
+make an example slow.  Past that total, up to 60, only ``psi`` and ``phi``
+are driven, on Jordan types drawn as values with multiplicities.
 """
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from test_cli_golden import run_cli
 from weyl2uni import (
     ORTHOGONAL,
     SYMPLECTIC,
     DomainError,
+    GroupKind,
     Partition,
     SignedCycleType,
+    SweepConfig,
     iter_members,
     iter_partitions,
     load_table,
@@ -137,6 +140,47 @@ def test_partition_from_text(text):
 @given(st.one_of(junk, class_text))
 def test_signed_cycle_type_from_text(text):
     parses_or_refuses(SignedCycleType.from_text, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(SERIES), st.one_of(st.integers(), st.floats(), st.booleans(), junk, st.none()))
+def test_a_rank_or_cap_constructs_or_is_refused(series, x):
+    for build in (lambda: GroupKind(series, x), lambda: SweepConfig(max_nu=x), lambda: SweepConfig(max_rank=x)):
+        try:
+            build()
+        except DomainError:
+            continue
+        assert type(x) is int, x
+
+
+@st.composite
+def large_jordan_types(draw):
+    """(series, Jordan type) of total up to 60: C, else B on an odd total and D on an even one, rank >= 1 (D: 2).
+
+    Values are drawn largest first, each with a multiplicity of 1-4 that the
+    remaining total allows, even for a value of the paired parity (odd on C,
+    even on B and D), as in ``test_fiber_minimum.repeated_types``.
+    """
+    symplectic = draw(st.booleans())
+    parts: list[int] = []
+    for v in sorted(draw(st.sets(st.integers(1, 30), min_size=1, max_size=10)), reverse=True):
+        step = 2 if v % 2 == symplectic else 1
+        most = min(4, (60 - sum(parts)) // v)
+        if most >= step:
+            parts += [v] * draw(st.sampled_from(range(step, most + 1, step)))
+    total = sum(parts)
+    assume(total >= (2 if symplectic else 3))  # the least ranks: C1, B1 and D2
+    return "C" if symplectic else "B" if total % 2 else "D", Partition(parts).text()
+
+
+@settings(max_examples=200, deadline=None)
+@given(large_jordan_types())
+def test_psi_then_phi_round_trips_past_total_20(drawn):
+    series, jordan = drawn
+    psi = run_cli(["psi", "--series", series, "--jordan", jordan])
+    assert (psi["exit"], psi["stderr"]) == (0, ""), drawn
+    phi = run_cli(["phi", "--series", series, "--class", psi["stdout"].strip()])
+    assert (phi["exit"], phi["stdout"], phi["stderr"]) == (0, jordan + "\n", ""), drawn
 
 
 @settings(max_examples=200, deadline=None)

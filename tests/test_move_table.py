@@ -66,7 +66,7 @@ def raised(c: Partition) -> Partition:
 
 def choice_vectors(side, c: Partition):
     """Per listed split, how many copies of each value of c went to r, in listing order."""
-    values = list(c.multiplicities())
+    values = [e for e, q in c.runs()]
     return [tuple(x.r.parts.count(v) for v in values) for x in side.iter_fiber(c)]
 
 

@@ -64,13 +64,13 @@ class TestPartition:
 
     def test_multiplicity(self):
         # the count of one value lives in the tests (conftest.value_counts);
-        # the library's one-pass multiplicities() agrees, largest value first
+        # the library's one-pass runs() agrees, largest value first
         assert value_counts(P(3, 3))[3] == 2
         assert value_counts(Partition())[5] == 0
         assert value_counts(P(5, 4, 4, 3, 3, 1))[4] == 2
         for c in [P(3, 3), Partition(), P(5, 4, 4, 3, 3, 1)]:
-            assert c.multiplicities() == value_counts(c)
-            assert list(c.multiplicities()) == sorted(set(c.parts), reverse=True)
+            assert dict(c.runs()) == value_counts(c)
+            assert [e for e, q in c.runs()] == sorted(set(c.parts), reverse=True)
 
     def test_text_round_trip(self):
         for c in [P(5, 4, 4, 3, 3, 1), P(2), Partition()]:

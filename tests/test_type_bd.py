@@ -102,8 +102,9 @@ class TestHalvesFromBlocks:
 
 
 class TestStar:
+    # rule 4 of the routing: no odd entry in r yet, so the even value goes to p
     def test_empty_chain_sends_evens_to_p(self):
-        assert type_bd._star(0, 4)
+        assert type_bd._route_choices([(4, 2)]) == (0,)
         assert type_bd.canonical_split(P(3, 3, 2, 2)) == type_bd.Split(
             Partition(), P(3, 3, 2, 2)
         )

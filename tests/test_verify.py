@@ -3,6 +3,7 @@ import shlex
 
 import pytest
 
+from conftest import route_twos
 from weyl2uni import DomainError, Partition
 from weyl2uni import cli, exceptional, type_bd, type_c, verify
 from weyl2uni.cli import main
@@ -87,14 +88,7 @@ class TestMutationSensitivity:
         # force the "keep in r" branch for the even value 2: the canonical
         # split of (5,3,2,2) then leaves the chained family and the sweep
         # must report it
-        original = type_bd._star
-
-        def mutated(odds, e):
-            if e == 2:
-                return False
-            return original(odds, e)
-
-        monkeypatch.setattr(type_bd, "_star", mutated)
+        route_twos(monkeypatch, lambda q: q)
         with pytest.raises(DomainError):
             type_bd.canonical_split(Partition([5, 3, 2, 2]))
         report = verify.check_classical(verify.SweepConfig(series=("D",), max_nu=12))
@@ -104,14 +98,7 @@ class TestMutationSensitivity:
     def test_flipping_odd_routing_is_caught(self, monkeypatch):
         # the opposite flip: push the 2s of (3,2,2) into p; the canonical
         # split is then valid but no longer the fiber minimum
-        original = type_bd._star
-
-        def mutated(odds, e):
-            if e == 2:
-                return True
-            return original(odds, e)
-
-        monkeypatch.setattr(type_bd, "_star", mutated)
+        route_twos(monkeypatch, lambda q: 0)
         report = verify.check_classical(verify.SweepConfig(series=("B",), max_nu=7))
         assert not report.passed
         assert any(ce.get("jordan") == "3,2,2" for ce in report.counterexamples)
@@ -167,8 +154,7 @@ class TestMutationSensitivity:
         assert verify._scan_unique_minimum(side, c) is None
 
     def test_each_counterexample_carries_a_command_that_reproduces_it(self, monkeypatch, capsys):
-        original = type_bd._star
-        monkeypatch.setattr(type_bd, "_star", lambda odds, e: e == 2 or original(odds, e))
+        route_twos(monkeypatch, lambda q: 0)
         report = verify.check_classical(verify.SweepConfig(series=("B", "D"), max_nu=9))
         assert len(report.counterexamples) >= 4
         for ce in report.counterexamples:
