@@ -119,7 +119,8 @@ class Partition(tuple):
         scans the source and fails on any caller missing from its
         ``TRUSTED_CALLERS``:
 
-        * ``merge``, ``double_parts`` and ``iter_members`` here;
+        * ``merge``, ``double_parts`` and the generator ``iter_member_runs``
+          (which ``iter_members`` and ``iter_partitions`` read) here;
         * the fiber walk ``splits.walk`` (r), its wrapper ``splits.iter_fiber``
           (p) and the choice-vector builder ``splits.Split.from_choices``;
         * ``type_bd.blocks_from_halves`` and ``_halves_of_chained``;
@@ -267,38 +268,64 @@ def is_member(c: Partition, family: str) -> bool:
     return predicate(c)
 
 
-def iter_members(total: int, family: str) -> Iterator[Partition]:
-    """The partitions of `total` in family P1 (ANY), T (SYMPLECTIC) or Q (ORTHOGONAL).
+def iter_member_runs(total: int, family: str) -> Iterator[tuple[Partition, list[tuple[int, int]]]]:
+    """The partitions c of `total` in family P1 (ANY), T (SYMPLECTIC) or Q (ORTHOGONAL), each with ``c.runs()``.
 
-    Generated directly instead of filtered: the values are taken largest
-    first, each with a multiplicity, and a value of the paired parity (odd
-    for T, even for Q; none for P1) takes only even multiplicities.
-    Multiplicities are tried largest first, so the order is reverse
-    lexicographic, and the members of T or Q come in the order of
-    ``iter_partitions`` filtered by ``is_member``.
+    Generated directly instead of filtered, as (c, runs) pairs: the values
+    are taken largest first, each with a multiplicity, and a value of the
+    paired parity (odd for T, even for Q; none for P1) takes only even
+    multiplicities.  Multiplicities are tried largest first, so the order
+    is reverse lexicographic, and the members of T or Q come in the order
+    of ``iter_partitions`` filtered by ``is_member``.  One loop walks the
+    choices depth first, keeping the parts above each depth, so a member
+    costs one tuple and one list of runs.  Value 1 only ever fills what is
+    left, so every choice leads to a member, but at an odd total in T,
+    which has none.
     """
     if family not in (ANY, SYMPLECTIC, ORTHOGONAL):
         raise DomainError(f"iter_members generates families P1, T and Q only, got {family!r}")
     if total < 0:
         raise DomainError("cannot partition a negative total")
+    if not total:
+        yield Partition._from_sorted(()), []
+        return
     # the parity of the values that must come in pairs; None for P1
     paired = {SYMPLECTIC: 1, ORTHOGONAL: 0}.get(family)
+    runs: list[tuple[int, int]] = []  # the runs chosen above this depth
+    heads = [()]  # heads[d]: the parts of runs[:d]
+    # left: what this depth and below must sum to; (v, k): the run tried here, k copies of v (none yet)
+    left, v, k = total, total + 1, 0
+    while True:
+        # the next run at this depth: fewer copies of v, else the most copies of a smaller value
+        k -= 2 if v % 2 == paired else 1
+        if k <= 0 or v == 1:
+            v -= 1
+            while v:
+                k = left // v
+                if v % 2 == paired:
+                    k -= k % 2
+                if k:
+                    break
+                v -= 1
+            else:  # this depth is spent: back to the run above
+                if not runs:
+                    return
+                heads.pop()
+                v, k = runs.pop()
+                left += v * k
+                continue
+        rest = left - v * k
+        if rest:
+            runs.append((v, k))
+            heads.append(heads[-1] + (v,) * k)
+            left, v, k = rest, min(v - 1, rest) + 1, 0
+            continue
+        yield Partition._from_sorted(heads[-1] + (v,) * k), runs + [(v, k)]
 
-    def rec(remaining: int, cap: int):
-        if remaining == 0:
-            yield ()
-            return
-        for v in range(min(cap, remaining), 0, -1):
-            most, step = remaining // v, 1
-            if v % 2 == paired:
-                most, step = most - most % 2, 2
-            for k in range(most, 0, -step):
-                head = (v,) * k
-                for tail in rec(remaining - k * v, v - 1):
-                    yield head + tail
 
-    for tup in rec(total, total):
-        yield Partition._from_sorted(tup)
+def iter_members(total: int, family: str) -> Iterator[Partition]:
+    """The partitions of `total` in family P1, T or Q, in reverse lexicographic order (``iter_member_runs``)."""
+    return (c for c, _ in iter_member_runs(total, family))
 
 
 def iter_partitions(total: int) -> Iterator[Partition]:

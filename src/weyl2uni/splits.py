@@ -32,9 +32,11 @@ a side tests c for its ``FAMILY``, T (C) or Q (B/D), once, at entry, by
   ``weyl.psi_classical`` call adds its round trip, where on B/D
   ``blocks_from_halves`` tests r for family R: a C ``psi`` tests T, S and
   Ptilde once each, a B/D ``psi`` tests Q and Ptilde once and R twice.
-* The scan of ``verify`` (``_claim_and_walk``) builds the routed split and
-  reads ``walk`` itself, which tests each r it lists for the r-family once:
-  the scan compares (r, p-length) and builds no ``Split`` per element.
+* The scan of ``verify`` (``_claim_and_walk``) takes c with its runs from
+  the sweep's generator, builds the routed split (on C through the public
+  ``canonical_split``, which counts the runs again) and reads ``walk`` over
+  those runs itself, which tests each r it lists for the r-family once: the
+  scan compares (r, p-length) and builds no ``Split`` per element.
 """
 
 from __future__ import annotations

@@ -246,10 +246,9 @@ def iter_fiber(c: Partition) -> Iterator[Split]:
     return splits.iter_fiber(Split, c.runs(), _r_counts, (_R_START, _r_step, _r_accepts))
 
 
-def _claim_and_walk(c: Partition) -> tuple[Split, Iterator[tuple[Partition, tuple[int, ...]]]]:
-    """The canonical split of c and the leaves of its ``splits.walk``, c tested for Q and its runs counted once."""
+def _claim_and_walk(c: Partition, runs) -> tuple[Split, Iterator[tuple[Partition, tuple[int, ...]]]]:
+    """The canonical split of c and the leaves of its ``splits.walk``: c tested for Q, its ``runs`` given by the sweep."""
     splits.check_jordan(c, FAMILY)
-    runs = c.runs()
     walk = splits.walk(CHAINED, runs, _r_counts, (_R_START, _r_step, _r_accepts))
     return Split.from_choices(runs, _route_choices(runs)), walk
 

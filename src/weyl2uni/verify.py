@@ -5,6 +5,8 @@ Three checks tie the modules together:
 * ``check_classical``: over every Jordan type up to a size cap, the fiber of
   splits has a unique element with minimal p-length and it is the canonical
   split (series D skips very even types, where the statement is vacuous).
+  ``partitions.iter_member_runs`` generates each type with its runs, and
+  the side's ``_claim_and_walk`` walks the fiber over those runs.
 * ``check_bridge``: the closed-form fixed-space dimension, the matrix-nullity
   oracle and half the p-length of the encoded class agree on every class.
 * ``check_exceptional``: every supported table loads and passes its
@@ -18,6 +20,7 @@ configuration (timings aside).
 from __future__ import annotations
 
 import time
+from collections.abc import Iterable
 
 from . import exceptional
 from .partitions import (
@@ -28,7 +31,7 @@ from .partitions import (
     Record,
     check_int,
     is_member,
-    iter_members,
+    iter_member_runs,
 )
 from .weyl import (LEAST_RANK, SERIES, SIDES, TOTAL_PARITY, GroupKind, encode_class, enumerate_classes,
                    fixed_space_dim, fixed_space_dim_from_matrix)
@@ -53,6 +56,10 @@ class SweepConfig(Record):
     def __init__(
         self, series: tuple[str, ...] = series, max_nu: int = max_nu, max_rank: int = max_rank
     ) -> None:
+        # a text is refused, not read letter by letter
+        if isinstance(series, str) or not isinstance(series, Iterable):
+            raise DomainError(f"series must be a collection of series names, got {series!r}")
+        series = tuple(series)
         for s in series:
             if s not in ALL_SERIES:
                 raise DomainError(f"unknown series {s!r}; expected a subset of {ALL_SERIES}")
@@ -132,16 +139,17 @@ class VerificationReport:
         self.checks.extend(other.checks)
 
 
-def _scan_unique_minimum(module, c: Partition) -> dict | None:
-    """One Jordan type: the canonical split must be the strict fiber minimum.
+def _scan_unique_minimum(module, c: Partition, runs) -> dict | None:
+    """One Jordan type, with its runs: the canonical split must be the strict fiber minimum.
 
     The side's ``_claim_and_walk`` tests c once, routes the claim and hands
-    out ``splits.walk``, read as (r, p-length) with no ``Split`` per element,
-    up to a shorter p or another r at the claimed length (over one c, r
-    fixes the split).  A routing or walk error is the type's counterexample.
+    out ``splits.walk`` over ``runs``, read as (r, p-length) with no
+    ``Split`` per element, up to a shorter p or another r at the claimed
+    length (over one c, r fixes the split).  A routing or walk error is the
+    type's counterexample.
     """
     try:
-        claimed, walk = module._claim_and_walk(c)
+        claimed, walk = module._claim_and_walk(c, runs)
         least, claimed_r = len(claimed.p), claimed.r
         for r, p in walk:
             if len(p) <= least and (len(p) < least or r != claimed_r):
@@ -161,12 +169,12 @@ def check_classical(cfg: SweepConfig) -> VerificationReport:
         side = SIDES[series]
         skipped = 0
         for nu in range(TOTAL_PARITY[series], cfg.max_nu + 1, 2):
-            for c in iter_members(nu, side.FAMILY):
+            for c, runs in iter_member_runs(nu, side.FAMILY):
                 if series == "D" and is_member(c, DOUBLED_EVEN):
                     skipped += 1  # the statement is vacuous there (singleton fiber)
                     continue
                 result.scanned += 1
-                ce = _scan_unique_minimum(side, c)
+                ce = _scan_unique_minimum(side, c, runs)
                 if ce is not None:
                     ce["series"] = series
                     ce["reproduce"] = f"weyl2uni fiber --series {series} --jordan {c.text()}"

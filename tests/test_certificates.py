@@ -181,7 +181,7 @@ def test_the_unique_minimum_scan_checks_each_fact_once(tally, monkeypatch, side,
             listed = len(side.fiber(c))
             tally.clear()
             routes = 0
-            assert verify._scan_unique_minimum(side, c) is None
+            assert verify._scan_unique_minimum(side, c, c.runs()) is None
             assert routes == 1, c.text()
             assert dict(tally) == {family: 1, r_family: 1 + listed, DOUBLED: 1}, c.text()
             seen += 1

@@ -25,7 +25,7 @@ from weyl2uni import (
     type_bd,
     type_c,
 )
-from weyl2uni.partitions import double_parts
+from weyl2uni.partitions import double_parts, iter_member_runs
 from weyl2uni.weyl import (
     GroupKind,
     SignedCycleType,
@@ -272,6 +272,24 @@ class TestIterMembers:
             want = [c for c in iter_partitions(n) if is_member(c, family)]
             assert list(iter_members(n, family)) == want
 
+    @pytest.mark.parametrize("family", [ANY, SYMPLECTIC, ORTHOGONAL], ids=["P1", "T", "Q"])
+    def test_member_runs_come_in_reverse_lexicographic_order(self, family):
+        # the oracle shares no code with the generator: every partition by
+        # plain recursion, sorted largest first as a tuple, then filtered
+        def partitions(n, cap):
+            if n == 0:
+                yield ()
+            for v in range(min(n, cap), 0, -1):
+                for tail in partitions(n - v, v):
+                    yield (v,) + tail
+
+        for n in range(31):
+            want = [c for c in sorted(partitions(n, n), reverse=True) if is_member(Partition(c), family)]
+            pairs = list(iter_member_runs(n, family))
+            assert [c for c, _ in pairs] == want
+            assert all(type(c) is Partition and runs == c.runs() for c, runs in pairs)
+            assert list(iter_members(n, family)) == want
+
     def test_counts_at_rank_20(self):
         # the Jordan types of C20, B20 and D20
         assert sum(1 for _ in iter_members(40, SYMPLECTIC)) == 7336
@@ -295,7 +313,7 @@ class TestIterMembers:
 # Parsers (``from_text``) and the ``__init__`` of the public records must
 # never appear here.
 TRUSTED_CALLERS = {
-    "partitions": {"merge", "double_parts", "iter_members"},
+    "partitions": {"merge", "double_parts", "iter_member_runs"},
     "splits": {"walk", "iter_fiber", "from_choices"},
     "type_bd": {"blocks_from_halves", "_halves_of_chained"},
     "weyl": {"encode_class", "decode_class"},

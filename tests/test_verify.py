@@ -26,6 +26,18 @@ class TestSweepConfig:
         with pytest.raises(DomainError):
             verify.SweepConfig(series=("Z",))
 
+    @pytest.mark.parametrize("series", [None, "CB", 3], ids=["None", "text", "int"])
+    def test_series_must_be_a_collection_of_names(self, series):
+        # a text is not read letter by letter, and nothing ends in a TypeError
+        with pytest.raises(DomainError, match=r"^series must be a collection of series names, got "):
+            verify.SweepConfig(series=series)
+
+    def test_series_is_stored_as_a_tuple(self):
+        cfg = verify.SweepConfig(series=["C"])
+        assert cfg.series == ("C",)
+        assert cfg == verify.SweepConfig(series=("C",))
+        assert hash(cfg) == hash(verify.SweepConfig(series=("C",)))
+
 
 class TestReports:
     def test_full_run_passes(self):
@@ -65,8 +77,8 @@ class TestReports:
         read = []
 
         def recording(original):
-            def claim_and_walk(c):
-                claimed, walk = original(c)
+            def claim_and_walk(c, runs):
+                claimed, walk = original(c, runs)
                 return claimed, (read.append((r, len(p))) or (r, p) for r, p in walk)
             return claim_and_walk
 
@@ -77,10 +89,20 @@ class TestReports:
             for nu in range(TOTAL_PARITY[series], 17, 2):
                 for c in iter_members(nu, side.FAMILY):
                     read.clear()
-                    assert verify._scan_unique_minimum(side, c) is None
+                    assert verify._scan_unique_minimum(side, c, c.runs()) is None
                     assert read == [(x.r, len(x.p)) for x in side.iter_fiber(c)], c.text()
                     seen += 1
         assert seen > 400
+
+    def test_the_classical_sweep_at_the_benchmark_caps(self):
+        # the Jordan types scanned per series by `verify --all --max-nu 30 --max-rank 7`
+        report = verify.check_classical(verify.SweepConfig(series=("B", "C", "D"), max_nu=30, max_rank=7))
+        assert report.passed
+        assert [(c.name, c.scanned, c.notes) for c in report.checks] == [
+            ("unique_minimum[B]", 2717, []),
+            ("unique_minimum[C]", 4731, []),
+            ("unique_minimum[D]", 3223, ["skipped 45 very even types"]),
+        ]
 
 
 class TestMutationSensitivity:
@@ -142,16 +164,16 @@ class TestMutationSensitivity:
         original = side._claim_and_walk
 
         def forged(dropped):
-            def claim_and_walk(c):
-                walk = original(c)[1]
+            def claim_and_walk(c, runs):
+                walk = original(c, runs)[1]
                 return side.Split(*map(Partition, claim)), (leaf for leaf in walk if leaf[0] not in dropped)
             return claim_and_walk
 
         monkeypatch.setattr(side, "_claim_and_walk", forged({minimum}))
-        assert json.dumps(verify._scan_unique_minimum(side, c)) == expected
+        assert json.dumps(verify._scan_unique_minimum(side, c, c.runs())) == expected
         # left as the only element at its length, the claim passes
         monkeypatch.setattr(side, "_claim_and_walk", forged({minimum, tie}))
-        assert verify._scan_unique_minimum(side, c) is None
+        assert verify._scan_unique_minimum(side, c, c.runs()) is None
 
     def test_each_counterexample_carries_a_command_that_reproduces_it(self, monkeypatch, capsys):
         route_twos(monkeypatch, lambda q: 0)
