@@ -13,11 +13,12 @@ once and each table validated once per content, and the validated tables
 are shared between callers: a load whose text equals the last text read
 returns the same frozen ``MapTable``.
 
-Lookups accept the ASCII aliases of ``normalize_name``.  A string already
-in canonical spelling (every label and name the library prints) is
-answered straight from the table's index; any other spelling is
-normalized, or parsed as a Carter label, first, and the answer or error is
-the same either way.
+Lookups accept the ASCII aliases of ``normalize_name``.  A string is
+probed in the table's index as given, so a canonical spelling (every label
+and name the library prints) is answered straight from it; a miss is
+probed again in normal form, and only a normal form outside the index is
+parsed as a Carter label, with the same answer or error either way.
+``fixed_space_dim`` reads the rank each ``CarterLabel`` stores when built.
 """
 
 from __future__ import annotations
@@ -55,10 +56,11 @@ def normalize_name(s: str) -> str:
     Accepted aliases: "A~_1", "~A_1" and "tA_1" for "Ã_1"; Unicode prime
     and double-prime; a straight double quote for ''.
     """
-    s = unicodedata.normalize("NFC", s.strip())
-    s = s.replace("′", "'").replace("″", "''").replace('"', "''")
-    s = s.replace("A~", "Ã").replace("~A", "Ã")
-    return _TA_RE.sub("Ã", s)
+    s = s.strip()
+    if not s.isascii():  # ASCII text is already NFC and holds no Unicode prime
+        s = unicodedata.normalize("NFC", s).replace("′", "'").replace("″", "''")
+    s = s.replace('"', "''").replace("A~", "Ã").replace("~A", "Ã")
+    return _TA_RE.sub("Ã", s) if "tA" in s else s
 
 
 _TA_RE = re.compile(r"(?<![A-Za-z_])tA(?=_)")
@@ -74,16 +76,19 @@ class CarterLabel(Record):
     components holds (count >= 1, letter, subscript >= 1, parenthetical
     with index >= 1, primes) per summand; subscript 0 occurs only in the
     whole label A_0, the identity class.  The diagram rank is the
-    count-weighted sum of subscripts, ignoring parentheticals and primes.
-    raw is the canonical spelling and round-trips through parse: counts,
-    subscripts and parenthetical indices lose their leading zeros.
+    count-weighted sum of subscripts, ignoring parentheticals and primes;
+    it is computed once into ``rank``, which is not a field.  raw is the
+    canonical spelling and round-trips through parse: counts, subscripts
+    and parenthetical indices lose their leading zeros.
     """
 
-    _fields = __slots__ = ("raw", "components")
+    __slots__ = ("raw", "components", "rank")
+    _fields = __slots__[:2]
 
     def __init__(self, raw: str, components: tuple[tuple[int, str, int, str, str], ...]) -> None:
         object.__setattr__(self, "raw", raw)
         object.__setattr__(self, "components", components)
+        object.__setattr__(self, "rank", sum(count * sub for count, _, sub, _, _ in components))
 
     @classmethod
     def parse(cls, s: str) -> "CarterLabel":
@@ -112,10 +117,6 @@ class CarterLabel(Record):
         )
         return cls(raw, tuple(comps))
 
-    @property
-    def rank(self) -> int:
-        return sum(count * sub for count, _, sub, _, _ in self.components)
-
     def __str__(self) -> str:
         return self.raw
 
@@ -137,9 +138,11 @@ class MapTable(Record):
     each canonical ``raw`` to its ``(CarterLabel, TableLine)``, and by
     name, each normalized name to its line.  A string lookup first probes
     the dict with the string as given, so a canonical spelling is answered
-    straight from the index; only a miss is normalized and probed again.
-    Every key is a fixed point of ``CarterLabel.parse(...).raw`` or
-    ``normalize_name``, so both routes give the same answer or error.
+    straight from the index; only a miss is normalized and probed again,
+    and only a label whose normal form is not a key is parsed.  Every key
+    is a fixed point of ``CarterLabel.parse(...).raw`` or
+    ``normalize_name``, so every route gives the parse-first answer or
+    error.  ``fixed_space_dim`` reads the label's stored rank.
     """
 
     __slots__ = ("group", "weyl_rank", "characteristic", "lines", "_by_label", "_by_name")
@@ -166,10 +169,12 @@ class MapTable(Record):
     def phi(self, label: CarterLabel | str) -> str:
         """Unipotent name of the line containing the label.
 
-        A canonical spelling is answered from the index; any other is
-        parsed first, with the same answer.
+        A string is probed as given, then in normal form; only a normal
+        form outside the index is parsed, with the same answer or error.
         """
-        hit = self._by_label.get(label) if isinstance(label, str) else None
+        hit = None
+        if isinstance(label, str):
+            hit = self._by_label.get(label) or self._by_label.get(normalize_name(label))
         if hit is None:
             raw = label.raw if isinstance(label, CarterLabel) else CarterLabel.parse(label).raw
             hit = self._by_label.get(raw)
@@ -197,11 +202,12 @@ class MapTable(Record):
     def fixed_space_dim(self, label: CarterLabel | str) -> int:
         """Weyl rank minus diagram rank; any parseable label of rank <= the Weyl rank.
 
-        A canonical spelling of a table label takes its rank from the
-        index; any other string is parsed first, with the same answer.
+        A string is probed as given, then in normal form, and a table
+        label found so reads its stored rank; only a normal form outside
+        the index is parsed, with the same answer or error.
         """
         if isinstance(label, str):
-            hit = self._by_label.get(label)
+            hit = self._by_label.get(label) or self._by_label.get(normalize_name(label))
             label = hit[0] if hit is not None else CarterLabel.parse(label)
         rank = label.rank
         if rank > self.weyl_rank:

@@ -282,6 +282,7 @@ def iter_member_runs(total: int, family: str) -> Iterator[tuple[Partition, list[
     left, so every choice leads to a member, but at an odd total in T,
     which has none.
     """
+    check_int("total", total)
     if family not in (ANY, SYMPLECTIC, ORTHOGONAL):
         raise DomainError(f"iter_members generates families P1, T and Q only, got {family!r}")
     if total < 0:

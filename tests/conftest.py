@@ -8,14 +8,17 @@ flip i -> nu+1-i and reads the cycle data straight off it.
 
 ``uses_by_function`` is the ``ast`` scan shared by the allowlist tests of the
 trusted constructors.  ``route_twos`` seeds the routing mutations of the
-B/D sweep tests.
+B/D sweep tests.  ``parse_first`` is the exceptional table lookup that
+parses or normalizes every string and scans the lines, with no index, and
+``outcome`` compares its value or error with the library's.
 """
 
 import ast
 from collections import Counter
 from itertools import product
 
-from weyl2uni import Partition, is_member, type_bd
+from weyl2uni import DomainError, Partition, UnknownLabel, is_member, type_bd
+from weyl2uni.exceptional import CarterLabel, normalize_name
 from weyl2uni.weyl import GroupKind, SignedCycleType
 
 
@@ -139,3 +142,33 @@ def route_twos(monkeypatch, m_of_q) -> None:
         return tuple([m_of_q(q) if e == 2 else m for (e, q), m in zip(runs, original(runs))])
 
     monkeypatch.setattr(type_bd, "_route_choices", mutated)
+
+
+def parse_first(table, kind, arg):
+    """The lookup as it reads when every string is parsed or normalized before the index."""
+    if kind == "psi":
+        name = normalize_name(arg)
+        for line in table.lines:
+            if line.name == name:
+                return line.labels[0]
+        raise UnknownLabel(
+            f"no unipotent class {arg!r} in the {table.group} table ({table.characteristic})"
+        )
+    if kind == "fixed_space_dim":
+        label = CarterLabel.parse(arg) if isinstance(arg, str) else arg
+        if label.rank > table.weyl_rank:
+            raise DomainError(f"label {label.raw} has rank {label.rank} above the Weyl rank")
+        return table.weyl_rank - label.rank
+    raw = arg.raw if isinstance(arg, CarterLabel) else CarterLabel.parse(arg).raw
+    for line in table.lines:
+        if any(lab.raw == raw for lab in line.labels):
+            return line.name
+    raise UnknownLabel(f"no class {raw!r} in the {table.group} table ({table.characteristic})")
+
+
+def outcome(lookup, *args):
+    """The value returned, or the type and message of the exception raised."""
+    try:
+        return "value", lookup(*args)
+    except Exception as exc:  # every exception type is compared, not only DomainError
+        return type(exc), str(exc)

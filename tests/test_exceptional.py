@@ -1,7 +1,10 @@
+import copy
 import os
+import pickle
 
 import pytest
 
+from conftest import outcome, parse_first
 from weyl2uni import DomainError, UnknownLabel, exceptional
 from weyl2uni.exceptional import (
     EXPECTED_LABELS,
@@ -81,6 +84,42 @@ class TestCarterLabel:
     def test_primes_and_parens_do_not_change_rank(self):
         assert [CarterLabel.parse(s).rank for s in ("A_5", "A_5'", "A_5''")] == [5, 5, 5]
         assert CarterLabel.parse("E_7(a_4)").rank == CarterLabel.parse("E_7(a_1)").rank == 7
+
+
+class TestStoredRank:
+    """rank is computed once by ``__init__`` into a slot that is not a field."""
+
+    def test_every_shipped_label_stores_its_component_sum(self):
+        for table in all_tables():
+            for lab in table.labels():
+                assert lab.rank == sum(count * sub for count, _, sub, _, _ in lab.components)
+                assert type(lab.rank) is int
+
+    def test_rank_is_out_of_repr_equality_and_hash(self):
+        lab = CarterLabel.parse("D_4(a_1)+2A_1")
+        assert "rank" not in repr(lab)
+        other = CarterLabel.parse("D_4(a_1)+2A_1")
+        object.__setattr__(other, "rank", lab.rank + 1)  # a rank no __init__ would store
+        assert other == lab and hash(other) == hash(lab)
+        assert hash(lab) == hash((lab.raw, lab.components))
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy, lambda lab: pickle.loads(pickle.dumps(lab))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_rank_survives_copies_and_pickles(self, clone):
+        for lab in load_table("E8", "p2").labels():
+            twin = clone(lab)
+            assert (twin, twin.rank) == (lab, lab.rank)
+
+    def test_rank_cannot_be_assigned_or_deleted(self):
+        lab = CarterLabel.parse("A_1")
+        with pytest.raises(AttributeError):
+            lab.rank = 2
+        with pytest.raises(AttributeError):
+            del lab.rank
+        assert lab.rank == 1
 
 
 class TestLoadTable:
@@ -330,36 +369,6 @@ class TestLookups:
             t.psi("F_4(a_3)")
 
 
-def parse_first(table, kind, arg):
-    """The lookup as it reads when every string is parsed or normalized before the index."""
-    if kind == "psi":
-        name = normalize_name(arg)
-        for line in table.lines:
-            if line.name == name:
-                return line.labels[0]
-        raise UnknownLabel(
-            f"no unipotent class {arg!r} in the {table.group} table ({table.characteristic})"
-        )
-    if kind == "fixed_space_dim":
-        label = CarterLabel.parse(arg) if isinstance(arg, str) else arg
-        if label.rank > table.weyl_rank:
-            raise DomainError(f"label {label.raw} has rank {label.rank} above the Weyl rank")
-        return table.weyl_rank - label.rank
-    raw = arg.raw if isinstance(arg, CarterLabel) else CarterLabel.parse(arg).raw
-    for line in table.lines:
-        if any(lab.raw == raw for lab in line.labels):
-            return line.name
-    raise UnknownLabel(f"no class {raw!r} in the {table.group} table ({table.characteristic})")
-
-
-def outcome(lookup, *args):
-    """The value returned, or the type and message of the exception raised."""
-    try:
-        return "value", lookup(*args)
-    except Exception as exc:  # every exception type is compared, not only DomainError
-        return type(exc), str(exc)
-
-
 def spellings(table):
     """Canonical, alias, padded, unknown and unparseable spellings, and non-strings."""
     keys = [str(lab) for lab in table.labels()] + table.names()
@@ -409,12 +418,36 @@ class TestIndexProbe:
         for name in table.names():
             table.psi(name)
         assert (calls, names) == ([], [])
-        table.phi("A_1 ")
-        table.fixed_space_dim("tA_1+A_1")
-        table.psi("A_1 ")
-        # parse normalizes too, so each miss shows once in names
-        assert calls == ["A_1 ", "tA_1+A_1"]
-        assert names == [("A_1 ",), ("tA_1+A_1",), ("A_1 ",)]
+        # a miss whose normal form is a key is normalized once and not parsed
+        assert table.phi("A_1 ") == "A_1"
+        assert table.fixed_space_dim('A_3+2A_1"') == 3
+        assert table.psi("A_1 ").raw == "A_1"
+        assert calls == []
+        assert names == [("A_1 ",), ('A_3+2A_1"',), ("A_1 ",)]
+        del names[:]
+        # a normal form outside the index is parsed once, and parse normalizes too
+        assert table.fixed_space_dim("tA_1+A_1") == 6  # Ã_1+A_1 is no E8 class, but parses
+        assert table.phi("A_01") == "A_1"
+        with pytest.raises(DomainError) as err:
+            table.phi("X_1")
+        assert (type(err.value), str(err.value)) == (
+            DomainError,
+            "cannot parse Carter label component 'X_1' of 'X_1'",
+        )
+        assert calls == ["tA_1+A_1", "A_01", "X_1"]
+        assert names == [(s,) for s in ("tA_1+A_1", "A_01", "X_1") for _ in range(2)]
+
+    def test_every_alias_of_a_key_is_answered_without_a_parse(self, monkeypatch):
+        keyed = [
+            (table, arg, parse_first(table, "phi", arg), parse_first(table, "fixed_space_dim", arg))
+            for table in all_tables()
+            for arg in spellings(table)
+            if isinstance(arg, str) and normalize_name(arg) in {lab.raw for lab in table.labels()}
+        ]
+        assert len(keyed) > 1000
+        monkeypatch.setattr(CarterLabel, "parse", None)  # any parse would raise TypeError
+        for table, arg, name, dim in keyed:
+            assert (table.phi(arg), table.fixed_space_dim(arg)) == (name, dim), arg
 
 
 class TestPatchLines:

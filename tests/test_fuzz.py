@@ -10,9 +10,13 @@ are driven, on Jordan types drawn as values with multiplicities.
 
 from __future__ import annotations
 
+import re
+import unicodedata
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from conftest import outcome, parse_first
 from test_cli_golden import run_cli
 from weyl2uni import (
     ORTHOGONAL,
@@ -207,6 +211,57 @@ def test_parse_is_a_fixed_point_on_raw(text):
 def test_normalize_name_is_idempotent(text):
     once = normalize_name(text)
     assert normalize_name(once) == once
+
+
+def nfc_first(s: str) -> str:
+    """The normal form with NFC and every replacement applied, whatever the text."""
+    s = unicodedata.normalize("NFC", s.strip())
+    s = s.replace("′", "'").replace("″", "''").replace('"', "''")
+    s = s.replace("A~", "Ã").replace("~A", "Ã")
+    return re.sub(r"(?<![A-Za-z_])tA(?=_)", "Ã", s)
+
+
+def aliased(key: str, tilde: str, double: str, single: str, pad: str) -> str:
+    return pad + key.replace("Ã", tilde).replace("''", double).replace("'", single) + pad
+
+
+# every shipped label and name in a documented alias: an ASCII or Unicode
+# tilde or prime, the NFD tilde "A\u0303", and padding
+alias_text = st.builds(
+    aliased,
+    st.sampled_from(LABELS + NAMES),
+    st.sampled_from(["Ã", "tA", "A~", "~A", "A\u0303"]),
+    st.sampled_from(["''", '"', "″", "′′"]),
+    st.sampled_from(["'", "′"]),
+    st.sampled_from(["", " ", "\t", " \n"]),
+)
+lookup_text = st.one_of(label_junk, alias_text)
+UNICODE_SPELLINGS = ["A\u0303_1", "Ã_1", "A_3+2A_1′", "D_8″", "A_5+A_1″", "(A\u0303_1)_3"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(lookup_text)
+def test_every_lookup_gets_the_parse_first_answer(text):
+    for table in TABLES:
+        for kind in ("phi", "psi", "fixed_space_dim"):
+            expected = outcome(parse_first, table, kind, text)
+            assert outcome(getattr(table, kind), text) == expected, (table.group, table.characteristic, kind)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(junk, lookup_text))
+def test_normalize_name_matches_the_nfc_first_reference(text):
+    assert normalize_name(text) == nfc_first(text)
+
+
+@pytest.mark.parametrize("text", UNICODE_SPELLINGS)
+def test_unicode_spellings_normalize_and_are_answered(text):
+    assert normalize_name(text) == nfc_first(text)
+    for table in TABLES:
+        for kind in ("phi", "psi", "fixed_space_dim"):
+            assert outcome(getattr(table, kind), text) == outcome(parse_first, table, kind, text)
+    # each spells a label or name of some table
+    assert any(outcome(t.phi, text)[0] == "value" or outcome(t.psi, text)[0] == "value" for t in TABLES)
 
 
 @settings(max_examples=300, deadline=None)

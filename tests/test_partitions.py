@@ -307,6 +307,18 @@ class TestIterMembers:
         with pytest.raises(DomainError):
             list(iter_members(*bad))
 
+    @pytest.mark.parametrize("total", [2.0, "4", True])
+    def test_refuses_a_total_that_is_not_an_int_before_the_family(self, total):
+        for gen in (
+            iter_members(total, "T"),
+            iter_members(total, "X"),
+            iter_partitions(total),
+            iter_member_runs(total, ANY),
+        ):
+            with pytest.raises(DomainError) as err:
+                list(gen)
+            assert str(err.value) == f"total must be an integer, got {total!r}"
+
 
 # The only functions of src/weyl2uni allowed to call Partition._from_sorted:
 # each builds parts derived from partitions that were already validated.
