@@ -54,8 +54,11 @@ def normalize_name(s: str) -> str:
     """Canonical spelling: precomposed tildes, ASCII prime marks.
 
     Accepted aliases: "A~_1", "~A_1" and "tA_1" for "Ã_1"; Unicode prime
-    and double-prime; a straight double quote for ''.
+    and double-prime; a straight double quote for ''.  Anything but a str is
+    a DomainError: every lookup and parse reads its text through here.
     """
+    if not isinstance(s, str):
+        raise DomainError(f"expected text, got {s!r}")
     s = s.strip()
     if not s.isascii():  # ASCII text is already NFC and holds no Unicode prime
         s = unicodedata.normalize("NFC", s).replace("′", "'").replace("″", "''")
@@ -171,6 +174,7 @@ class MapTable(Record):
 
         A string is probed as given, then in normal form; only a normal
         form outside the index is parsed, with the same answer or error.
+        Neither a str nor a ``CarterLabel`` is a DomainError.
         """
         hit = None
         if isinstance(label, str):
@@ -188,7 +192,8 @@ class MapTable(Record):
         """First-listed label of the line with the given unipotent name.
 
         A canonical spelling is answered from the index; any other is
-        normalized first, with the same answer.
+        normalized first, with the same answer.  A name that is not a str is
+        a DomainError.
         """
         line = self._by_name.get(name) if isinstance(name, str) else None
         if line is None:
@@ -204,11 +209,14 @@ class MapTable(Record):
 
         A string is probed as given, then in normal form, and a table
         label found so reads its stored rank; only a normal form outside
-        the index is parsed, with the same answer or error.
+        the index is parsed, with the same answer or error.  Neither a str
+        nor a ``CarterLabel`` is a DomainError.
         """
         if isinstance(label, str):
             hit = self._by_label.get(label) or self._by_label.get(normalize_name(label))
             label = hit[0] if hit is not None else CarterLabel.parse(label)
+        elif not isinstance(label, CarterLabel):
+            label = CarterLabel.parse(label)  # not a str: parse refuses it
         rank = label.rank
         if rank > self.weyl_rank:
             raise DomainError(f"label {label.raw} has rank {rank} above the Weyl rank")

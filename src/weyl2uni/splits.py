@@ -4,16 +4,18 @@ A split of a Jordan type c is a pair (r, p) that merges back to c, with p
 doubled (family Ptilde) and r in the side's r-family: S (all even) for C, R
 (chained) for B and D.  Over the runs (e, q) of c, largest value first
 (``Partition.runs()``), a split is a choice vector: per run, the number m of
-copies that go to r.  Each side reads its r-family with a finite automaton
-over the runs (one state for S, at most 24 for R) through one move table,
-the cache of ``_moves``.  This module holds the machinery once: ``Split``
-and its validated builder ``Split.from_choices``, the one fiber walk
-``walk`` and its listings ``iter_fiber`` and ``fiber``, the dynamic program
-``fiber_minimum`` and the dual-route guard ``minimal_split``.  The sides
-``type_c`` and ``type_bd``, which ``weyl.SIDES`` picks per series, keep only
-their rules: ``FAMILY``, a ``Split`` subclass, ``_r_counts``, the automaton
-and the routing ``_route_choices``.  The two routes of ``minimal_split``
-meet as choice vectors, and its answer is built once, from the routed one.
+copies that go to r.  The engine offers m = q, q - 2, ..., the counts that
+leave p doubled, and each side reads its r-family with a finite automaton
+over the runs (one state for S, at most 24 for R), which refuses the rest,
+through one move table, the cache of ``_moves``.  This module holds the
+machinery once: ``Split`` and its validated builder ``Split.from_choices``,
+the one fiber walk ``walk`` and its listings ``iter_fiber`` and ``fiber``,
+the dynamic program ``fiber_minimum`` and the dual-route guard
+``minimal_split``.  The sides ``type_c`` and ``type_bd``, which
+``weyl.SIDES`` picks per series, keep only their rules: ``FAMILY``, a
+``Split`` subclass, the automaton and the routing ``_route_choices``.  The
+two routes of ``minimal_split`` meet as choice vectors, and its answer is
+built once, from the routed one.
 
 The checks, per call.  A ``Split`` is a certificate: its public constructor
 tests r for the r-family and p for family Ptilde, so no function handed one
@@ -114,33 +116,33 @@ class Split(Record):
 
 
 @lru_cache(maxsize=4096)
-def _moves(r_counts, step, state, odd: int, q: int) -> tuple[tuple, tuple]:
+def _moves(step, state, odd: int, q: int) -> tuple[tuple, tuple]:
     """(moves, cheapest moves) of ``state`` on q copies of a value of parity ``odd``, cached.
 
-    A move (to, m) sends m copies to r, in ``r_counts`` order, and
+    A move (to, m) sends m copies to r and q - m to p, most copies first:
+    m = q, q - 2, ..., so that p keeps an even count of the value, and
     ``step`` takes the state to ``to``, not None.  The cheapest keep the
     largest m per target: one copy fewer in r is one part more in p, so no
     other move into that target reaches a minimum or a tie at it.  The key
     fixes the moves, as the rules read a value only through its parity, and
     a rule replaced later is a new key.  The cache holds at most 4,096
-    keys, evicting the least recently used, each with q + 1 moves at most.
+    keys, evicting the least recently used, each with q // 2 + 1 moves at
+    most.
     """
-    moves = tuple([(to, m) for m in r_counts(odd, q) if (to := step(state, odd, m)) is not None])
+    moves = tuple([(to, m) for m in range(q, -1, -2) if (to := step(state, odd, m)) is not None])
     # by m ascending, so the dict keeps the largest m per target
-    return moves, tuple(dict(sorted(moves, key=lambda move: move[1])).items())
+    return moves, tuple(dict(reversed(moves)).items())
 
 
-def walk(r_family, runs, r_counts, automaton) -> Iterator[tuple[Partition, tuple[int, ...]]]:
+def walk(r_family, runs, automaton) -> Iterator[tuple[Partition, tuple[int, ...]]]:
     """Lazily enumerate the splits over ``runs`` as (r, parts of p): the choice sequences the automaton accepts.
 
     ``runs`` are the (value, multiplicity) pairs of a Jordan type c, largest
-    value first; ``r_counts(odd, q)`` lists how many copies of a value of
-    parity ``odd`` and multiplicity q may go to r, the rest going to p, each
-    count leaving p doubled; ``automaton`` is ``(start, step, accepts)``, a
-    finite automaton for the r-family read largest value first.  A
-    depth-first walk over the runs, reading each node's moves from
-    ``_moves``, lists the accepted leaves in the order of the product of
-    the choices.  A (depth, state) whose subtree listed nothing is dead
+    value first; ``automaton`` is ``(start, step, accepts)``, a finite
+    automaton for the r-family read largest value first.  A depth-first
+    walk over the runs, reading each node's moves from ``_moves``, lists the
+    accepted leaves in the order of the product of the moves: per run, most
+    copies to r first.  A (depth, state) whose subtree listed nothing is dead
     wherever it is reached (later runs see only the state), so it is never
     entered again: per depth the walk tries at most (choices of the value)
     x (splits listed + dead states) moves.  The listing itself can be
@@ -158,7 +160,7 @@ def walk(r_family, runs, r_counts, automaton) -> Iterator[tuple[Partition, tuple
     listed = 0
     # per entered node: its state, the r and p parts so far, its untried
     # moves and the number of leaves listed before it was entered
-    frames = [(start, (), (), iter(_moves(r_counts, step, start, *keys[0])[0]), 0)]
+    frames = [(start, (), (), iter(_moves(step, start, *keys[0])[0]), 0)]
     while frames:
         i = len(frames) - 1
         state, r, p, untried, listed_before = frames[i]
@@ -166,7 +168,7 @@ def walk(r_family, runs, r_counts, automaton) -> Iterator[tuple[Partition, tuple
         for to, m in untried:
             if i < last:
                 if (i + 1, to) not in dead:
-                    moves = _moves(r_counts, step, to, *keys[i + 1])[0]
+                    moves = _moves(step, to, *keys[i + 1])[0]
                     frames.append((to, r + (e,) * m, p + (e,) * (q - m), iter(moves), listed))
                     break
             elif accepts(to):
@@ -182,13 +184,13 @@ def walk(r_family, runs, r_counts, automaton) -> Iterator[tuple[Partition, tuple
                 dead.add((i, state))
 
 
-def iter_fiber(split_cls, runs, r_counts, automaton) -> Iterator[Split]:
+def iter_fiber(split_cls, runs, automaton) -> Iterator[Split]:
     """The leaves of ``walk`` over ``runs``, in its order, each as a trusted ``split_cls``."""
-    for r, p in walk(split_cls.R_FAMILY, runs, r_counts, automaton):
+    for r, p in walk(split_cls.R_FAMILY, runs, automaton):
         yield split_cls._trusted(r, Partition._from_sorted(p))
 
 
-def fiber_minimum(runs, r_counts, automaton) -> tuple[int | None, int, tuple[int, ...] | None]:
+def fiber_minimum(runs, automaton) -> tuple[int | None, int, tuple[int, ...] | None]:
     """(minimal p-length, number of splits reaching it, the minimiser's choice vector if unique).
 
     A dynamic program over ``runs``, the (value, multiplicity) pairs of a
@@ -206,7 +208,7 @@ def fiber_minimum(runs, r_counts, automaton) -> tuple[int | None, int, tuple[int
     layer: dict[object, tuple] | None = None
     for e, q in runs:
         if layer is None:
-            cheapest = _moves(r_counts, step, state, e % 2, q)[1]
+            cheapest = _moves(step, state, e % 2, q)[1]
             if len(cheapest) == 1:
                 [(state, m)] = cheapest
                 p_len, path = p_len + q - m, path + (m,)
@@ -214,7 +216,7 @@ def fiber_minimum(runs, r_counts, automaton) -> tuple[int | None, int, tuple[int
             layer = {state: (p_len, ways, path)}
         nxt: dict[object, tuple] = {}
         for state, (p_len, ways, path) in layer.items():
-            for to, m in _moves(r_counts, step, state, e % 2, q)[1]:
+            for to, m in _moves(step, state, e % 2, q)[1]:
                 cand = p_len + q - m
                 have = nxt.get(to)
                 if have is None or cand < have[0]:
@@ -240,9 +242,9 @@ def fiber_minimum(runs, r_counts, automaton) -> tuple[int | None, int, tuple[int
     return least[0], ties, least[2] if ties == 1 else None
 
 
-def least_split(split_cls, runs, r_counts, automaton) -> tuple[int | None, int, Split | None]:
+def least_split(split_cls, runs, automaton) -> tuple[int | None, int, Split | None]:
     """``fiber_minimum`` with its unique minimiser built by ``from_choices``; a refusal is a ContradictionError."""
-    p_len, ties, best = fiber_minimum(runs, r_counts, automaton)
+    p_len, ties, best = fiber_minimum(runs, automaton)
     if best is None:
         return p_len, ties, None
     try:
@@ -256,7 +258,7 @@ def fiber(xs: Iterable[Split]) -> list[Split]:
     return sorted(xs, key=lambda x: (len(x.p), x.p, x.r))
 
 
-def minimal_split(split_cls, c: Partition, runs, r_counts, automaton, route_choices) -> Split:
+def minimal_split(split_cls, c: Partition, runs, automaton, route_choices) -> Split:
     """The unique split of c minimizing the number of parts of p.
 
     The caller has tested c and counted its ``runs`` once, for both routes:
@@ -265,7 +267,7 @@ def minimal_split(split_cls, c: Partition, runs, r_counts, automaton, route_choi
     ContradictionError (none can happen; this is the point being verified).
     The answer is built once, validated, from that vector.
     """
-    p_len, ties, best = fiber_minimum(runs, r_counts, automaton)
+    p_len, ties, best = fiber_minimum(runs, automaton)
     if p_len is None:
         raise ContradictionError(f"empty fiber over {c.text()}")
     if ties != 1:

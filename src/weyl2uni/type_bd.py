@@ -10,27 +10,25 @@ it.  ``halves_from_blocks`` inverts it exactly.  ``weyl.encode_class``
 builds the r of a class's split from its negative cycle lengths this way,
 and ``weyl.decode_class`` reads them back.
 
-Over the engine in ``splits``, the split rules of series B and D, where r is
-drawn from family R: ``Split`` (``R_FAMILY = CHAINED``), ``_r_counts`` (an
-odd value sends 0, 1 or 2 copies to r, an even value keeps an even count for
-p), the routing ``_route_choices`` (rules 1-5 below) and a finite automaton
-for family R read largest value first (``_R_START``, ``_r_step``,
-``_r_accepts``), whose states come from the definition of R.  A value joins
-r below every part so far, so R asks only its parity, and the rules read
-nothing else of it.  Each public function tests c for ``FAMILY`` (Q) once,
-by ``splits.check_jordan``; the ``splits`` docstring counts its checks.
+Over the engine in ``splits``, whose moves keep an even count of each value
+for p, the split rules of series B and D, where r is drawn from family R:
+``Split`` (``R_FAMILY = CHAINED``), the routing ``_route_choices`` (rules
+1-3 below) and a finite automaton for family R read largest value first
+(``_R_START``, ``_r_step``, ``_r_accepts``), whose states come from the
+definition of R; among the engine's moves it refuses an odd count of an
+even value and a third equal odd entry.  A value joins r below every part
+so far, so R asks only its parity, and the rules read nothing else of it.
+Each public function tests c for ``FAMILY`` (Q) once, by
+``splits.check_jordan``; the ``splits`` docstring counts its checks.
 
 Routing rules of ``canonical_split`` for a value e with multiplicity q in c,
-as the number m of copies that go to r (writing d for the 1-based position
-where e's run starts inside the odd subsequence of c):
+as the number m of copies that go to r.  They read one bit: whether r holds
+an odd number of odd entries so far.  Runs come largest first, so every
+entry already in r exceeds e.
 
-1. e odd, q odd: m = 1.
-2. e odd, q even, d even: m = 2.
-3. e odd, q even, d odd: m = 0.
-4. e even and evenly many odd entries already in r: m = 0.
-   Runs come largest first, so every odd entry already in r exceeds e:
-   only the parity of their count is read.
-5. e even otherwise: m = q.
+1. e even: m = q if the bit is set, else 0.
+2. e odd, q odd: m = 1, which flips the bit.
+3. e odd, q even: m = 2 if the bit is set, else 0.
 """
 
 from __future__ import annotations
@@ -161,41 +159,25 @@ class Split(splits.Split):
 
 
 def canonical_split(c: Partition) -> Split:
-    """The distinguished split of an orthogonal Jordan type (rules 1-5)."""
+    """The distinguished split of an orthogonal Jordan type (rules 1-3)."""
     splits.check_jordan(c, FAMILY)
     runs = c.runs()
     return Split.from_choices(runs, _route_choices(runs))
 
 
 def _route_choices(runs) -> tuple[int, ...]:
-    """The choice vector of ``canonical_split`` over the runs of c, by rules 1-5, in one pass.
-
-    An even value only reads ``parity`` (rules 4 and 5): it changes neither it nor d.
-    """
+    """The choice vector of ``canonical_split`` over the runs of c, by rules 1-3, in one pass."""
     out = []
-    parity = 0  # of the odd entries routed to r so far
-    d = 1  # where the next odd run starts in the odd subsequence of c
+    bit = 0  # r holds an odd number of odd entries
     for e, q in runs:
         if e % 2 == 0:
-            m = q if parity else 0  # rules 4 and 5
+            m = q if bit else 0  # rule 1
+        elif q % 2:
+            m, bit = 1, bit ^ 1  # rule 2
         else:
-            m = 1 if q % 2 == 1 else 2 if d % 2 == 0 else 0  # rules 1, 2 and 3
-            parity ^= m % 2
-            d += q
+            m = 2 if bit else 0  # rule 3
         out.append(m)
     return tuple(out)
-
-
-def _r_counts(odd: int, q: int) -> list[int]:
-    """Copies of a value of parity ``odd`` and multiplicity q that may go to r.
-
-    An odd value sends 0, 1 or 2 copies with matching parity (family R
-    admits at most two equal odd parts); an even value keeps an even count
-    in p.
-    """
-    if odd:
-        return [m for m in (0, 1, 2) if m <= q and (q - m) % 2 == 0]
-    return list(range(q, -1, -2))
 
 
 # Family-R states of an r built from the largest value down:
@@ -243,13 +225,13 @@ def _r_accepts(state: tuple) -> bool:
 def iter_fiber(c: Partition) -> Iterator[Split]:
     """Lazily enumerate every split of c (checked for family Q at the call)."""
     splits.check_jordan(c, FAMILY)
-    return splits.iter_fiber(Split, c.runs(), _r_counts, (_R_START, _r_step, _r_accepts))
+    return splits.iter_fiber(Split, c.runs(), (_R_START, _r_step, _r_accepts))
 
 
 def _claim_and_walk(c: Partition, runs) -> tuple[Split, Iterator[tuple[Partition, tuple[int, ...]]]]:
     """The canonical split of c and the leaves of its ``splits.walk``: c tested for Q, its ``runs`` given by the sweep."""
     splits.check_jordan(c, FAMILY)
-    walk = splits.walk(CHAINED, runs, _r_counts, (_R_START, _r_step, _r_accepts))
+    walk = splits.walk(CHAINED, runs, (_R_START, _r_step, _r_accepts))
     return Split.from_choices(runs, _route_choices(runs)), walk
 
 
@@ -261,11 +243,11 @@ def fiber(c: Partition) -> list[Split]:
 def fiber_minimum(c: Partition) -> tuple[int | None, int, Split | None]:
     """(least p-length, splits reaching it, the minimiser if unique): ``splits.least_split``."""
     splits.check_jordan(c, FAMILY)
-    return splits.least_split(Split, c.runs(), _r_counts, (_R_START, _r_step, _r_accepts))
+    return splits.least_split(Split, c.runs(), (_R_START, _r_step, _r_accepts))
 
 
 def minimal_split(c: Partition) -> Split:
     """The unique split minimizing the number of parts of p (``splits.minimal_split``)."""
     splits.check_jordan(c, FAMILY)
     runs = c.runs()
-    return splits.minimal_split(Split, c, runs, _r_counts, (_R_START, _r_step, _r_accepts), _route_choices)
+    return splits.minimal_split(Split, c, runs, (_R_START, _r_step, _r_accepts), _route_choices)

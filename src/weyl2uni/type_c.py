@@ -1,11 +1,11 @@
 """Symplectic-side rules: Jordan types vs (all-even, doubled) pairs.
 
-Series C draws r from family S (all even).  Over the engine in ``splits``
-this module keeps only its rules: ``Split`` (``R_FAMILY = ALL_EVEN``),
-``_r_counts`` (an odd value goes wholly to p, an even value keeps an even
-count for p), the one-state automaton for family S (``_R_START``,
-``_r_step``, ``_r_accepts``) and the routing ``_route_choices`` (odd values
-to p, even values to r).  The rules read a value's parity, never the value.
+Series C draws r from family S (all even).  Over the engine in ``splits``,
+whose moves keep an even count of each value for p, this module keeps only
+its rules: ``Split`` (``R_FAMILY = ALL_EVEN``), the one-state automaton for
+family S (``_R_START``, ``_r_step``, ``_r_accepts``), which sends no copy of
+an odd value to r, and the routing ``_route_choices`` (odd values to p, even
+values to r).  The rules read a value's parity, never the value.
 Each public function tests c for ``FAMILY`` (T) once, by
 ``splits.check_jordan``; the ``splits`` docstring counts its checks.
 """
@@ -40,16 +40,6 @@ def _route_choices(runs) -> tuple[int, ...]:
     return tuple([0 if e % 2 else q for e, q in runs])
 
 
-def _r_counts(odd: int, q: int) -> list[int]:
-    """Copies of a value of parity ``odd`` and multiplicity q that may go to r.
-
-    An odd value may only sit in p (in an even count, c being in family T);
-    an even value keeps an even number of copies for p.  So r is all even
-    and p doubled by construction: every combination is a split.
-    """
-    return [0] if odd else list(range(q, -1, -2))
-
-
 # Family S puts no constraint between values, so its automaton, read
 # largest value first like family R's in ``type_bd``, has one state.
 _R_START = 0
@@ -68,7 +58,7 @@ def _r_accepts(state: int) -> bool:
 def iter_fiber(c: Partition) -> Iterator[Split]:
     """Lazily enumerate every split of c (checked for family T at the call): 2^k over 2k,2k,...,2,2."""
     splits.check_jordan(c, FAMILY)
-    return splits.iter_fiber(Split, c.runs(), _r_counts, (_R_START, _r_step, _r_accepts))
+    return splits.iter_fiber(Split, c.runs(), (_R_START, _r_step, _r_accepts))
 
 
 def _claim_and_walk(c: Partition, runs) -> tuple[Split, Iterator[tuple[Partition, tuple[int, ...]]]]:
@@ -79,7 +69,7 @@ def _claim_and_walk(c: Partition, runs) -> tuple[Split, Iterator[tuple[Partition
     ``type_c`` call on ``verify_sweep``.
     """
     claimed = canonical_split(c)
-    return claimed, splits.walk(ALL_EVEN, runs, _r_counts, (_R_START, _r_step, _r_accepts))
+    return claimed, splits.walk(ALL_EVEN, runs, (_R_START, _r_step, _r_accepts))
 
 
 def fiber(c: Partition) -> list[Split]:
@@ -90,11 +80,11 @@ def fiber(c: Partition) -> list[Split]:
 def fiber_minimum(c: Partition) -> tuple[int | None, int, Split | None]:
     """(least p-length, splits reaching it, the minimiser if unique): ``splits.least_split``."""
     splits.check_jordan(c, FAMILY)
-    return splits.least_split(Split, c.runs(), _r_counts, (_R_START, _r_step, _r_accepts))
+    return splits.least_split(Split, c.runs(), (_R_START, _r_step, _r_accepts))
 
 
 def minimal_split(c: Partition) -> Split:
     """The unique split minimizing the number of parts of p (``splits.minimal_split``)."""
     splits.check_jordan(c, FAMILY)
     runs = c.runs()
-    return splits.minimal_split(Split, c, runs, _r_counts, (_R_START, _r_step, _r_accepts), _route_choices)
+    return splits.minimal_split(Split, c, runs, (_R_START, _r_step, _r_accepts), _route_choices)

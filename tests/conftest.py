@@ -132,9 +132,9 @@ def uses_by_function(tree, name):
 def route_twos(monkeypatch, m_of_q) -> None:
     """Mutate the B/D routing: each run (2, q) sends ``m_of_q(q)`` copies to r.
 
-    Wraps ``type_bd._route_choices``.  An even run changes neither the
-    parity nor the position the routing carries along, so every other run
-    keeps its choice, as under a mutation of rules 4-5 alone.
+    Wraps ``type_bd._route_choices``.  An even run leaves the one bit the
+    routing carries along as it is, so every other run keeps its choice, as
+    under a mutation of rule 1 alone.
     """
     original = type_bd._route_choices
 
@@ -155,7 +155,7 @@ def parse_first(table, kind, arg):
             f"no unipotent class {arg!r} in the {table.group} table ({table.characteristic})"
         )
     if kind == "fixed_space_dim":
-        label = CarterLabel.parse(arg) if isinstance(arg, str) else arg
+        label = arg if isinstance(arg, CarterLabel) else CarterLabel.parse(arg)
         if label.rank > table.weyl_rank:
             raise DomainError(f"label {label.raw} has rank {label.rank} above the Weyl rank")
         return table.weyl_rank - label.rank

@@ -280,26 +280,32 @@ def test_undoubled_p_reaching_decode_is_caught_by_the_rank_check(monkeypatch, se
     assert caught > 20
 
 
+def _every_count(step, state, odd, q):
+    """``splits._moves`` offering every count m = q, q - 1, ..., 0: p may keep an odd count."""
+    moves = tuple([(to, m) for m in range(q, -1, -1) if (to := step(state, odd, m)) is not None])
+    return moves, tuple(dict(reversed(moves)).items())
+
+
 def test_bad_p_counts_in_the_dp_are_caught_by_the_split_test(monkeypatch):
     # the public fiber minimum still builds its argmin with the validating Split
-    monkeypatch.setattr(type_bd, "_r_counts", lambda odd, q: list(range(q, -1, -1)))
+    monkeypatch.setattr(splits, "_moves", _every_count)
     with pytest.raises(ContradictionError, match="not a split"):
         for j, g in _all_types(12):
             if g.series != "C":
                 type_bd.fiber_minimum(j.parts)
 
 
-def _forged_minima(monkeypatch, **mutations):
-    """The B/D types of total <= 12 whose DP argmin leaves a family, under mutations."""
-    for name, value in mutations.items():
-        monkeypatch.setattr(type_bd, name, value)
+def _forged_minima(monkeypatch, mutations):
+    """The B/D types of total <= 12 whose DP argmin leaves a family, under (module, name, value) mutations."""
+    for module, name, value in mutations:
+        monkeypatch.setattr(module, name, value)
     automaton = (type_bd._R_START, type_bd._r_step, type_bd._r_accepts)
     out = []
     for j, g in _all_types(12):
         if g.series == "C":
             continue
         runs = j.parts.runs()
-        _, _, choices = splits.fiber_minimum(runs, type_bd._r_counts, automaton)
+        _, _, choices = splits.fiber_minimum(runs, automaton)
         if choices is None:
             continue
         r = Partition([e for (e, q), m in zip(runs, choices) for _ in range(m)])
@@ -313,16 +319,16 @@ def _forged_minima(monkeypatch, **mutations):
     "mutations",
     [
         # odd counts of a value left in p: p undoubled
-        {"_r_counts": lambda odd, q: list(range(q, -1, -1))},
+        [(splits, "_moves", _every_count)],
         # an automaton that accepts every r: r outside family R
-        {"_r_step": lambda state, odd, m: state, "_r_accepts": lambda state: True},
+        [(type_bd, "_r_step", lambda state, odd, m: state), (type_bd, "_r_accepts", lambda state: True)],
     ],
     ids=["p-undoubled", "r-outside-R"],
 )
 def test_a_trusted_dp_argmin_outside_its_families_is_caught_by_the_dual_route(monkeypatch, mutations):
     # minimal_split builds no split from the DP argmin: comparing its choice
     # vector with the routed one (or finding it tied) is what rejects it
-    forged = _forged_minima(monkeypatch, **mutations)
+    forged = _forged_minima(monkeypatch, mutations)
     assert len(forged) > 20
     for j, g in forged:
         with pytest.raises(ContradictionError, match="differs from canonical split|share the minimal"):
@@ -432,28 +438,19 @@ def test_a_routed_count_outside_its_run_is_a_contradiction(monkeypatch, series, 
     ids=["C", "BD"],
 )
 def test_a_dp_vector_unlike_the_routed_one_names_both_splits(monkeypatch, side, c, forged, dp, routed):
-    monkeypatch.setattr(splits, "fiber_minimum", lambda runs, r_counts, automaton: (4, 1, forged))
+    monkeypatch.setattr(splits, "fiber_minimum", lambda runs, automaton: (4, 1, forged))
     with pytest.raises(ContradictionError) as exc:
         side.minimal_split(c)
     assert str(exc.value) == f"fiber minimum {dp} differs from canonical split {routed} over {c.text()}"
 
 
-@pytest.mark.parametrize(
-    "side, r_family, bad_counts",
-    [
-        # an odd value sent to r, or an odd count of an even value left in p
-        (type_c, "S", lambda odd, q: list(range(q, -1, -1))),
-        (type_bd, "R", lambda odd, q: list(range(q, -1, -1))),
-    ],
-)
-def test_bad_choices_in_iter_fiber_are_caught_by_the_brute_oracle(
-    monkeypatch, side, r_family, bad_counts
-):
-    # iter_fiber builds its splits trusted: the B/D automaton admits only r
-    # in family R, and the side's _r_counts guarantees the rest; the
-    # brute-force fiber catches a wrong _r_counts
+@pytest.mark.parametrize("side, r_family", [(type_c, "S"), (type_bd, "R")])
+def test_bad_choices_in_iter_fiber_are_caught_by_the_brute_oracle(monkeypatch, side, r_family):
+    # iter_fiber builds its splits trusted: the automaton admits only r in
+    # the side's family, and the engine's counts keep p doubled; the
+    # brute-force fiber catches counts that leave an odd count in p
     c = P(4, 4, 3, 3, 2, 2, 1, 1)
     want = brute_fiber(c, r_family, DOUBLED)
     assert {(x.r.parts, x.p.parts) for x in side.iter_fiber(c)} == want
-    monkeypatch.setattr(side, "_r_counts", bad_counts)
+    monkeypatch.setattr(splits, "_moves", _every_count)
     assert {(x.r.parts, x.p.parts) for x in side.iter_fiber(c)} != want

@@ -437,6 +437,16 @@ class TestIndexProbe:
         assert calls == ["tA_1+A_1", "A_01", "X_1"]
         assert names == [(s,) for s in ("tA_1+A_1", "A_01", "X_1") for _ in range(2)]
 
+    @pytest.mark.parametrize("arg", [None, b"A_1", 3], ids=["None", "bytes", "int"])
+    def test_an_argument_that_is_not_text_is_refused(self, arg):
+        table = load_table("E8")
+        for kind in ("phi", "psi", "fixed_space_dim"):
+            with pytest.raises(DomainError) as err:
+                getattr(table, kind)(arg)
+            assert (type(err.value), str(err.value)) == (DomainError, f"expected text, got {arg!r}"), kind
+        with pytest.raises(DomainError, match="^expected text, got CarterLabel"):
+            table.psi(CarterLabel.parse("A_1"))
+
     def test_every_alias_of_a_key_is_answered_without_a_parse(self, monkeypatch):
         keyed = [
             (table, arg, parse_first(table, "phi", arg), parse_first(table, "fixed_space_dim", arg))

@@ -123,7 +123,7 @@ ONE_VALUE_R = (0, lambda s, odd, m: None if m and odd else s + (m > 0), lambda s
 
 def tie_admitting_minimum(c: Partition):
     runs = c.runs()
-    return splits.least_split(type_c.Split, runs, type_c._r_counts, ONE_VALUE_R)
+    return splits.least_split(type_c.Split, runs, ONE_VALUE_R)
 
 
 def test_fiber_minimum_counts_every_tied_split():
@@ -131,7 +131,7 @@ def test_fiber_minimum_counts_every_tied_split():
     seen_ties = 0
     for c in jordan_types("C", 20):
         runs = c.runs()
-        listed = list(splits.iter_fiber(type_c.Split, runs, type_c._r_counts, ONE_VALUE_R))
+        listed = list(splits.iter_fiber(type_c.Split, runs, ONE_VALUE_R))
         if not listed:  # 4,2 say: both values must go wholly to r
             assert tie_admitting_minimum(c) == (None, 0, None)
             continue

@@ -3,12 +3,14 @@
 ``splits.iter_fiber`` lists only the choice sequences the automaton
 (``_R_START``, ``_r_step``, ``_r_accepts`` of ``type_bd`` for family R, of
 ``type_c`` for family S) accepts, pruning dead states, instead of filtering
-the product of ``_r_counts``.  These tests pin what the walk must keep: the
-same splits in the same order as the product (filtered by family R for
-B/D; C's product is all splits), a total over each rank that equals the
-class count of the Weyl group, work bounded by the choice counts times the
-output on inputs whose product is astronomically large, and a per-r family
-guard that turns a wrong automaton into a ContradictionError.
+the product of the engine's counts: per run of q equal values, m = q,
+q - 2, ... copies to r, each leaving p doubled.  These tests pin what the
+walk must keep: the same splits in the same order as the product (filtered
+by family R for B/D; for C, the product of the counts family S admits per
+value is all splits), a total over each rank that equals the class count of
+the Weyl group, work bounded by the counts times the output on inputs whose
+product is astronomically large, and a per-r family guard that turns a
+wrong automaton into a ContradictionError.
 """
 
 import contextlib
@@ -36,11 +38,16 @@ from weyl2uni.partitions import iter_members
 MAX_RANK = 12
 
 
-def product(module, c):
-    """Every combination of the module's ``_r_counts`` choices, as (r parts, p parts), in order."""
+def counts(q):
+    """The engine's copies to r of a run of q equal values, most first: each leaves p an even count."""
+    return range(q, -1, -2)
+
+
+def product(c, admits=lambda e, m: True):
+    """Every combination of the counts ``admits`` keeps per value, as (r parts, p parts), in order."""
     runs = c.runs()
     out = []
-    for ms in itertools.product(*(module._r_counts(e % 2, q) for e, q in runs)):
+    for ms in itertools.product(*([m for m in counts(q) if admits(e, m)] for e, q in runs)):
         r_parts, p_parts = [], []
         for (e, q), m in zip(runs, ms):
             r_parts += [e] * m
@@ -49,9 +56,14 @@ def product(module, c):
     return out
 
 
+def s_admits(e, m):
+    """Family S, one value at a time: no copy of an odd value in r."""
+    return e % 2 == 0 or m == 0
+
+
 def product_and_filter(c):
     """The B/D listing before the walk: the product, kept when r is in R."""
-    return [(r, p) for r, p in product(type_bd, c) if is_member(Partition(r), CHAINED)]
+    return [(r, p) for r, p in product(c) if is_member(Partition(r), CHAINED)]
 
 
 def listing(c, module=type_bd):
@@ -68,11 +80,12 @@ def test_walk_lists_the_product_filter_in_its_order():
 
 
 def test_c_walk_lists_the_whole_product_in_its_order():
-    # every combination of C's choices is a split: the walk drops none
+    # family S asks nothing across values, so every combination of the
+    # counts it admits per value is a split: the walk drops none
     seen = 0
     for nu in range(23):
         for c in iter_members(nu, SYMPLECTIC):
-            assert listing(c, type_c) == product(type_c, c), c.text()
+            assert listing(c, type_c) == product(c, s_admits), c.text()
             seen += 1
     assert seen == 987  # the C Jordan types of rank 0 to 11
 
@@ -88,7 +101,7 @@ def accepted(module, r):
 
 
 def test_the_automaton_accepts_exactly_family_r():
-    # fed whole runs of any multiplicity, not only the counts _r_counts offers
+    # fed whole runs of any multiplicity, not only the counts the engine offers
     for n in range(19):
         for r in iter_partitions(n):
             assert accepted(type_bd, r) == is_member(r, CHAINED), r.text()
@@ -178,7 +191,7 @@ def test_a_too_strict_automaton_fails_the_oracle_and_the_count(monkeypatch):
 def candidate_count(c):
     out = 1
     for e, q in c.runs():
-        out *= len(type_bd._r_counts(e % 2, q))
+        out *= len(counts(q))
     return out
 
 
@@ -202,18 +215,20 @@ def test_a_too_loose_automaton_trips_the_family_r_guard(monkeypatch):
 
 
 def test_an_odd_copy_in_r_trips_the_family_s_guard(monkeypatch):
-    # _r_counts offers one copy of each odd value to r: the family-S automaton
-    # refuses it on its own, and with a step that refuses nothing the per-r
-    # guard stops the first such r, never yielding it or skipping it
+    # the engine offers copies of each odd value to r: the family-S automaton
+    # refuses them on its own, and with a step that refuses nothing the
+    # per-r guard stops the first such r, never yielding it or skipping it
     types = [c for nu in range(0, 17, 2) for c in iter_members(nu, SYMPLECTIC)]
-    want = [listing(c, type_c) for c in types]
-    original = type_c._r_counts
+    original = type_c._r_step
+    offered = set()
 
-    def with_an_odd_copy(odd, q):
-        return [1] + original(odd, q) if odd else original(odd, q)
+    def recording(state, odd, m):
+        offered.add((odd, m > 0))
+        return original(state, odd, m)
 
-    monkeypatch.setattr(type_c, "_r_counts", with_an_odd_copy)
-    assert [listing(c, type_c) for c in types] == want
+    monkeypatch.setattr(type_c, "_r_step", recording)
+    assert [listing(c, type_c) for c in types] == [product(c, s_admits) for c in types]
+    assert (1, True) in offered
     monkeypatch.setattr(type_c, "_r_step", lambda state, odd, m: state)
     tripped = 0
     for c in types:
@@ -222,7 +237,7 @@ def test_an_odd_copy_in_r_trips_the_family_s_guard(monkeypatch):
                 listing(c, type_c)
             tripped += 1
         else:
-            assert listing(c, type_c) == product(type_c, c)
+            assert listing(c, type_c) == product(c)
     assert tripped > 100
 
 
@@ -255,7 +270,7 @@ def test_adversarial_listing_is_output_sensitive(monkeypatch, name):
     # every move there: per depth, the value's choices times (the one split
     # listed + at most 24 dead states), checked as the walk goes, so a walk
     # that stops pruning fails here instead of running for 2^20 nodes
-    choices = sum(len(type_bd._r_counts(e % 2, q)) for e, q in c.runs())
+    choices = sum(len(counts(q)) for e, q in c.runs())
     bound = choices * (1 + 24)
     tried = 0
     original = splits._moves

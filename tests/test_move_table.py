@@ -1,11 +1,14 @@
 """The move table of ``splits``: sound, parity-blind and never stale.
 
-``splits._moves`` caches, per (r_counts, step, state, parity, q), the moves
-of a side's r-family automaton on a run of q copies of a value of that
-parity.  These tests pin what makes the cache safe: it equals the direct
-composition of the rules on every reachable state, the fibers do not depend
-on a value beyond its parity, a rule replaced after the table is warm is
-the one in use, and a whole sweep needs only a small table.
+``splits._moves`` caches, per (step, state, parity, q), the moves of a
+side's r-family automaton on a run of q copies of a value of that parity:
+the counts m = q, q - 2, ... that leave p doubled, the engine's one count
+rule, less those the side's ``_r_step`` refuses.  These tests pin what makes
+the cache safe: it equals the direct composition of the rules on every
+reachable state, no move leaves an odd count in p, the moves are those of
+the per-side count lists the engine replaced, the fibers do not depend on a
+value beyond its parity, a rule replaced after the table is warm is the one
+in use, and a whole sweep needs only a small table.
 """
 
 from weyl2uni import ORTHOGONAL, Partition, SYMPLECTIC, splits, type_bd, type_c, verify
@@ -15,15 +18,20 @@ SIDES = {"C": (type_c, SYMPLECTIC), "BD": (type_bd, ORTHOGONAL)}
 MAX_Q = 8
 
 
-def reachable_states(side):
-    """Every state the side's automaton reaches from its start on runs of at most MAX_Q copies."""
+def counts(q):
+    """The engine's copies to r of a run of q equal values, most first."""
+    return range(q, -1, -2)
+
+
+def reachable_states(side, max_q=MAX_Q):
+    """Every state the side's automaton reaches from its start on runs of at most ``max_q`` copies."""
     seen = {side._R_START}
     todo = [side._R_START]
     while todo:
         state = todo.pop()
         for odd in (0, 1):
-            for q in range(MAX_Q + 1):
-                for m in side._r_counts(odd, q):
+            for q in range(max_q + 1):
+                for m in counts(q):
                     to = side._r_step(state, odd, m)
                     if to is not None and to not in seen:
                         seen.add(to)
@@ -34,7 +42,7 @@ def reachable_states(side):
 def direct(side, state, odd, q):
     """The moves and the cheapest move per target, composed from the rules with no table."""
     moves = []
-    for m in side._r_counts(odd, q):
+    for m in counts(q):
         to = side._r_step(state, odd, m)
         if to is not None:
             moves.append((to, m))
@@ -53,11 +61,53 @@ def test_the_table_equals_the_rules_on_every_reachable_state():
             for state in states:
                 for odd in (0, 1):
                     for q in range(MAX_Q + 1):
-                        moves, cheapest = splits._moves(side._r_counts, side._r_step, state, odd, q)
+                        moves, cheapest = splits._moves(side._r_step, state, odd, q)
                         want_moves, want_cheapest = direct(side, state, odd, q)
                         assert list(moves) == want_moves, (name, state, odd, q)
                         assert dict(cheapest) == want_cheapest, (name, state, odd, q)
                         assert len(cheapest) == len(want_cheapest)
+
+
+def test_no_move_leaves_an_odd_count_in_p():
+    # p must stay doubled (family Ptilde) on any run the table is asked
+    # about, including an odd count of a value the side's family pairs,
+    # where the only answer is no move at all
+    for name, (side, _) in SIDES.items():
+        for state in reachable_states(side, 60):
+            for odd in (0, 1):
+                for q in range(61):
+                    moves, cheapest = splits._moves(side._r_step, state, odd, q)
+                    assert all((q - m) % 2 == 0 for _, m in moves + cheapest), (name, state, odd, q)
+    automaton = (type_c._R_START, type_c._r_step, type_c._r_accepts)
+    assert list(splits.iter_fiber(type_c.Split, [(3, 1)], automaton)) == []
+    assert splits.fiber_minimum([(3, 1)], automaton) == (None, 0, None)
+
+
+# The per-side count lists that the engine's one rule replaced, kept here as
+# an oracle: C sent no copy of an odd value to r, B/D 0, 1 or 2 copies of an
+# odd value with p left even; both kept an even count of an even value in p.
+def c_counts(odd, q):
+    return [0] if odd else list(range(q, -1, -2))
+
+
+def bd_counts(odd, q):
+    if odd:
+        return [m for m in (0, 1, 2) if m <= q and (q - m) % 2 == 0]
+    return list(range(q, -1, -2))
+
+
+def test_the_moves_are_those_of_the_replaced_count_lists():
+    # on every key a Jordan type of the side's family reaches: a value whose
+    # parity the family pairs (odd in T, even in Q) comes an even number of times
+    keys = 0
+    for side, listed, paired in ((type_c, c_counts, 1), (type_bd, bd_counts, 0)):
+        for state in reachable_states(side, 60):
+            for odd in (0, 1):
+                for q in range(0, 61, 2 if odd == paired else 1):
+                    want = {(to, m) for m in listed(odd, q) if (to := side._r_step(state, odd, m)) is not None}
+                    assert set(splits._moves(side._r_step, state, odd, q)[0]) == want, (side, state, odd, q)
+                    keys += 1
+    assert keys == 92 + 460
 
 
 def raised(c: Partition) -> Partition:
@@ -114,7 +164,7 @@ def test_a_whole_sweep_needs_a_small_table():
 def test_the_table_stays_bounded():
     assert splits._moves.cache_info().maxsize == 4096
     splits._moves.cache_clear()
-    for q in range(5000):  # an odd value has one choice: cheap distinct keys
-        splits._moves(type_c._r_counts, type_c._r_step, type_c._R_START, 1, q)
+    for state in range(5000):  # C's step keeps any state: cheap distinct keys
+        splits._moves(type_c._r_step, state, 1, 2)
     assert splits._moves.cache_info().currsize == 4096
-    assert splits._moves(type_c._r_counts, type_c._r_step, 0, 0, 4)[0] == ((0, 4), (0, 2), (0, 0))
+    assert splits._moves(type_c._r_step, 0, 0, 4)[0] == ((0, 4), (0, 2), (0, 0))

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import brute_fiber, value_counts
 from weyl2uni import (
@@ -14,6 +15,7 @@ from weyl2uni import (
     merge,
 )
 from weyl2uni import type_bd
+from weyl2uni.partitions import iter_members
 
 
 def P(*parts):
@@ -102,12 +104,54 @@ class TestHalvesFromBlocks:
 
 
 class TestStar:
-    # rule 4 of the routing: no odd entry in r yet, so the even value goes to p
+    # rule 1 of the routing: no odd entry in r yet, so the even value goes to p
     def test_empty_chain_sends_evens_to_p(self):
         assert type_bd._route_choices([(4, 2)]) == (0,)
         assert type_bd.canonical_split(P(3, 3, 2, 2)) == type_bd.Split(
             Partition(), P(3, 3, 2, 2)
         )
+
+
+def five_rule_route(runs):
+    """The routing as it was first stated, in five rules, kept as an oracle for the one-bit route.
+
+    d is the 1-based position where an odd value's run starts inside the
+    odd subsequence of c.  1: e odd, q odd, m = 1.  2: e odd, q even, d
+    even, m = 2.  3: e odd, q even, d odd, m = 0.  4: e even with evenly
+    many odd entries in r so far, m = 0.  5: e even otherwise, m = q.
+    """
+    out, odd_in_r, d = [], 0, 1
+    for e, q in runs:
+        if e % 2 == 0:
+            m = 0 if odd_in_r % 2 == 0 else q
+        else:
+            m = 1 if q % 2 else 2 if d % 2 == 0 else 0
+            odd_in_r += m
+            d += q
+        out.append(m)
+    return tuple(out)
+
+
+# any runs, largest value first: distinct values of either parity, any multiplicity
+decreasing_runs = st.lists(
+    st.tuples(st.integers(1, 99), st.integers(1, 9)), max_size=24, unique_by=lambda run: run[0]
+).map(lambda runs: sorted(runs, reverse=True))
+
+
+class TestOneBitRoute:
+    def test_equals_the_five_rules_on_every_orthogonal_type_to_31(self):
+        seen = 0
+        for nu in range(32):
+            for c in iter_members(nu, ORTHOGONAL):
+                runs = c.runs()
+                assert type_bd._route_choices(runs) == five_rule_route(runs), c.text()
+                seen += 1
+        assert seen == 7191
+
+    @settings(max_examples=500, deadline=None)
+    @given(decreasing_runs)
+    def test_equals_the_five_rules_on_any_decreasing_runs(self, runs):
+        assert type_bd._route_choices(runs) == five_rule_route(runs)
 
 
 class TestCanonicalSplit:
