@@ -33,6 +33,9 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 
 
+PARSE_CAP = 100_000  # the largest total Partition.from_text, and rank SignedCycleType.from_text, accepts
+
+
 class DomainError(ValueError):
     """An input violates one of the documented invariants."""
 
@@ -122,9 +125,9 @@ class Partition(tuple):
         * ``merge``, ``double_parts`` and the generator ``iter_member_runs``
           (which ``iter_members`` and ``iter_partitions`` read) here;
         * the fiber walk ``splits.walk`` (r), its wrapper ``splits.iter_fiber``
-          (p) and the choice-vector builder ``splits.Split.from_choices``;
+          (p) and the choice-vector reader ``splits._choice_parts``;
         * ``type_bd.blocks_from_halves`` and ``_halves_of_chained``;
-        * ``weyl.encode_class`` (series C) and ``decode_class``.
+        * ``weyl.encode_class`` (series C) and ``_class_of``.
 
         Outside input (``from_text``, the ``__init__`` of the public
         records) always goes through the validating constructor.
@@ -156,14 +159,17 @@ class Partition(tuple):
 
     @classmethod
     def from_text(cls, s: str) -> "Partition":
-        """Parse comma-separated ASCII decimal parts (see ``parse_decimal``); "-" is empty."""
+        """Parse comma-separated ASCII decimal parts (``parse_decimal``), at most ``PARSE_CAP`` in all; "-" is empty."""
         s = s.strip()
         if s in ("-", ""):
             return cls()
         try:
-            return cls(parse_decimal(tok) for tok in s.split(","))
+            out = cls(parse_decimal(tok) for tok in s.split(","))
         except ValueError as exc:
             raise DomainError(f"cannot parse partition from {s!r}: {exc}") from None
+        if out.size > PARSE_CAP:
+            raise DomainError(f"partition total {out.size} is above the parse cap {PARSE_CAP}")
+        return out
 
     def to_json(self) -> list[int]:
         return list(self)

@@ -11,29 +11,30 @@ through one move table, the cache of ``_moves``.  This module holds the
 machinery once: ``Split`` and its validated builder ``Split.from_choices``,
 the one fiber walk ``walk`` and its listings ``iter_fiber`` and ``fiber``,
 the dynamic program ``fiber_minimum`` and the dual-route guard
-``minimal_split``.  The sides ``type_c`` and ``type_bd``, which
+``minimal_parts``.  The sides ``type_c`` and ``type_bd``, which
 ``weyl.SIDES`` picks per series, keep only their rules: ``FAMILY``, a
-``Split`` subclass, the automaton and the routing ``_route_choices``.  The
-two routes of ``minimal_split`` meet as choice vectors, and its answer is
-built once, from the routed one.
+``Split`` subclass, the automaton and the routing ``_route_choices``.
 
 The checks, per call.  A ``Split`` is a certificate: its public constructor
-tests r for the r-family and p for family Ptilde, so no function handed one
-tests either again; only ``iter_fiber`` and ``weyl.encode_class``, whose
-derivations guarantee both, use the trusted ``Split._trusted``.
-``from_choices`` builds from c's own runs, so r and p merge back to c
-exactly when the vector has one m in 0..q per run, which it checks
-(ContradictionError) instead of re-sorting r + p.  Each public function of
-a side tests c for its ``FAMILY``, T (C) or Q (B/D), once, at entry, by
-``check_jordan``, and nothing else in here tests it again.  Then:
+tests r for the r-family and p for family Ptilde (``Split._check``), so no
+function handed one tests either again; only ``iter_fiber`` and
+``weyl.encode_class``, whose derivations guarantee both, use the trusted
+``Split._trusted``.  ``_choice_parts`` reads (r, p) from c's own runs, so
+they merge back to c exactly when the vector has one m in 0..q per run,
+which it checks (ContradictionError) instead of re-sorting r + p.  Each
+public function of a side tests c for its ``FAMILY``, T (C) or Q (B/D),
+once, at entry, by ``check_jordan``.  Then:
 
 * ``canonical_split`` builds the routed vector: one r-family and one
   Ptilde test.
 * ``minimal_split`` adds the dynamic program, which tests nothing, and
-  compares its vector with the routed one before building the latter.  A
-  ``weyl.psi_classical`` call adds its round trip, where on B/D
-  ``blocks_from_halves`` tests r for family R: a C ``psi`` tests T, S and
-  Ptilde once each, a B/D ``psi`` tests Q and Ptilde once and R twice.
+  compares its vector with the routed one before testing the latter.
+* ``weyl.psi_classical`` tests no family of its certified Jordan type and
+  builds no ``Split``: it runs the two routes of ``minimal_parts`` and
+  ``Split._check`` once, and its round trip, where on B/D
+  ``blocks_from_halves`` tests r for family R and is the one
+  ``type_bd._raw_blocks`` call.  A C ``psi`` tests S and Ptilde once
+  each, a B/D ``psi`` Ptilde once and R twice.
 * The scan of ``verify`` (``_claim_and_walk``) takes c with its runs from
   the sweep's generator, builds the routed split (on C through the public
   ``canonical_split``, which counts the runs again) and reads ``walk`` over
@@ -70,12 +71,17 @@ class Split(Record):
     R_VIOLATION: str
 
     def __init__(self, r: Partition, p: Partition) -> None:
-        if not is_member(r, self.R_FAMILY):
-            raise DomainError(f"r={r.text()} {self.R_VIOLATION}")
-        if not is_member(p, DOUBLED):
-            raise DomainError(f"p={p.text()} is not doubled (family Ptilde violated)")
+        self._check(r, p)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "p", p)
+
+    @classmethod
+    def _check(cls, r: Partition, p: Partition) -> None:
+        """The family tests of the constructor: r in ``R_FAMILY`` and p in family Ptilde, else DomainError."""
+        if not is_member(r, cls.R_FAMILY):
+            raise DomainError(f"r={r.text()} {cls.R_VIOLATION}")
+        if not is_member(p, DOUBLED):
+            raise DomainError(f"p={p.text()} is not doubled (family Ptilde violated)")
 
     @classmethod
     def _trusted(cls, r: Partition, p: Partition) -> "Split":
@@ -92,27 +98,32 @@ class Split(Record):
 
     @classmethod
     def from_choices(cls, runs, choices) -> "Split":
-        """The split sending m copies of each run (e, q) of c to r and q - m to p, validated.
-
-        ``runs`` are c's own runs, largest value first.  A vector that does
-        not merge back to c (not one m in 0..q per run) is a ContradictionError.
-        """
-        if len(choices) == len(runs):
-            r = p = ()
-            for (e, q), m in zip(runs, choices):
-                if not 0 <= m <= q:
-                    break
-                r += (e,) * m
-                p += (e,) * (q - m)
-            else:  # both sides are sub-sequences of c: already sorted
-                return cls(Partition._from_sorted(r), Partition._from_sorted(p))
-        raise ContradictionError(f"choices {tuple(choices)} over {_type_text(runs)} do not merge back")
+        """The split of ``_choice_parts(runs, choices)``, its families tested by the constructor."""
+        return cls(*_choice_parts(runs, choices))
 
     def text(self) -> str:
         return f"r={self.r.text()};p={self.p.text()}"
 
     def to_json(self) -> dict:
         return {"r": self.r.to_json(), "p": self.p.to_json()}
+
+
+def _choice_parts(runs, choices) -> tuple[Partition, Partition]:
+    """(r, p) sending m copies of each run (e, q) of c to r and q - m to p, their families untested.
+
+    ``runs`` are c's own runs, largest value first.  A vector that does
+    not merge back to c (not one m in 0..q per run) is a ContradictionError.
+    """
+    if len(choices) == len(runs):
+        r = p = ()
+        for (e, q), m in zip(runs, choices):
+            if not 0 <= m <= q:
+                break
+            r += (e,) * m
+            p += (e,) * (q - m)
+        else:  # both sides are sub-sequences of c: already sorted
+            return Partition._from_sorted(r), Partition._from_sorted(p)
+    raise ContradictionError(f"choices {tuple(choices)} over {_type_text(runs)} do not merge back")
 
 
 @lru_cache(maxsize=4096)
@@ -258,14 +269,13 @@ def fiber(xs: Iterable[Split]) -> list[Split]:
     return sorted(xs, key=lambda x: (len(x.p), x.p, x.r))
 
 
-def minimal_split(split_cls, c: Partition, runs, automaton, route_choices) -> Split:
-    """The unique split of c minimizing the number of parts of p.
+def minimal_parts(c: Partition, runs, automaton, route_choices) -> tuple[Partition, Partition]:
+    """The (r, p) of the unique split of c minimizing the number of parts of p, their families untested.
 
     The caller has tested c and counted its ``runs`` once, for both routes:
     the minimum of ``fiber_minimum`` must exist, be unique and have the
     choice vector ``route_choices(runs)`` of the closed-form routing, else
     ContradictionError (none can happen; this is the point being verified).
-    The answer is built once, validated, from that vector.
     """
     p_len, ties, best = fiber_minimum(runs, automaton)
     if p_len is None:
@@ -273,12 +283,13 @@ def minimal_split(split_cls, c: Partition, runs, automaton, route_choices) -> Sp
     if ties != 1:
         raise ContradictionError(f"{ties} fiber elements over {c.text()} share the minimal p-length {p_len}")
     routed = route_choices(runs)
-    out = split_cls.from_choices(runs, routed)
+    r, p = _choice_parts(runs, routed)
     if best != routed:
         raise ContradictionError(
-            f"fiber minimum {_split_text(runs, best)} differs from canonical split {out.text()} over {c.text()}"
+            f"fiber minimum {_split_text(runs, best)} differs from canonical split {_split_text(runs, routed)} "
+            f"over {c.text()}"
         )
-    return out
+    return r, p
 
 
 def _type_text(runs) -> str:

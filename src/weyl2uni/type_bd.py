@@ -121,16 +121,14 @@ def halves_from_blocks(blocks: Partition, kappa: int) -> Partition:
     return _halves_of_chained(blocks, kappa)
 
 
-def _halves_of_chained(blocks: Partition, kappa: int) -> Partition:
+def _halves_of_chained(blocks: Partition, kappa: int, rebuild: bool = True) -> Partition:
     """``halves_from_blocks`` for blocks already known to be in family R.
 
     Checks: the parity of the total against kappa (DomainError); then that
-    the halves decrease and that ``_raw_blocks`` of them rebuilds the input
-    exactly (ContradictionError, none can happen).  Rebuilding the input
-    exactly also implies that it is in family R, at kappa=0 that the halves
-    are in family P0, and that no half is 0: only a block 1 at an odd
-    position halves to 0, and decreasing halves put it last, where it
-    rebuilds to one block 1 too many (kappa=0) or too few (kappa=1).
+    the halves decrease, with ``rebuild`` that ``_raw_blocks`` of them
+    rebuilds the input exactly (so it is in family R, and in P0 at kappa=0),
+    and that no half is 0 (ContradictionError, none can happen).
+    ``weyl.psi_classical`` skips the rebuild: its round trip re-encodes.
     """
     if sum(blocks) % 2 != kappa:
         raise DomainError(f"total of {blocks.text()} has the wrong parity for kappa={kappa}")
@@ -141,8 +139,10 @@ def _halves_of_chained(blocks: Partition, kappa: int) -> Partition:
     out = [(v + i % 2) // 2 for i, v in enumerate(ps)]
     if sorted(out, reverse=True) != out:
         raise ContradictionError(f"halves of {blocks.text()} not decreasing: {out}")
-    if _raw_blocks(tuple(out), kappa) != blocks:  # before a 0 half can reach a Partition
+    if rebuild and _raw_blocks(tuple(out), kappa) != blocks:
         raise ContradictionError(f"halves_from_blocks({blocks.text()}, {kappa}) does not invert")
+    if out and not out[-1]:  # before a 0 half can reach a Partition
+        raise ContradictionError(f"halves of {blocks.text()} end on 0: {out}")
     return Partition._from_sorted(tuple(out))
 
 
@@ -247,7 +247,10 @@ def fiber_minimum(c: Partition) -> tuple[int | None, int, Split | None]:
 
 
 def minimal_split(c: Partition) -> Split:
-    """The unique split minimizing the number of parts of p (``splits.minimal_split``)."""
+    """The unique split minimizing the number of parts of p (``_minimal_parts``, which ``weyl.psi_classical`` reads)."""
     splits.check_jordan(c, FAMILY)
-    runs = c.runs()
-    return splits.minimal_split(Split, c, runs, (_R_START, _r_step, _r_accepts), _route_choices)
+    return Split(*_minimal_parts(c, c.runs()))
+
+
+def _minimal_parts(c: Partition, runs) -> tuple[Partition, Partition]:
+    return splits.minimal_parts(c, runs, (_R_START, _r_step, _r_accepts), _route_choices)

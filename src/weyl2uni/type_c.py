@@ -84,7 +84,10 @@ def fiber_minimum(c: Partition) -> tuple[int | None, int, Split | None]:
 
 
 def minimal_split(c: Partition) -> Split:
-    """The unique split minimizing the number of parts of p (``splits.minimal_split``)."""
+    """The unique split minimizing the number of parts of p (``_minimal_parts``, which ``weyl.psi_classical`` reads)."""
     splits.check_jordan(c, FAMILY)
-    runs = c.runs()
-    return splits.minimal_split(Split, c, runs, (_R_START, _r_step, _r_accepts), _route_choices)
+    return Split(*_minimal_parts(c, c.runs()))
+
+
+def _minimal_parts(c: Partition, runs) -> tuple[Partition, Partition]:
+    return splits.minimal_parts(c, runs, (_R_START, _r_step, _r_accepts), _route_choices)

@@ -19,9 +19,9 @@ Checked objects are certificates: a ``JordanType`` or ``Split`` has had its
 families tested by its public constructor, so a function handed one does
 not test them again.  ``JordanType`` has no trusted constructor, so every
 Jordan type ``phi_classical`` returns has had its family tested.
-``psi_classical`` checks its answer twice on purpose: the two routes of
-``minimal_split`` and the ``phi`` round trip.  The ``splits`` docstring
-counts the family tests of each call.
+``psi_classical`` runs each check once; it checks its answer twice on
+purpose: the two routes of the side's ``_minimal_parts`` and the ``phi``
+round trip.  The ``splits`` docstring counts the checks of each call.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .partitions import (
     ContradictionError,
     DomainError,
     ORTHOGONAL,
+    PARSE_CAP,
     Partition,
     Record,
     SYMPLECTIC,
@@ -105,7 +106,10 @@ class SignedCycleType(Record):
         pos, _, neg = s.partition(";")
         if not (pos.startswith("pos=") and neg.startswith("neg=")) or ";" in neg:
             raise DomainError(f"expected 'pos=<partition>;neg=<partition>', got {s!r}")
-        return cls(Partition.from_text(pos[4:]), Partition.from_text(neg[4:]))
+        w = cls(Partition.from_text(pos[4:]), Partition.from_text(neg[4:]))
+        if w.rank > PARSE_CAP:
+            raise DomainError(f"class rank {w.rank} is above the parse cap {PARSE_CAP}")
+        return w
 
     def to_json(self, g: GroupKind) -> dict:
         return {
@@ -178,22 +182,24 @@ def encode_class(w: SignedCycleType, g: GroupKind) -> type_c.Split | type_bd.Spl
 def decode_class(x: type_c.Split | type_bd.Split, g: GroupKind) -> SignedCycleType:
     """Inverse of encode_class.
 
-    x must be a ``Split`` of g's side, else DomainError.  It certifies its
-    families, so p is halved and a C r divided by 2 directly; a B/D r goes
-    through ``type_bd._halves_of_chained``, which checks the parity of its
-    total against kappa and that the halves rebuild r exactly.
+    x must be a ``Split`` of g's side, else DomainError.  ``_class_of``
+    halves it, rebuilding a B/D r; ``_check_class`` tests the class.
     """
     side = SIDES[g.series]
     if not isinstance(x, side.Split):
         raise DomainError(f"series {g.series} decodes a {side.__name__.rsplit('.', 1)[1]}.Split")
-    if g.series == "C":
-        neg = Partition._from_sorted(tuple([v // 2 for v in x.r.parts]))  # r is all even
-    else:
-        neg = type_bd._halves_of_chained(x.r, g.kappa)
-    pos = Partition._from_sorted(x.p.parts[0::2])
-    w = SignedCycleType(pos, neg)
+    w = _class_of(x.r, x.p, g, rebuild=True)
     _check_class(w, g)
     return w
+
+
+def _class_of(r: Partition, p: Partition, g: GroupKind, rebuild: bool) -> SignedCycleType:
+    """The class of the family-tested split (r, p) of g's side; a B/D r by ``type_bd._halves_of_chained``."""
+    if g.series == "C":
+        neg = Partition._from_sorted(tuple([v // 2 for v in r]))  # r is all even
+    else:
+        neg = type_bd._halves_of_chained(r, g.kappa, rebuild)
+    return SignedCycleType(Partition._from_sorted(p[0::2]), neg)
 
 
 def fixed_space_dim(w: SignedCycleType) -> int:
@@ -273,14 +279,16 @@ def _check_jordan(j: JordanType, g: GroupKind) -> None:
 def psi_classical(j: JordanType, g: GroupKind) -> SignedCycleType:
     """The preimage class of phi_classical with strictly minimal fixed space.
 
-    ``SIDES[g.series].minimal_split`` checks its two routes against each
-    other; the decoded class is encoded again and must merge back to j's
-    parts.  That equality stands for the round trip through
-    ``phi_classical``: j is certified, so the family test a rebuilt
-    ``JordanType`` would run adds nothing.
+    Each check runs once: j, a certificate, has its sign and total matched
+    to g; ``_minimal_parts`` compares the two routes and reads (r, p), which
+    ``Split._check`` tests; ``_class_of`` halves them without rebuilding r;
+    the class, encoded again, must merge back to j's parts (the round trip).
     """
     _check_jordan(j, g)
-    w = decode_class(SIDES[g.series].minimal_split(j.parts), g)
+    side = SIDES[g.series]
+    r, p = side._minimal_parts(j.parts, j.parts.runs())
+    side.Split._check(r, p)
+    w = _class_of(r, p, g, rebuild=False)
     x = encode_class(w, g)
     if merge(x.r, x.p) != j.parts:
         raise ContradictionError(f"psi of {j.text()} does not round-trip through phi")

@@ -138,13 +138,13 @@ def tally(monkeypatch):
 @pytest.mark.parametrize(
     "series, jordan, psi_tests, phi_tests",
     [
-        # psi: minimal_split tests the Jordan type at entry and the one
-        # split it builds (from the routed choice vector), and on B/D the round
-        # trip's blocks_from_halves tests its r; phi tests its block side
-        # once and its JordanType once
-        ("C", (4, 2, 1, 1), {"T": 1, "S": 1, "Ptilde": 1}, {"T": 1}),
-        ("B", (5, 3, 3, 1, 1), {"Q": 1, "R": 2, "Ptilde": 1}, {"Q": 1, "R": 1}),
-        ("D", (5, 3, 1, 1), {"Q": 1, "R": 2, "Ptilde": 1}, {"Q": 1, "R": 1}),
+        # psi: the Jordan type is certified, so only the (r, p) read from
+        # the routed choice vector is tested, and on B/D the round trip's
+        # blocks_from_halves tests its r; phi tests its block side once and
+        # its JordanType once
+        ("C", (4, 2, 1, 1), {"S": 1, "Ptilde": 1}, {"T": 1}),
+        ("B", (5, 3, 3, 1, 1), {"R": 2, "Ptilde": 1}, {"Q": 1, "R": 1}),
+        ("D", (5, 3, 1, 1), {"R": 2, "Ptilde": 1}, {"Q": 1, "R": 1}),
     ],
 )
 def test_family_tests_per_call(tally, series, jordan, psi_tests, phi_tests):
@@ -234,6 +234,58 @@ def test_a_zero_half_is_caught_by_the_rebuild_check():
     assert seen > 50
 
 
+def test_a_bd_psi_runs_the_block_arithmetic_once(monkeypatch):
+    # psi halves r without rebuilding it: the one _raw_blocks call per B/D
+    # psi is the round trip's blocks_from_halves
+    original = type_bd._raw_blocks
+    calls = 0
+
+    def counting(hs, kappa):
+        nonlocal calls
+        calls += 1
+        return original(hs, kappa)
+
+    monkeypatch.setattr(type_bd, "_raw_blocks", counting)
+    types = [(j, g) for j, g in _all_types(20) if g.series != "C"]
+    for j, g in types:
+        calls = 0
+        psi_classical(j, g)
+        assert calls == 1, j.text()
+    assert len(types) > 700
+
+
+@pytest.mark.parametrize(
+    "wrong, error, match",
+    [
+        # the largest half one too big: the class has the wrong rank
+        (lambda hs: (hs[0] + 1,) + hs[1:], DomainError, "has rank"),
+        # one unit moved from the smallest half to the largest: the rank is
+        # kept, so only the merge with j can see it
+        (lambda hs: (hs[0] + 1,) + hs[1:-1] + (hs[-1] - 1,), ContradictionError, "does not round-trip"),
+    ],
+    ids=["rank-off", "rank-kept"],
+)
+def test_a_wrong_halving_on_the_psi_path_is_caught_by_the_round_trip(monkeypatch, wrong, error, match):
+    # psi skips the rebuild of _halves_of_chained: a halving seeded wrong,
+    # still decreasing and positive, is refused by the round trip's
+    # encode_class and merge on every B/D type that can carry it (not a
+    # routed r with no half, nor, for the move, one half or a smallest 1)
+    original = type_bd._halves_of_chained
+
+    def seeded(blocks, kappa, rebuild=True):
+        return Partition(wrong(original(blocks, kappa, rebuild)))
+
+    def reached(hs):
+        return hs and len(wrong(hs)) == len(hs) and all(wrong(hs))
+
+    types = [(j, g) for j, g in _all_types(20) if g.series != "C" and reached(psi_classical(j, g).negative.parts)]
+    monkeypatch.setattr(type_bd, "_halves_of_chained", seeded)
+    for j, g in types:
+        with pytest.raises(error, match=match):
+            psi_classical(j, g)
+    assert len(types) > 100
+
+
 def test_a_lost_trailing_block_is_caught_only_by_the_total_check(monkeypatch):
     # without its appended 1, the block list stays decreasing and in
     # family R: only the total test of blocks_from_halves rejects it
@@ -258,24 +310,18 @@ def _fuse_last_pair(p):
 
 
 @pytest.mark.parametrize("series", ["B", "C", "D"])
-def test_undoubled_p_reaching_decode_is_caught_by_the_rank_check(monkeypatch, series):
+def test_undoubled_p_reaching_decode_is_caught_by_the_rank_check(series):
     # decode_class does not test p for family Ptilde.  An undoubled p of
     # the right total has its odd positions summing to more than half of
     # it, so decode_class's rank check fails instead
     side = type_c if series == "C" else type_bd
-    original = side.minimal_split
-
-    def forged(c):
-        x = original(c)
-        return side.Split._trusted(x.r, _fuse_last_pair(x.p)) if x.p else x
-
-    monkeypatch.setattr(side, "minimal_split", forged)
     caught = 0
     for j, g in _all_types(12):
         if g.series != series or is_member(j.parts, "S" if series == "C" else "R"):
             continue  # p is empty: nothing to forge
+        x = side.minimal_split(j.parts)
         with pytest.raises(DomainError, match="has rank"):
-            psi_classical(j, g)
+            weyl.decode_class(side.Split._trusted(x.r, _fuse_last_pair(x.p)), g)
         caught += 1
     assert caught > 20
 

@@ -201,6 +201,20 @@ class TestErrors:
         rc, _, err = run(capsys, "psi", "--series", "C", "--jordan", "3,2,1")
         assert rc == 1 and "not a symplectic" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["phi", "--series", "C", "--class", "pos=99999999999999999999;neg=-"],
+             "partition total 99999999999999999999 is above the parse cap 100000"),
+            (["phi", "--series", "B", "--class", "pos=50000;neg=50001"],
+             "class rank 100001 is above the parse cap 100000"),
+            (["psi", "--series", "B", "--jordan", "100001"], "partition total 100001 is above the parse cap 100000"),
+        ],
+        ids=["huge-part", "rank", "jordan"],
+    )
+    def test_input_above_the_parse_cap_exit_1(self, capsys, argv, message):
+        assert run(capsys, *argv) == (1, "", f"error: {message}")
+
     def test_unknown_label_exit_1(self, capsys):
         rc, _, err = run(capsys, "phi", "--group", "G2", "--label", "E_8")
         assert rc == 1 and "no class" in err

@@ -25,7 +25,7 @@ from weyl2uni import (
     type_bd,
     type_c,
 )
-from weyl2uni.partitions import double_parts, iter_member_runs
+from weyl2uni.partitions import PARSE_CAP, double_parts, iter_member_runs
 from weyl2uni.weyl import (
     GroupKind,
     SignedCycleType,
@@ -95,6 +95,14 @@ class TestPartition:
         assert Partition.from_text(" 3 ,\t1 , 1 ") == P(3, 1, 1)
         with pytest.raises(DomainError):
             Partition.from_text("\u0663,\u0661,\u0661")
+
+    def test_from_text_caps_the_total(self):
+        # a total of PARSE_CAP parses; one more, in one part or many, does not
+        assert Partition.from_text(str(PARSE_CAP)).size == PARSE_CAP
+        assert Partition.from_text(",".join(["1"] * 20001)).size == 20001
+        for text in (str(PARSE_CAP + 1), f"{PARSE_CAP},1", "99999999999999999999"):
+            with pytest.raises(DomainError, match=r"^partition total \d+ is above the parse cap 100000$"):
+                Partition.from_text(text)
 
     def test_ordering_is_by_parts(self):
         assert P(2, 1) < P(3) and P(3) < P(3, 1)
@@ -326,9 +334,9 @@ class TestIterMembers:
 # never appear here.
 TRUSTED_CALLERS = {
     "partitions": {"merge", "double_parts", "iter_member_runs"},
-    "splits": {"walk", "iter_fiber", "from_choices"},
+    "splits": {"walk", "iter_fiber", "_choice_parts"},
     "type_bd": {"blocks_from_halves", "_halves_of_chained"},
-    "weyl": {"encode_class", "decode_class"},
+    "weyl": {"encode_class", "_class_of"},
 }
 
 

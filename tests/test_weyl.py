@@ -12,9 +12,12 @@ from weyl2uni import (
     iter_partitions,
     type_bd,
 )
+from weyl2uni.partitions import PARSE_CAP
 from weyl2uni.weyl import (
     GroupKind,
     JordanType,
+    LEAST_RANK,
+    SIDES,
     SignedCycleType,
     decode_class,
     encode_class,
@@ -239,6 +242,21 @@ class TestPsi:
                     w = psi_classical(j, g)
                     assert phi_classical(w, g).parts == j.parts
 
+    def test_the_public_split_path_is_an_oracle(self):
+        # psi reads (r, p) from the routed choice vector and halves it with
+        # no Split built and no rebuild; the public minimal_split and
+        # decode_class, off psi's path, must give the same class
+        seen = 0
+        for series in ("B", "C", "D"):
+            for n in range(LEAST_RANK[series], 16):
+                g = GroupKind(series, n)
+                if g.nu > 30:
+                    continue
+                for j in iter_jordan_types(g):
+                    assert psi_classical(j, g) == decode_class(SIDES[series].minimal_split(j.parts), g), j.text()
+                    seen += 1
+        assert seen > 10000
+
     def test_very_even_returns_split_class(self):
         g = GroupKind("D", 4)
         w = psi_classical(JordanType(P(4, 4), 1), g)
@@ -305,3 +323,9 @@ class TestJordanType:
     def test_text_round_trip(self):
         w = W([2, 1], [3])
         assert SignedCycleType.from_text(w.text()) == w
+
+    def test_from_text_caps_the_rank(self):
+        assert SignedCycleType.from_text(f"pos={PARSE_CAP // 2};neg={PARSE_CAP - PARSE_CAP // 2}").rank == PARSE_CAP
+        with pytest.raises(DomainError) as exc:
+            SignedCycleType.from_text(f"pos={PARSE_CAP // 2};neg={PARSE_CAP // 2 + 1}")
+        assert str(exc.value) == f"class rank {PARSE_CAP + 1} is above the parse cap {PARSE_CAP}"
