@@ -258,7 +258,7 @@ _PREDICATES = {
     "P0": lambda c: len(c) % 2 == 0,
     "Ptilde": _check_doubled,
     "T": _check_symplectic,
-    "S": lambda c: all(p % 2 == 0 for p in c),
+    "S": lambda c: not [p for p in c if p % 2],
     "Q": _check_orthogonal,
     "R": _check_chained,
     "E": lambda c: _check_doubled(c) and all(p % 2 == 0 for p in c),

@@ -16,30 +16,25 @@ the dynamic program ``fiber_minimum`` and the dual-route guard
 ``Split`` subclass, the automaton and the routing ``_route_choices``.
 
 The checks, per call.  A ``Split`` is a certificate: its public constructor
-tests r for the r-family and p for family Ptilde (``Split._check``), so no
-function handed one tests either again; only ``iter_fiber`` and
-``weyl.encode_class``, whose derivations guarantee both, use the trusted
-``Split._trusted``.  ``_choice_parts`` reads (r, p) from c's own runs, so
-they merge back to c exactly when the vector has one m in 0..q per run,
-which it checks (ContradictionError) instead of re-sorting r + p.  Each
-public function of a side tests c for its ``FAMILY``, T (C) or Q (B/D),
-once, at entry, by ``check_jordan``.  Then:
+tests r for the r-family and p for family Ptilde (``Split._check``).
+``_choice_parts`` reads (r, p) from c's own runs, so they merge back to c
+exactly when the vector has one m in 0..q per run, which it checks
+(ContradictionError).  Each public function of a side tests c for its
+``FAMILY``, T (C) or Q (B/D), once, at entry, by ``check_jordan``.  Then:
 
-* ``canonical_split`` builds the routed vector: one r-family and one
-  Ptilde test.
-* ``minimal_split`` adds the dynamic program, which tests nothing, and
-  compares its vector with the routed one before testing the latter.
+* ``canonical_split`` tests the routed (r, p) once; ``minimal_split``
+  first compares it with the vector of the dynamic program.
 * ``weyl.psi_classical`` tests no family of its certified Jordan type and
-  builds no ``Split``: it runs the two routes of ``minimal_parts`` and
-  ``Split._check`` once, and its round trip, where on B/D
-  ``blocks_from_halves`` tests r for family R and is the one
-  ``type_bd._raw_blocks`` call.  A C ``psi`` tests S and Ptilde once
-  each, a B/D ``psi`` Ptilde once and R twice.
+  builds no ``Split``: it runs the two routes of ``minimal_parts``,
+  ``Split._check`` once and its round trip, where on B/D
+  ``blocks_from_halves`` tests r for family R.
 * The scan of ``verify`` (``_claim_and_walk``) takes c with its runs from
-  the sweep's generator, builds the routed split (on C through the public
-  ``canonical_split``, which counts the runs again) and reads ``walk`` over
-  those runs itself, which tests each r it lists for the r-family once: the
-  scan compares (r, p-length) and builds no ``Split`` per element.
+  the sweep, tests the routed (r, p) by ``Split._check`` and reads ``walk``
+  over the runs, which tests each r it lists for the r-family; it builds no
+  ``Split``.  On C the claim is the public ``canonical_split``, which tests
+  T and counts the runs again.  On B/D no test of c for Q runs: an even
+  value of odd count goes wholly to r or to p (rule 1), so the claim's R or
+  Ptilde test refuses c.
 """
 
 from __future__ import annotations
@@ -119,8 +114,7 @@ def _choice_parts(runs, choices) -> tuple[Partition, Partition]:
         for (e, q), m in zip(runs, choices):
             if not 0 <= m <= q:
                 break
-            r += (e,) * m
-            p += (e,) * (q - m)
+            r, p = (r + (e,) * m if m else r), (p + (e,) * (q - m) if m < q else p)
         else:  # both sides are sub-sequences of c: already sorted
             return Partition._from_sorted(r), Partition._from_sorted(p)
     raise ContradictionError(f"choices {tuple(choices)} over {_type_text(runs)} do not merge back")
@@ -136,9 +130,8 @@ def _moves(step, state, odd: int, q: int) -> tuple[tuple, tuple]:
     largest m per target: one copy fewer in r is one part more in p, so no
     other move into that target reaches a minimum or a tie at it.  The key
     fixes the moves, as the rules read a value only through its parity, and
-    a rule replaced later is a new key.  The cache holds at most 4,096
-    keys, evicting the least recently used, each with q // 2 + 1 moves at
-    most.
+    a rule replaced later is a new key.  Each of the at most 4,096 cached
+    keys holds q // 2 + 1 moves at most.
     """
     moves = tuple([(to, m) for m in range(q, -1, -2) if (to := step(state, odd, m)) is not None])
     # by m ascending, so the dict keeps the largest m per target
@@ -157,21 +150,20 @@ def walk(r_family, runs, automaton) -> Iterator[tuple[Partition, tuple[int, ...]
     wherever it is reached (later runs see only the state), so it is never
     entered again: per depth the walk tries at most (choices of the value)
     x (splits listed + dead states) moves.  The listing itself can be
-    exponential: every one of the 2^k choice sequences over the series C
-    type 2k,2k,...,2,2 is a split.
+    exponential (2^k splits over the series C type 2k,2k,...,2,2).
 
     A leaf is handed out as r, tested for ``r_family`` (an r outside it is a
     ContradictionError: automaton and family disagree), and p's parts.
     """
     start, step, accepts = automaton
     runs = runs or [(0, 0)]  # the empty type: one run of no copies, which keeps the start state
-    keys = [(e % 2, q) for e, q in runs]
     last = len(runs) - 1
     dead: set[tuple[int, object]] = set()
     listed = 0
+    e, q = runs[0]
     # per entered node: its state, the r and p parts so far, its untried
     # moves and the number of leaves listed before it was entered
-    frames = [(start, (), (), iter(_moves(step, start, *keys[0])[0]), 0)]
+    frames = [(start, (), (), iter(_moves(step, start, e % 2, q)[0]), 0)]
     while frames:
         i = len(frames) - 1
         state, r, p, untried, listed_before = frames[i]
@@ -179,12 +171,13 @@ def walk(r_family, runs, automaton) -> Iterator[tuple[Partition, tuple[int, ...]
         for to, m in untried:
             if i < last:
                 if (i + 1, to) not in dead:
-                    moves = _moves(step, to, *keys[i + 1])[0]
-                    frames.append((to, r + (e,) * m, p + (e,) * (q - m), iter(moves), listed))
+                    f, n = runs[i + 1]
+                    frames.append((to, r + (e,) * m if m else r, p + (e,) * (q - m) if m < q else p,
+                                   iter(_moves(step, to, f % 2, n)[0]), listed))
                     break
             elif accepts(to):
                 listed += 1
-                x, y = Partition._from_sorted(r + (e,) * m), p + (e,) * (q - m)
+                x, y = Partition._from_sorted(r + (e,) * m if m else r), p + (e,) * (q - m) if m < q else p
                 if not is_member(x, r_family):
                     raise ContradictionError(f"fiber walk over {merge(x, Partition(y)).text()} accepted "
                                              f"r={x.text()} outside family {r_family}")

@@ -228,11 +228,14 @@ def iter_fiber(c: Partition) -> Iterator[Split]:
     return splits.iter_fiber(Split, c.runs(), (_R_START, _r_step, _r_accepts))
 
 
-def _claim_and_walk(c: Partition, runs) -> tuple[Split, Iterator[tuple[Partition, tuple[int, ...]]]]:
-    """The canonical split of c and the leaves of its ``splits.walk``: c tested for Q, its ``runs`` given by the sweep."""
-    splits.check_jordan(c, FAMILY)
-    walk = splits.walk(CHAINED, runs, (_R_START, _r_step, _r_accepts))
-    return Split.from_choices(runs, _route_choices(runs)), walk
+def _claim_and_walk(c: Partition, runs) -> tuple[Partition, Partition, Iterator[tuple[Partition, tuple[int, ...]]]]:
+    """The routed (r, p) of c, tested by ``Split._check``, and the leaves of ``splits.walk`` over the sweep's ``runs``.
+
+    c gets no Q test: rule 1 sends an even value of odd count wholly to r (R lies in Q) or to p (undoubled).
+    """
+    r, p = splits._choice_parts(runs, _route_choices(runs))
+    Split._check(r, p)
+    return r, p, splits.walk(CHAINED, runs, (_R_START, _r_step, _r_accepts))
 
 
 def fiber(c: Partition) -> list[Split]:

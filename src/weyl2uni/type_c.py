@@ -61,15 +61,15 @@ def iter_fiber(c: Partition) -> Iterator[Split]:
     return splits.iter_fiber(Split, c.runs(), (_R_START, _r_step, _r_accepts))
 
 
-def _claim_and_walk(c: Partition, runs) -> tuple[Split, Iterator[tuple[Partition, tuple[int, ...]]]]:
-    """The canonical split of c and the leaves of its ``splits.walk`` over c's ``runs``, given by the sweep.
+def _claim_and_walk(c: Partition, runs) -> tuple[Partition, Partition, Iterator[tuple[Partition, tuple[int, ...]]]]:
+    """The canonical (r, p) of c and the leaves of its ``splits.walk`` over c's ``runs``, given by the sweep.
 
     The claim comes through the public ``canonical_split``, which tests c for
     T and counts its runs again: perfbench's self-test needs a traced
     ``type_c`` call on ``verify_sweep``.
     """
     claimed = canonical_split(c)
-    return claimed, splits.walk(ALL_EVEN, runs, (_R_START, _r_step, _r_accepts))
+    return claimed.r, claimed.p, splits.walk(ALL_EVEN, runs, (_R_START, _r_step, _r_accepts))
 
 
 def fiber(c: Partition) -> list[Split]:

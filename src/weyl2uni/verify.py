@@ -142,19 +142,21 @@ class VerificationReport:
 def _scan_unique_minimum(module, c: Partition, runs) -> dict | None:
     """One Jordan type, with its runs: the canonical split must be the strict fiber minimum.
 
-    The side's ``_claim_and_walk`` tests c once, routes the claim and hands
-    out ``splits.walk`` over ``runs``, read as (r, p-length) with no
-    ``Split`` per element, up to a shorter p or another r at the claimed
-    length (over one c, r fixes the split).  A routing or walk error is the
-    type's counterexample.
+    The side's ``_claim_and_walk`` tests the routed claim (r, p) once (on C
+    also c for T; on B/D not c for Q, which the claim's tests imply) and
+    hands out ``splits.walk`` over ``runs``, which tests each r it lists
+    once, read as (r, p-length) up to a shorter p or another r at the
+    claimed length (over one c, r fixes the split).  A routing or walk
+    error is the type's counterexample.
     """
     try:
-        claimed, walk = module._claim_and_walk(c, runs)
-        least, claimed_r = len(claimed.p), claimed.r
+        claimed_r, claimed_p, walk = module._claim_and_walk(c, runs)
+        least = len(claimed_p)
         for r, p in walk:
             if len(p) <= least and (len(p) < least or r != claimed_r):
                 kind = "smaller" if len(p) < least else "tied"
-                return {"jordan": c.text(), "claimed": claimed.text(), kind: f"r={r.text()};p={Partition(p).text()}"}
+                return {"jordan": c.text(), "claimed": f"r={claimed_r.text()};p={claimed_p.text()}",
+                        kind: f"r={r.text()};p={Partition(p).text()}"}
     except (DomainError, ContradictionError) as exc:
         return {"jordan": c.text(), "error": str(exc)}
     return None

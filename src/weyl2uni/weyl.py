@@ -289,7 +289,10 @@ def psi_classical(j: JordanType, g: GroupKind) -> SignedCycleType:
     r, p = side._minimal_parts(j.parts, j.parts.runs())
     side.Split._check(r, p)
     w = _class_of(r, p, g, rebuild=False)
-    x = encode_class(w, g)
+    try:
+        x = encode_class(w, g)
+    except DomainError as exc:  # e.g. a class of the wrong rank: a fault of psi, not of j
+        raise ContradictionError(f"psi of {j.text()} does not round-trip through phi: {exc}") from None
     if merge(x.r, x.p) != j.parts:
         raise ContradictionError(f"psi of {j.text()} does not round-trip through phi")
     return w

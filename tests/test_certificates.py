@@ -159,13 +159,15 @@ def test_family_tests_per_call(tally, series, jordan, psi_tests, phi_tests):
 
 
 @pytest.mark.parametrize(
-    "side, family, r_family",
-    [(type_c, "T", "S"), (type_bd, "Q", "R")],
+    "side, family, r_family, c_tests",
+    [(type_c, "T", "S", {"T": 1}), (type_bd, "Q", "R", {})],
     ids=["C", "BD"],
 )
-def test_the_unique_minimum_scan_checks_each_fact_once(tally, monkeypatch, side, family, r_family):
-    # per Jordan type: one test of c's family, one validated routing (one
-    # r-family and one Ptilde test) and one r-family test per listed split
+def test_the_unique_minimum_scan_checks_each_fact_once(tally, monkeypatch, side, family, r_family, c_tests):
+    # per Jordan type: one validated routing (one r-family and one Ptilde
+    # test) and one r-family test per listed split; c's own family is
+    # tested once on C, by the public canonical_split, and not at all on
+    # B/D, where the claim's tests imply it
     original = side._route_choices
     routes = 0
 
@@ -183,9 +185,24 @@ def test_the_unique_minimum_scan_checks_each_fact_once(tally, monkeypatch, side,
             routes = 0
             assert verify._scan_unique_minimum(side, c, c.runs()) is None
             assert routes == 1, c.text()
-            assert dict(tally) == {family: 1, r_family: 1 + listed, DOUBLED: 1}, c.text()
+            assert dict(tally) == {**c_tests, r_family: 1 + listed, DOUBLED: 1}, c.text()
             seen += 1
     assert seen > 200
+
+
+def test_a_bd_type_outside_family_q_is_refused_by_the_scan_claim():
+    # the B/D scan tests no c for Q: every c outside Q (an even value with
+    # an odd count) is refused by the claim's R or Ptilde test instead
+    refused = Counter()
+    for n in range(1, 15):
+        for c in iter_partitions(n):
+            if is_member(c, "Q"):
+                continue
+            ce = verify._scan_unique_minimum(type_bd, c, c.runs())
+            assert ce is not None and ce["jordan"] == c.text(), c.text()
+            error = ce["error"]
+            refused["Ptilde" if "family Ptilde" in error else "R" if "family R" in error else error] += 1
+    assert set(refused) == {"R", "Ptilde"} and sum(refused.values()) > 300, refused
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +274,9 @@ def test_a_bd_psi_runs_the_block_arithmetic_once(monkeypatch):
 @pytest.mark.parametrize(
     "wrong, error, match",
     [
-        # the largest half one too big: the class has the wrong rank
-        (lambda hs: (hs[0] + 1,) + hs[1:], DomainError, "has rank"),
+        # the largest half one too big: the class has the wrong rank, which
+        # the round trip's encode_class refuses; a fault of psi, not bad input
+        (lambda hs: (hs[0] + 1,) + hs[1:], ContradictionError, "does not round-trip through phi: .* has rank"),
         # one unit moved from the smallest half to the largest: the rank is
         # kept, so only the merge with j can see it
         (lambda hs: (hs[0] + 1,) + hs[1:-1] + (hs[-1] - 1,), ContradictionError, "does not round-trip"),

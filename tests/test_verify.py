@@ -78,8 +78,8 @@ class TestReports:
 
         def recording(original):
             def claim_and_walk(c, runs):
-                claimed, walk = original(c, runs)
-                return claimed, (read.append((r, len(p))) or (r, p) for r, p in walk)
+                claimed_r, claimed_p, walk = original(c, runs)
+                return claimed_r, claimed_p, (read.append((r, len(p))) or (r, p) for r, p in walk)
             return claim_and_walk
 
         for side in (type_c, type_bd):
@@ -165,8 +165,8 @@ class TestMutationSensitivity:
 
         def forged(dropped):
             def claim_and_walk(c, runs):
-                walk = original(c, runs)[1]
-                return side.Split(*map(Partition, claim)), (leaf for leaf in walk if leaf[0] not in dropped)
+                walk = original(c, runs)[2]
+                return *map(Partition, claim), (leaf for leaf in walk if leaf[0] not in dropped)
             return claim_and_walk
 
         monkeypatch.setattr(side, "_claim_and_walk", forged({minimum}))
