@@ -112,27 +112,16 @@ class Partition(tuple):
             if not isinstance(p, int) or isinstance(p, bool) or p < 1:
                 raise DomainError(f"partition parts must be positive integers, got {p!r}")
 
-    @classmethod
-    def _from_sorted(cls, parts: tuple[int, ...]) -> "Partition":
-        """Trusted constructor: ``tuple.__new__`` alone, skipping the sort and the part check.
-
-        The caller guarantees that ``parts`` is a tuple of positive ints in
-        weakly decreasing order, derived from partitions already validated.
-        Only these functions call it; a test in ``tests/test_partitions.py``
-        scans the source and fails on any caller missing from its
-        ``TRUSTED_CALLERS``:
-
-        * ``merge``, ``double_parts`` and the generator ``iter_member_runs``
-          (which ``iter_members`` and ``iter_partitions`` read) here;
-        * the fiber walk ``splits.walk`` (r), its wrapper ``splits.iter_fiber``
-          (p) and the choice-vector reader ``splits._choice_parts``;
-        * ``type_bd.blocks_from_halves`` and ``_halves_of_chained``;
-        * ``weyl.encode_class`` (series C) and ``_class_of``.
-
-        Outside input (``from_text``, the ``__init__`` of the public
-        records) always goes through the validating constructor.
-        """
-        return tuple.__new__(cls, parts)
+    # Trusted constructor, ``tuple.__new__`` itself (no Python frame): no sort
+    # and no part check, so the caller guarantees a tuple of positive ints in
+    # weakly decreasing order, derived from validated partitions.  Outside
+    # input (``from_text``, the public records' ``__init__``) never uses it.
+    # Its callers, listed in ``TRUSTED_CALLERS`` of ``tests/test_partitions.py``
+    # and checked there by a scan of the source: ``merge``, ``double_parts``
+    # and ``iter_member_runs`` here; ``splits.walk``, ``splits.iter_fiber`` and
+    # ``splits._choice_parts``; ``type_bd.blocks_from_halves`` and
+    # ``_halves_of_chained``; ``weyl.encode_class`` (series C) and ``_class_of``.
+    _from_sorted = classmethod(tuple.__new__)
 
     @property
     def parts(self) -> tuple[int, ...]:
@@ -147,11 +136,19 @@ class Partition(tuple):
         return f"Partition({list(self)})"
 
     def runs(self) -> list[tuple[int, int]]:
-        """The runs (e, q): each distinct value e with its multiplicity q, largest value first (one pass)."""
-        out: dict[int, int] = {}
-        for p in self:
-            out[p] = out.get(p, 0) + 1
-        return list(out.items())
+        """The runs (e, q): each distinct value e with its multiplicity q, largest value first, in one pass."""
+        out = []
+        prev = q = 0
+        for e in self:  # sorted, so equal parts are adjacent
+            if e == prev:
+                q += 1
+            else:
+                if q:
+                    out.append((prev, q))
+                prev, q = e, 1
+        if q:
+            out.append((prev, q))
+        return out
 
     def text(self) -> str:
         """Comma-separated decimal parts; "-" for the empty partition."""
@@ -188,13 +185,18 @@ def parse_decimal(tok: str) -> int:
 
 
 def merge(a: Partition, b: Partition) -> Partition:
-    """Multiset union of the parts of a and b, re-sorted weakly decreasing."""
-    return Partition._from_sorted(tuple(sorted(a.parts + b.parts, reverse=True)))
+    """Multiset union of the parts of a and b, re-sorted weakly decreasing; DomainError unless both are Partitions."""
+    if not isinstance(a, Partition) or not isinstance(b, Partition):
+        name, value = ("b", b) if isinstance(a, Partition) else ("a", a)
+        raise DomainError(f"merge needs Partitions, got {name}={value!r}")
+    return Partition._from_sorted(tuple(sorted(a + b, reverse=True)))
 
 
 def double_parts(a: Partition) -> Partition:
-    """Each part repeated twice; always lands in the DOUBLED family."""
-    return Partition._from_sorted(tuple([p for p in a.parts for _ in (0, 1)]))
+    """Each part of a repeated twice, so always in the DOUBLED family; DomainError unless a is a Partition."""
+    if not isinstance(a, Partition):
+        raise DomainError(f"double_parts needs a Partition, got a={a!r}")
+    return Partition._from_sorted(tuple(sorted(a + a, reverse=True)))
 
 
 # ---------------------------------------------------------------------------
@@ -213,32 +215,27 @@ def _pairs_up(ps) -> bool:
     return ps[0::2] == ps[1::2]
 
 
-def _check_doubled(c: Partition) -> bool:
-    return _pairs_up(c.parts)
-
-
 def _check_symplectic(c: Partition) -> bool:
-    return _pairs_up([v for v in c.parts if v % 2])
+    return _pairs_up([v for v in c if v % 2])
 
 
 def _check_orthogonal(c: Partition) -> bool:
-    return _pairs_up([v for v in c.parts if v % 2 == 0])
+    return _pairs_up([v for v in c if v % 2 == 0])
 
 
 def _check_chained(c: Partition) -> bool:
     """Family R in one pass over the parts, family Q's pairing test included."""
-    ps = c.parts
-    if not ps:
+    if not c:
         return True
-    if ps[0] % 2 == 0:
+    if c[0] % 2 == 0:
         return False  # largest part must be odd
-    if len(ps) % 2 == 0 and ps[-1] % 2 == 0:
+    if len(c) % 2 == 0 and c[-1] % 2 == 0:
         return False  # even length: smallest part must be odd
     seen = 0  # odd entries passed so far
     prev = 0  # the latest of them
     unpaired = 0  # an even value met an odd number of times so far, else 0
     gap = False  # the latest even part follows an odd entry at an even position
-    for part in ps:
+    for part in c:
         if part % 2 == 0:
             if unpaired and unpaired != part:
                 return False  # family Q: the value `unpaired` occurs an odd number of times
@@ -256,21 +253,23 @@ def _check_chained(c: Partition) -> bool:
 _PREDICATES = {
     "P1": lambda c: True,
     "P0": lambda c: len(c) % 2 == 0,
-    "Ptilde": _check_doubled,
+    "Ptilde": _pairs_up,
     "T": _check_symplectic,
     "S": lambda c: not [p for p in c if p % 2],
     "Q": _check_orthogonal,
     "R": _check_chained,
-    "E": lambda c: _check_doubled(c) and all(p % 2 == 0 for p in c),
+    "E": lambda c: _pairs_up(c) and all(p % 2 == 0 for p in c),
 }
 
 
 def is_member(c: Partition, family: str) -> bool:
-    """Decide membership of a partition in a family, given by its tag."""
+    """Decide membership of a partition in a family, given by its tag; DomainError for anything but a Partition."""
     try:
         predicate = _PREDICATES[family]
     except (KeyError, TypeError):  # TypeError: an unhashable tag
         raise DomainError(f"unknown family tag {family!r}; expected one of {FAMILY_TAGS}") from None
+    if not isinstance(c, Partition):  # the predicates read sorted parts
+        raise DomainError(f"is_member needs a Partition, got c={c!r}")
     return predicate(c)
 
 

@@ -231,8 +231,8 @@ def fiber_minimum(runs, automaton) -> tuple[int | None, int, tuple[int, ...] | N
         if len(nxt) == 1:
             [(state, (p_len, ways, path))] = nxt.items()
             layer = None
-    if layer is None:
-        layer = {state: (p_len, ways, path)}
+    if layer is None:  # one state at the end: no pass over a layer
+        return (p_len, ways, path if ways == 1 else None) if accepts(state) else (None, 0, None)
     least, ties = None, 0
     for state, end in layer.items():
         if not accepts(state):

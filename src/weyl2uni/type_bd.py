@@ -61,15 +61,14 @@ def _raw_blocks(hs: tuple[int, ...], kappa: int) -> tuple[int, ...]:
     """The arithmetic of ``blocks_from_halves`` on sorted halves, with no check."""
     s = len(hs)
     out: list[int] = []
-    for t in range(1, s + 1):
-        v = hs[t - 1]
-        adj = 0
-        # sorted input, so comparing against one neighbour decides the rule
-        if t % 2 == 1 and (t == 1 or hs[t - 2] > v):
-            adj = 1
-        elif t % 2 == 0 and (t == s or v > hs[t]):
-            adj = -1
-        out.append(2 * v + adj)
+    prev = 0  # the half before v
+    # sorted input, so comparing against one neighbour decides the rule
+    for t, v in enumerate(hs, 1):
+        if t % 2:
+            out.append(2 * v + 1 if t == 1 or prev > v else 2 * v)
+        else:
+            out.append(2 * v - 1 if t == s or v > hs[t] else 2 * v)
+        prev = v
     if (s + kappa) % 2 == 1:
         out.append(1)
     return tuple(out)
@@ -132,7 +131,7 @@ def _halves_of_chained(blocks: Partition, kappa: int, rebuild: bool = True) -> P
     """
     if sum(blocks) % 2 != kappa:
         raise DomainError(f"total of {blocks.text()} has the wrong parity for kappa={kappa}")
-    ps = blocks.parts
+    ps = blocks
     if ps and ps[-1] == kappa:
         ps = ps[:-1]
     # (v + z)/2 at 1-based position k is v // 2 at odd k, (v + 1) // 2 at even k

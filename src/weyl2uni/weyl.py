@@ -51,9 +51,16 @@ TOTAL_PARITY = {"B": 1, "C": 0, "D": 0}  # nu = 2 * rank + TOTAL_PARITY: odd on 
 
 
 class GroupKind(Record):
-    """A classical series and rank; nu is the dimension of the natural module."""
+    """A classical series and rank; nu is the dimension of the natural module.
 
-    _fields = __slots__ = ("series", "rank")
+    ``__init__`` stores nu, kappa = nu % 2 and epsilon, the sign of the
+    preserved form (-1 symplectic, +1 orthogonal), in slots that are not
+    fields: reading them opens no frame, and repr, equality, hash, copy and
+    pickle see only series and rank.
+    """
+
+    __slots__ = ("series", "rank", "nu", "kappa", "epsilon")
+    _fields = __slots__[:2]
 
     def __init__(self, series: str, rank: int) -> None:
         if series not in SERIES:
@@ -63,19 +70,10 @@ class GroupKind(Record):
             raise DomainError(f"series {series} needs rank >= {LEAST_RANK[series]}, got {rank}")
         object.__setattr__(self, "series", series)
         object.__setattr__(self, "rank", rank)
-
-    @property
-    def nu(self) -> int:
-        return 2 * self.rank + TOTAL_PARITY[self.series]
-
-    @property
-    def kappa(self) -> int:
-        return self.nu % 2
-
-    @property
-    def epsilon(self) -> int:
-        """Sign of the preserved bilinear form: -1 symplectic, +1 orthogonal."""
-        return -1 if self.series == "C" else 1
+        nu = 2 * rank + TOTAL_PARITY[series]
+        object.__setattr__(self, "nu", nu)
+        object.__setattr__(self, "kappa", nu % 2)
+        object.__setattr__(self, "epsilon", -1 if series == "C" else 1)
 
 
 class SignedCycleType(Record):
@@ -91,6 +89,9 @@ class SignedCycleType(Record):
     _fields = __slots__ = ("positive", "negative")
 
     def __init__(self, positive: Partition, negative: Partition) -> None:
+        if not isinstance(positive, Partition) or not isinstance(negative, Partition):
+            name, value = ("negative", negative) if isinstance(positive, Partition) else ("positive", positive)
+            raise DomainError(f"{name} must be a Partition, got {value!r}")
         object.__setattr__(self, "positive", positive)
         object.__setattr__(self, "negative", negative)
 
@@ -129,7 +130,9 @@ class JordanType(Record):
     _fields = __slots__ = ("parts", "epsilon")
 
     def __init__(self, parts: Partition, epsilon: int) -> None:
-        if epsilon not in (1, -1):
+        if not isinstance(parts, Partition):
+            raise DomainError(f"parts must be a Partition, got {parts!r}")
+        if epsilon not in (1, -1) or type(epsilon) is not int:  # not True, nor 1.0
             raise DomainError(f"epsilon must be +1 or -1, got {epsilon!r}")
         splits.check_jordan(parts, SYMPLECTIC if epsilon == -1 else ORTHOGONAL)  # T forces an even total
         object.__setattr__(self, "parts", parts)
@@ -144,6 +147,8 @@ class JordanType(Record):
 
 
 def _check_class(w: SignedCycleType, g: GroupKind) -> None:
+    if not isinstance(w, SignedCycleType) or not isinstance(g, GroupKind):
+        raise DomainError(f"expected a SignedCycleType and a GroupKind, got {w!r} and {g!r}")
     if w.rank != g.rank:
         raise DomainError(f"class {w.text()} has rank {w.rank}, group expects {g.rank}")
     if g.series == "D" and len(w.negative) % 2:
@@ -174,7 +179,7 @@ def encode_class(w: SignedCycleType, g: GroupKind) -> type_c.Split | type_bd.Spl
     _check_class(w, g)
     p = double_parts(w.positive)
     if g.series == "C":
-        r = Partition._from_sorted(tuple([2 * d for d in w.negative.parts]))
+        r = Partition._from_sorted(tuple([2 * d for d in w.negative]))
         return type_c.Split._trusted(r, p)
     return type_bd.Split._trusted(type_bd.blocks_from_halves(w.negative, g.kappa), p)
 
@@ -270,9 +275,11 @@ def phi_classical(w: SignedCycleType, g: GroupKind) -> JordanType:
 
 
 def _check_jordan(j: JordanType, g: GroupKind) -> None:
+    if not isinstance(j, JordanType) or not isinstance(g, GroupKind):
+        raise DomainError(f"expected a JordanType and a GroupKind, got {j!r} and {g!r}")
     if j.epsilon != g.epsilon:
         raise DomainError(f"Jordan type sign {j.epsilon} does not match series {g.series}")
-    if j.nu != g.nu:
+    if sum(j.parts) != g.nu:
         raise DomainError(f"Jordan type total {j.nu} does not match nu={g.nu} of {g.series}{g.rank}")
 
 
@@ -285,15 +292,16 @@ def psi_classical(j: JordanType, g: GroupKind) -> SignedCycleType:
     the class, encoded again, must merge back to j's parts (the round trip).
     """
     _check_jordan(j, g)
+    c = j.parts
     side = SIDES[g.series]
-    r, p = side._minimal_parts(j.parts, j.parts.runs())
+    r, p = side._minimal_parts(c, c.runs())
     side.Split._check(r, p)
     w = _class_of(r, p, g, rebuild=False)
     try:
         x = encode_class(w, g)
     except DomainError as exc:  # e.g. a class of the wrong rank: a fault of psi, not of j
         raise ContradictionError(f"psi of {j.text()} does not round-trip through phi: {exc}") from None
-    if merge(x.r, x.p) != j.parts:
+    if merge(x.r, x.p) != c:
         raise ContradictionError(f"psi of {j.text()} does not round-trip through phi")
     return w
 

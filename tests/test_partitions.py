@@ -155,6 +155,21 @@ class TestMerge:
         assert merge(pa, Partition()) == pa
         assert merge(pa, pb).size == pa.size + pb.size
 
+    @given(parts_strategy, parts_strategy)
+    def test_equals_a_sorted_list_reference(self, a, b):
+        out = merge(Partition(a), Partition(b))
+        assert type(out) is Partition and list(out) == sorted(a + b, reverse=True)
+
+    @pytest.mark.parametrize("bad", [[3], (3,), None, [0], [-1]])
+    def test_refuses_anything_but_a_partition(self, bad):
+        # a list or tuple would otherwise reach the trusted constructor unvalidated
+        with pytest.raises(DomainError, match=re.escape(f"merge needs Partitions, got a={bad!r}")):
+            merge(bad, P(2))
+        with pytest.raises(DomainError, match=re.escape(f"merge needs Partitions, got b={bad!r}")):
+            merge(P(2), bad)
+        with pytest.raises(DomainError, match=re.escape(f"got a={bad!r}")):
+            merge(bad, bad)
+
 
 class TestFamilies:
     def test_membership_vectors(self):
@@ -176,6 +191,13 @@ class TestFamilies:
     def test_is_member_rejects_unknown_tag_strings(self):
         with pytest.raises(DomainError):
             is_member(P(2, 2), "X")
+
+    @pytest.mark.parametrize("family", ["P1", "P0", "Ptilde", "T", "S", "Q", "R", "E"])
+    @pytest.mark.parametrize("bad", [[3, 1, 3, 1], (3, 3, 1, 1), None])
+    def test_is_member_refuses_anything_but_a_partition(self, bad, family):
+        # an unsorted list would get a wrong answer from the pairing tests
+        with pytest.raises(DomainError, match=re.escape(f"is_member needs a Partition, got c={bad!r}")):
+            is_member(bad, family)
 
     def test_parity_families_match_counting(self):
         # symplectic/orthogonal tags agree with plain multiplicity counting
@@ -254,6 +276,38 @@ def test_chained_single_pass_matches_quadratic_definition():
 class TestDoubling:
     def test_round_trip(self):
         assert double_parts(P(3, 1)) == P(3, 3, 1, 1)
+
+    @given(parts_strategy)
+    def test_equals_a_sorted_list_reference(self, a):
+        out = double_parts(Partition(a))
+        assert type(out) is Partition and list(out) == sorted(a * 2, reverse=True)
+
+    @pytest.mark.parametrize("bad", [[3, 1], (3, 1), None, [0], (-1,)])
+    def test_refuses_anything_but_a_partition(self, bad):
+        with pytest.raises(DomainError, match=re.escape(f"double_parts needs a Partition, got a={bad!r}")):
+            double_parts(bad)
+
+
+class TestRuns:
+    """``runs()`` against a count-then-sort reference written here."""
+
+    @staticmethod
+    def reference(c):
+        counts = {}
+        for v in c:
+            counts[v] = counts.get(v, 0) + 1
+        return sorted(counts.items(), reverse=True)
+
+    def test_every_partition_of_total_at_most_24(self):
+        checked = 0
+        for n in range(25):
+            for c in iter_partitions(n):
+                assert c.runs() == self.reference(c)
+                checked += 1
+        assert checked == 7_338  # p(0) + ... + p(24)
+
+    def test_one_run_of_20001_ones(self):
+        assert Partition([1] * 20_001).runs() == [(1, 20_001)]
 
 
 def test_partition_counts():
@@ -405,7 +459,13 @@ class TestTrustedConstructor:
         src = pathlib.Path(__file__).resolve().parents[1] / "src" / "weyl2uni"
         found = {}
         for path in sorted(src.glob("*.py")):
-            uses = uses_by_function(ast.parse(path.read_text(), str(path)), "_from_sorted")
+            tree = ast.parse(path.read_text(), str(path))
+            if path.stem == "partitions":  # drop the one defining assignment, `_from_sorted = ...` in class Partition
+                [cls] = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Partition"]
+                [define] = [n for n in cls.body if isinstance(n, ast.Assign)
+                            and [ast.dump(t) for t in n.targets] == [ast.dump(ast.Name("_from_sorted", ast.Store()))]]
+                cls.body.remove(define)
+            uses = uses_by_function(tree, "_from_sorted")
             if uses:
                 found[path.stem] = uses
         assert found == TRUSTED_CALLERS

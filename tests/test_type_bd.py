@@ -67,6 +67,32 @@ class TestBlocksFromHalves:
                 image.add(b.parts)
             assert image == {c.parts for c in chained_of(nu)}
 
+    def test_raw_blocks_equals_the_indexing_loop(self):
+        # the reference indexes back into the halves at every position
+        def reference(hs, kappa):
+            s = len(hs)
+            out = []
+            for t in range(1, s + 1):
+                v = hs[t - 1]
+                adj = 0
+                if t % 2 == 1 and (t == 1 or hs[t - 2] > v):
+                    adj = 1
+                elif t % 2 == 0 and (t == s or v > hs[t]):
+                    adj = -1
+                out.append(2 * v + adj)
+            if (s + kappa) % 2 == 1:
+                out.append(1)
+            return tuple(out)
+
+        checked = 0
+        for n in range(21):
+            for h in iter_partitions(n):
+                for kappa in (0, 1):
+                    got = type_bd._raw_blocks(tuple(h), kappa)
+                    assert type(got) is tuple and got == reference(tuple(h), kappa)
+                    checked += 1
+        assert checked == 2 * 2_714  # p(0) + ... + p(20) halves partitions, at two kappas
+
 
 class TestHalvesFromBlocks:
     def test_values(self):

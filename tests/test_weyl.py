@@ -1,5 +1,8 @@
 import ast
+import copy
 import pathlib
+import pickle
+import re
 
 import pytest
 
@@ -69,6 +72,45 @@ class TestGroupKind:
             GroupKind("A", 3)
         with pytest.raises(DomainError):
             GroupKind("D", 1)
+
+    def test_derived_fields_against_their_formulas(self):
+        for series in "BCD":
+            for rank in range(LEAST_RANK[series], 61):
+                g = GroupKind(series, rank)
+                nu = 2 * rank + (series == "B")
+                assert (g.nu, g.kappa, g.epsilon) == (nu, nu % 2, -1 if series == "C" else 1)
+                assert all(type(v) is int for v in (g.nu, g.kappa, g.epsilon))
+
+
+class TestStoredGroupFields:
+    """nu, kappa and epsilon are stored by ``__init__`` in slots that are not fields."""
+
+    def test_out_of_repr_equality_and_hash(self):
+        g = GroupKind("B", 3)
+        assert repr(g) == "GroupKind(series='B', rank=3)"
+        other = GroupKind("B", 3)
+        for name in ("nu", "kappa", "epsilon"):
+            object.__setattr__(other, name, 99)  # a value no __init__ would store
+        assert other == g and hash(other) == hash(g) == hash(("B", 3))
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy, lambda g: pickle.loads(pickle.dumps(g))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_survive_copies_and_pickles(self, clone):
+        for g in (GroupKind("B", 5), GroupKind("C", 1), GroupKind("D", 60)):
+            twin = clone(g)
+            assert (twin, twin.nu, twin.kappa, twin.epsilon) == (g, g.nu, g.kappa, g.epsilon)
+
+    def test_cannot_be_assigned_or_deleted(self):
+        g = GroupKind("C", 4)
+        for name in ("nu", "kappa", "epsilon"):
+            with pytest.raises(AttributeError):
+                setattr(g, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(g, name)
+        assert (g.nu, g.kappa, g.epsilon) == (8, 0, -1)
 
 
 class TestEncode:
@@ -307,6 +349,41 @@ class TestEnumerate:
     def test_rank_cap(self):
         with pytest.raises(DomainError):
             enumerate_classes(GroupKind("C", 13))
+
+
+class TestWrongArgumentTypes:
+    """A field or argument of the wrong type is a DomainError, not an AttributeError."""
+
+    @pytest.mark.parametrize("parts", [(3, 1, 1), [3, 1, 1], None, "3,1,1"])
+    def test_jordan_type_refuses_parts_that_are_not_a_partition(self, parts):
+        with pytest.raises(DomainError, match=re.escape(f"parts must be a Partition, got {parts!r}")):
+            JordanType(parts, 1)
+
+    @pytest.mark.parametrize("sign", [True, False, 1.0, -1.0, "1", None])
+    def test_jordan_type_refuses_a_sign_that_is_not_the_int_1_or_minus_1(self, sign):
+        with pytest.raises(DomainError, match=re.escape(f"epsilon must be +1 or -1, got {sign!r}")):
+            JordanType(P(3, 1, 1), sign)
+
+    @pytest.mark.parametrize("bad", [(2, 1), [2, 1], (), None])
+    def test_signed_cycle_type_refuses_fields_that_are_not_partitions(self, bad):
+        with pytest.raises(DomainError, match=re.escape(f"positive must be a Partition, got {bad!r}")):
+            SignedCycleType(bad, P())
+        with pytest.raises(DomainError, match=re.escape(f"negative must be a Partition, got {bad!r}")):
+            SignedCycleType(P(1), bad)
+
+    @pytest.mark.parametrize("g", ["C", ("C", 2), None, 2])
+    def test_psi_and_phi_refuse_a_group_that_is_not_a_group_kind(self, g):
+        with pytest.raises(DomainError, match="expected a JordanType and a GroupKind"):
+            psi_classical(JordanType(P(2, 2), -1), g)
+        with pytest.raises(DomainError, match="expected a SignedCycleType and a GroupKind"):
+            phi_classical(W([2], []), g)
+
+    def test_psi_and_phi_refuse_a_first_argument_of_the_other_kind(self):
+        g = GroupKind("C", 2)
+        with pytest.raises(DomainError, match="expected a JordanType and a GroupKind"):
+            psi_classical(W([2], []), g)
+        with pytest.raises(DomainError, match="expected a SignedCycleType and a GroupKind"):
+            phi_classical(JordanType(P(2, 2), -1), g)
 
 
 class TestJordanType:
