@@ -7,7 +7,7 @@ partition splits; the exceptional groups through validated lookup tables.
 fixed space on the reflection module is smallest.
 """
 
-from . import exceptional, type_bd, type_c, verify, weyl
+from . import exceptional, type_bd, type_c, weyl
 from .exceptional import CarterLabel, MapTable, UnknownLabel, load_table, verify_table
 from .partitions import (
     ALL_EVEN,
@@ -26,7 +26,6 @@ from .partitions import (
     iter_partitions,
     merge,
 )
-from .verify import SweepConfig, VerificationReport, run_all
 from .weyl import (
     GroupKind,
     JordanType,
@@ -40,6 +39,17 @@ from .weyl import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """``verify`` and its exported names, imported on first use (PEP 562): ``import weyl2uni`` compiles no sweep."""
+    if name not in ("verify", "SweepConfig", "VerificationReport", "run_all"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module  # ``from . import verify`` would call back here
+
+    verify = import_module(".verify", __name__)  # binds the package's ``verify`` too
+    return verify if name == "verify" else getattr(verify, name)
+
 
 __all__ = [
     "ALL_EVEN",

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import verify
 from .exceptional import GROUPS, load_table
 from .partitions import ContradictionError, DomainError, Partition
 from .weyl import (
@@ -159,11 +158,14 @@ def _cmd_table(args, parser) -> int:
 
 
 def _cmd_verify(args, parser) -> int:
+    from . import verify  # here, not at module level: the other commands never compile it
+
     if args.all or not args.series:
         series = verify.ALL_SERIES
     else:
         series = tuple(dict.fromkeys(args.series))
-    cfg = verify.SweepConfig(series=series, max_nu=args.max_nu, max_rank=args.max_rank)
+    caps = {cap: value for cap in ("max_nu", "max_rank") if (value := getattr(args, cap)) is not None}
+    cfg = verify.SweepConfig(series=series, **caps)
     report = verify.run_all(cfg)
     if args.format == "json" or not report.passed:
         _print_json(report.to_json())
@@ -225,10 +227,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run the verification sweeps")
     p_ver.add_argument("--all", action="store_true", help="every series and group")
-    p_ver.add_argument("--series", nargs="*", choices=verify.ALL_SERIES,
+    p_ver.add_argument("--series", nargs="*", choices=SERIES + GROUPS,
                        help="restrict to these series/groups")
-    p_ver.add_argument("--max-nu", type=int, default=verify.SweepConfig.max_nu, dest="max_nu")
-    p_ver.add_argument("--max-rank", type=int, default=verify.SweepConfig.max_rank, dest="max_rank")
+    p_ver.add_argument("--max-nu", type=int, dest="max_nu")
+    p_ver.add_argument("--max-rank", type=int, dest="max_rank")
     p_ver.add_argument("--format", choices=("text", "json"), default="text")
     p_ver.set_defaults(func=_cmd_verify)
     return parser

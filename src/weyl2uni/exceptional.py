@@ -13,12 +13,13 @@ once and each table validated once per content, and the validated tables
 are shared between callers: a load whose text equals the last text read
 returns the same frozen ``MapTable``.
 
-Lookups accept the ASCII aliases of ``normalize_name``.  A string is
-probed in the table's index as given, so a canonical spelling (every label
-and name the library prints) is answered straight from it; a miss is
+Lookups accept the ASCII aliases of ``normalize_name``.  Each table holds
+one answer dict per lookup, keyed by every canonical spelling (every label
+and name the library prints) and by each ASCII alias of it, so either is
+answered by one probe.  A miss, such as a Unicode or padded spelling, is
 probed again in normal form, and only a normal form outside the index is
-parsed as a Carter label, with the same answer or error either way.
-``fixed_space_dim`` reads the rank each ``CarterLabel`` stores when built.
+parsed as a Carter label, with the same answer or error either way.  The
+labels of one file content are parsed once, whichever tables use them.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import os
 import re
 import unicodedata
+from itertools import product
 
 from .partitions import DomainError, Record
 
@@ -71,6 +73,25 @@ _COMPONENT_RE = re.compile(
     r"^(?P<count>(?:0*[1-9]\d*)?)(?P<letter>Ã|[A-G])_(?P<sub>0*[1-9]\d*)"
     r"(?:\((?P<pletter>[ab])_(?P<pindex>0*[1-9]\d*)\))?(?P<primes>'{0,2})$"
 )
+
+
+# the ASCII spellings of each mark a canonical key may hold, itself first
+_SPELLINGS = {"Ã": ("Ã", "tA", "A~", "~A"), "''": ("''", '"')}
+_MARK_RE = re.compile("(Ã|'')")
+
+
+def _aliases(key: str) -> list[str]:
+    """The spellings of key, each mark spelled on its own, that ``normalize_name`` (the one definition) maps to key."""
+    pieces = _MARK_RE.split(key)  # the marks sit at the odd positions
+    spelled = map("".join, product(*[_SPELLINGS[x] if i % 2 else (x,) for i, x in enumerate(pieces)]))
+    return [s for s in spelled if s != key and normalize_name(s) == key]
+
+
+def _index(pairs: list[tuple[str, object]]) -> dict[str, object]:
+    """Each answer under its key and the key's aliases; a key wins over an alias, a later pair over an earlier."""
+    index = {alias: answer for key, answer in pairs for alias in _aliases(key)}
+    index.update(pairs)
+    return index
 
 
 class CarterLabel(Record):
@@ -137,18 +158,16 @@ class TableLine(Record):
 class MapTable(Record):
     """The full class-to-unipotent map for one group and characteristic.
 
-    Its two lookup dicts are built with it and are not fields: by label,
-    each canonical ``raw`` to its ``(CarterLabel, TableLine)``, and by
-    name, each normalized name to its line.  A string lookup first probes
-    the dict with the string as given, so a canonical spelling is answered
-    straight from the index; only a miss is normalized and probed again,
-    and only a label whose normal form is not a key is parsed.  Every key
-    is a fixed point of ``CarterLabel.parse(...).raw`` or
-    ``normalize_name``, so every route gives the parse-first answer or
-    error.  ``fixed_space_dim`` reads the label's stored rank.
+    Its three answer dicts, built with it and not fields, hold each
+    lookup's final answer (``phi``: the line's name; ``fixed_space_dim``:
+    the Weyl rank minus the label's, if not negative; ``psi``: the line's
+    first label) under each canonical spelling and each ASCII alias that
+    ``normalize_name`` maps to it.  A miss is normalized and probed again,
+    and a label whose normal form is not a key is parsed, so every route
+    gives the parse-first answer or error.
     """
 
-    __slots__ = ("group", "weyl_rank", "characteristic", "lines", "_by_label", "_by_name")
+    __slots__ = ("group", "weyl_rank", "characteristic", "lines", "_phi", "_dims", "_psi")
     _fields = __slots__[:4]
 
     def __init__(
@@ -158,10 +177,11 @@ class MapTable(Record):
         object.__setattr__(self, "weyl_rank", weyl_rank)
         object.__setattr__(self, "characteristic", characteristic)
         object.__setattr__(self, "lines", lines)
-        object.__setattr__(
-            self, "_by_label", {lab.raw: (lab, line) for line in lines for lab in line.labels}
-        )
-        object.__setattr__(self, "_by_name", {line.name: line for line in lines})
+        labeled = [(lab, line) for line in lines for lab in line.labels]
+        object.__setattr__(self, "_phi", _index([(lab.raw, line.name) for lab, line in labeled]))
+        dims = [(lab.raw, weyl_rank - lab.rank) for lab, _ in labeled if lab.rank <= weyl_rank]
+        object.__setattr__(self, "_dims", _index(dims))
+        object.__setattr__(self, "_psi", _index([(line.name, line.labels[0]) for line in lines]))
 
     def labels(self) -> list[CarterLabel]:
         return [lab for line in self.lines for lab in line.labels]
@@ -170,52 +190,43 @@ class MapTable(Record):
         return [line.name for line in self.lines]
 
     def phi(self, label: CarterLabel | str) -> str:
-        """Unipotent name of the line containing the label.
-
-        A string is probed as given, then in normal form; only a normal
-        form outside the index is parsed, with the same answer or error.
-        Neither a str nor a ``CarterLabel`` is a DomainError.
-        """
-        hit = None
+        """Unipotent name of the line containing the label; neither a str nor a ``CarterLabel`` is a DomainError."""
+        try:
+            return self._phi[label]
+        except (KeyError, TypeError):  # TypeError: unhashable, refused below
+            pass
         if isinstance(label, str):
-            hit = self._by_label.get(label) or self._by_label.get(normalize_name(label))
-        if hit is None:
-            raw = label.raw if isinstance(label, CarterLabel) else CarterLabel.parse(label).raw
-            hit = self._by_label.get(raw)
-            if hit is None:
-                raise UnknownLabel(
-                    f"no class {raw!r} in the {self.group} table ({self.characteristic})"
-                )
-        return hit[1].name
+            name = self._phi.get(normalize_name(label))
+            if name is not None:
+                return name
+        raw = label.raw if isinstance(label, CarterLabel) else CarterLabel.parse(label).raw
+        name = self._phi.get(raw)
+        if name is None:
+            raise UnknownLabel(f"no class {raw!r} in the {self.group} table ({self.characteristic})")
+        return name
 
     def psi(self, name: str) -> CarterLabel:
-        """First-listed label of the line with the given unipotent name.
-
-        A canonical spelling is answered from the index; any other is
-        normalized first, with the same answer.  A name that is not a str is
-        a DomainError.
-        """
-        line = self._by_name.get(name) if isinstance(name, str) else None
-        if line is None:
-            line = self._by_name.get(normalize_name(name))
-        if line is None:
-            raise UnknownLabel(
-                f"no unipotent class {name!r} in the {self.group} table ({self.characteristic})"
-            )
-        return line.labels[0]
+        """First-listed label of the line with the given unipotent name; a name that is not a str is a DomainError."""
+        try:
+            return self._psi[name]
+        except (KeyError, TypeError):
+            pass
+        head = self._psi.get(normalize_name(name))
+        if head is None:
+            raise UnknownLabel(f"no unipotent class {name!r} in the {self.group} table ({self.characteristic})")
+        return head
 
     def fixed_space_dim(self, label: CarterLabel | str) -> int:
-        """Weyl rank minus diagram rank; any parseable label of rank <= the Weyl rank.
-
-        A string is probed as given, then in normal form, and a table
-        label found so reads its stored rank; only a normal form outside
-        the index is parsed, with the same answer or error.  Neither a str
-        nor a ``CarterLabel`` is a DomainError.
-        """
+        """Weyl rank minus diagram rank of any parseable label of rank <= the Weyl rank."""
+        try:
+            return self._dims[label]
+        except (KeyError, TypeError):
+            pass
         if isinstance(label, str):
-            hit = self._by_label.get(label) or self._by_label.get(normalize_name(label))
-            label = hit[0] if hit is not None else CarterLabel.parse(label)
-        elif not isinstance(label, CarterLabel):
+            dim = self._dims.get(normalize_name(label))
+            if dim is not None:
+                return dim
+        if not isinstance(label, CarterLabel):
             label = CarterLabel.parse(label)  # not a str: parse refuses it
         rank = label.rank
         if rank > self.weyl_rank:
@@ -339,13 +350,14 @@ def _apply_patches(base: list[TableLine], patches: list[TableLine], group: str) 
 
 
 class _TableCache:
-    """The bytes of the last table file read, its records and the tables validated from it."""
+    """The bytes of the last table file read, its records, one ``CarterLabel`` per label text and the tables."""
 
-    __slots__ = ("data", "records", "tables")
+    __slots__ = ("data", "records", "labels", "tables")
 
     def __init__(self, data: bytes, records: tuple) -> None:
         self.data = data
         self.records = records
+        self.labels: dict[str, CarterLabel] = {}
         self.tables: dict[tuple[str, str], MapTable] = {}
 
 
@@ -366,7 +378,7 @@ def load_table(group: str, characteristic: str = "good") -> MapTable:
     validated from them is returned, so callers share one frozen
     ``MapTable``, and only a miss decodes the bytes.  The cache is keyed on
     the content itself, never on mtime, so it cannot go stale; it holds one
-    content at a time, and a load that raises stores nothing.
+    content at a time, and a load that raises stores no table.
     """
     global _cache
     if group not in GROUPS:
@@ -382,20 +394,22 @@ def load_table(group: str, characteristic: str = "good") -> MapTable:
         cache = _TableCache(data, _parse_records(_decode(file, data)))
     table = cache.tables.get((group, characteristic))
     if table is None:
-        table = _build_table(cache.records, group, characteristic)
+        table = _build_table(cache, group, characteristic)
         cache.tables[group, characteristic] = table
     _cache = cache
     return table
 
 
-def _build_table(records: tuple, group: str, characteristic: str) -> MapTable:
-    """The (group, characteristic) table assembled from records, validated."""
+def _build_table(cache: _TableCache, group: str, characteristic: str) -> MapTable:
+    """The (group, characteristic) table assembled from a content's records and labels, validated."""
+    parsed = cache.labels
     base: list[TableLine] = []
     patches: list[TableLine] = []
-    for rec_group, tag, labels, name in records:
+    for rec_group, tag, texts, name in cache.records:
         if rec_group != group:
             continue
-        line = TableLine(tuple(CarterLabel.parse(s) for s in labels), normalize_name(name))
+        labels = tuple([parsed.get(s) or parsed.setdefault(s, CarterLabel.parse(s)) for s in texts])
+        line = TableLine(labels, normalize_name(name))
         if tag == "good":
             base.append(line)
         elif tag == characteristic:

@@ -120,8 +120,27 @@ def _choice_parts(runs, choices) -> tuple[Partition, Partition]:
     raise ContradictionError(f"choices {tuple(choices)} over {_type_text(runs)} do not merge back")
 
 
+_LISTED_Q = 64
+
+
+class _MoveList:
+    """The moves of one key, listed afresh on each pass: ``_moves`` keeps these above ``_LISTED_Q`` copies."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, step, state, odd: int, q: int) -> None:
+        self.key = step, state, odd, q
+
+    def __iter__(self) -> Iterator[tuple[object, int]]:
+        step, state, odd, q = self.key
+        return ((to, m) for m in range(q, -1, -2) if (to := step(state, odd, m)) is not None)
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
+
+
 @lru_cache(maxsize=4096)
-def _moves(step, state, odd: int, q: int) -> tuple[tuple, tuple]:
+def _moves(step, state, odd: int, q: int) -> tuple[tuple | _MoveList, tuple]:
     """(moves, cheapest moves) of ``state`` on q copies of a value of parity ``odd``, cached.
 
     A move (to, m) sends m copies to r and q - m to p, most copies first:
@@ -130,12 +149,14 @@ def _moves(step, state, odd: int, q: int) -> tuple[tuple, tuple]:
     largest m per target: one copy fewer in r is one part more in p, so no
     other move into that target reaches a minimum or a tie at it.  The key
     fixes the moves, as the rules read a value only through its parity, and
-    a rule replaced later is a new key.  Each of the at most 4,096 cached
-    keys holds q // 2 + 1 moves at most.
+    a rule replaced later is a new key.  Each of the at most 4,096 keys
+    holds its cheapest moves, and its moves only up to ``_LISTED_Q`` copies:
+    above, a ``_MoveList`` lists them again, as a listing is output-bound.
     """
-    moves = tuple([(to, m) for m in range(q, -1, -2) if (to := step(state, odd, m)) is not None])
+    listed = _MoveList(step, state, odd, q)
+    moves = tuple(listed)
     # by m ascending, so the dict keeps the largest m per target
-    return moves, tuple(dict(reversed(moves)).items())
+    return moves if q <= _LISTED_Q else listed, tuple(dict(reversed(moves)).items())
 
 
 def walk(r_family, runs, automaton) -> Iterator[tuple[Partition, tuple[int, ...]]]:

@@ -44,8 +44,8 @@ HARD_RANK_CAP = 7
 class SweepConfig(Record):
     """What to sweep: series/groups (each group in all its characteristics) and size caps.
 
-    The defaults are also class attributes (``SweepConfig.max_nu``), which
-    the CLI reads, so the fields live in the instance dict, not in slots.
+    The defaults are also class attributes (``SweepConfig.max_nu``), so
+    the fields live in the instance dict, not in slots.
     """
 
     _fields = ("series", "max_nu", "max_rank")

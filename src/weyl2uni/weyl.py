@@ -146,6 +146,11 @@ class JordanType(Record):
         return self.parts.text()
 
 
+def _check_group(g: GroupKind) -> None:
+    if not isinstance(g, GroupKind):
+        raise DomainError(f"expected a GroupKind, got {g!r}")
+
+
 def _check_class(w: SignedCycleType, g: GroupKind) -> None:
     if not isinstance(w, SignedCycleType) or not isinstance(g, GroupKind):
         raise DomainError(f"expected a SignedCycleType and a GroupKind, got {w!r} and {g!r}")
@@ -158,7 +163,8 @@ def _check_class(w: SignedCycleType, g: GroupKind) -> None:
 
 
 def is_split_class(w: SignedCycleType, g: GroupKind) -> bool:
-    """Series-D classes with no negative cycle and all positive lengths even."""
+    """Series-D classes with no negative cycle and all positive lengths even; w must be a class of g."""
+    _check_class(w, g)
     return (
         g.series == "D"
         and not w.negative
@@ -190,6 +196,7 @@ def decode_class(x: type_c.Split | type_bd.Split, g: GroupKind) -> SignedCycleTy
     x must be a ``Split`` of g's side, else DomainError.  ``_class_of``
     halves it, rebuilding a B/D r; ``_check_class`` tests the class.
     """
+    _check_group(g)
     side = SIDES[g.series]
     if not isinstance(x, side.Split):
         raise DomainError(f"series {g.series} decodes a {side.__name__.rsplit('.', 1)[1]}.Split")
@@ -212,6 +219,8 @@ def fixed_space_dim(w: SignedCycleType) -> int:
 
     Each positive cycle fixes a line; negative cycles fix nothing.
     """
+    if not isinstance(w, SignedCycleType):
+        raise DomainError(f"expected a SignedCycleType, got {w!r}")
     return len(w.positive)
 
 
@@ -312,6 +321,7 @@ def enumerate_classes(g: GroupKind) -> list[SignedCycleType]:
     Series B/C: every pair of partitions with total rank.  Series D: evenly
     many negative cycles, each pair of fused split classes listed once.
     """
+    _check_group(g)
     if g.rank > 12:
         raise DomainError(f"class enumeration is capped at rank 12, got {g.rank}")
     out: list[SignedCycleType] = []
@@ -325,6 +335,6 @@ def enumerate_classes(g: GroupKind) -> list[SignedCycleType]:
 
 
 def iter_jordan_types(g: GroupKind) -> Iterator[JordanType]:
-    """All valid Jordan types for the group, in reverse lexicographic order."""
-    for c in iter_members(g.nu, SIDES[g.series].FAMILY):
-        yield JordanType(c, g.epsilon)
+    """All valid Jordan types for the group, in reverse lexicographic order; g is checked at the call."""
+    _check_group(g)
+    return (JordanType(c, g.epsilon) for c in iter_members(g.nu, SIDES[g.series].FAMILY))

@@ -418,12 +418,15 @@ class TestIndexProbe:
         for name in table.names():
             table.psi(name)
         assert (calls, names) == ([], [])
+        # an ASCII alias is a key too: neither normalized nor parsed
+        assert (table.phi('A_3+2A_1"'), table.fixed_space_dim('A_3+2A_1"')) == ("A_3+2A_1", 3)
+        assert (calls, names) == ([], [])
         # a miss whose normal form is a key is normalized once and not parsed
         assert table.phi("A_1 ") == "A_1"
-        assert table.fixed_space_dim('A_3+2A_1"') == 3
+        assert table.fixed_space_dim("A_3+2A_1″") == 3
         assert table.psi("A_1 ").raw == "A_1"
         assert calls == []
-        assert names == [("A_1 ",), ('A_3+2A_1"',), ("A_1 ",)]
+        assert names == [("A_1 ",), ("A_3+2A_1″",), ("A_1 ",)]
         del names[:]
         # a normal form outside the index is parsed once, and parse normalizes too
         assert table.fixed_space_dim("tA_1+A_1") == 6  # Ã_1+A_1 is no E8 class, but parses
@@ -458,6 +461,125 @@ class TestIndexProbe:
         monkeypatch.setattr(CarterLabel, "parse", None)  # any parse would raise TypeError
         for table, arg, name, dim in keyed:
             assert (table.phi(arg), table.fixed_space_dim(arg)) == (name, dim), arg
+
+
+# The documented ASCII spellings of each mark, written here independently of
+# the library: every Ã as tA, A~ or ~A, and every '' as ", one by one.
+ASCII = {"Ã": ("Ã", "tA", "A~", "~A"), "''": ("''", '"')}
+
+
+def ascii_spellings(key):
+    """Every spelling of key with each mark replaced on its own, the key first."""
+    out = [""]
+    i = 0
+    while i < len(key):
+        mark = "''" if key.startswith("''", i) else key[i]
+        out = [head + s for head in out for s in ASCII.get(mark, (mark,))]
+        i += len(mark)
+    return out
+
+
+def table_keys(table):
+    return [lab.raw for lab in table.labels()] + table.names()
+
+
+class TestAnswerIndex:
+    """Each key and each ASCII alias of it is answered by one probe, as the parse-first route answers."""
+
+    def test_every_key_and_alias_gets_the_parse_first_answer_without_normalizing(self, monkeypatch):
+        cases = [
+            (table, kind, arg)
+            for table in all_tables()
+            for key in table_keys(table)
+            for arg in ascii_spellings(key)
+            for kind in ("phi", "psi", "fixed_space_dim")
+        ]
+        expected = [outcome(parse_first, *case) for case in cases]
+        names = counting(monkeypatch, "normalize_name")
+        seen = 0
+        for (table, kind, arg), want in zip(cases, expected):
+            keyed = arg in ascii_spellings_of_kind(table, kind)
+            before = len(names)
+            assert outcome(getattr(table, kind), arg) == want, (table.group, kind, arg)
+            if keyed:
+                assert len(names) == before, (table.group, kind, arg)  # one probe, no normal form
+                seen += 1
+        assert seen > 1500
+
+    def test_no_alias_is_a_key(self):
+        seen = 0
+        for table in all_tables():
+            keys = set(table_keys(table))
+            aliases = {a for key in keys for a in ascii_spellings(key)[1:]}
+            assert not aliases & keys, table.group
+            assert all(normalize_name(a) in keys for a in aliases)
+            seen += len(aliases)
+        assert seen > 100
+
+    @pytest.mark.parametrize("kind", ["phi", "psi", "fixed_space_dim"])
+    def test_unicode_padded_and_non_text_arguments_take_the_miss_path(self, monkeypatch, kind):
+        args = []
+        for table in all_tables():
+            for key in table_keys(table):
+                nfd = key.replace("Ã", "A\u0303")
+                primes = key.replace("''", "″").replace("'", "′")
+                args += [(table, a) for a in {nfd, primes, f"{key} ", f"\t{key}"} - {key}]
+            args += [(table, lab) for lab in table.labels()[::3]]
+            args += [(table, a) for a in (["A_1"], {"A_1": 1}, {"A_1"}, bytearray(b"A_1"))]
+        expected = [outcome(parse_first, table, kind, arg) for table, arg in args]
+        names = counting(monkeypatch, "normalize_name")
+        for (table, arg), want in zip(args, expected):
+            before = len(names)
+            assert outcome(getattr(table, kind), arg) == want, (table.group, arg)
+            if not isinstance(arg, CarterLabel) or kind == "psi":
+                assert len(names) > before, (table.group, arg)  # probed again in normal form
+        assert any(v[0] is DomainError and v[1].startswith("expected text") for v in expected)
+
+
+def ascii_spellings_of_kind(table, kind):
+    """The spellings a lookup of this kind answers by one probe: its keys and their ASCII aliases."""
+    if kind == "psi":
+        keys = table.names()
+    else:
+        keys = [lab.raw for lab in table.labels() if lab.rank <= table.weyl_rank]
+    return {a for key in keys for a in ascii_spellings(key)}
+
+
+class TestSharedLabels:
+    def test_tables_of_one_content_share_their_labels(self):
+        shared = {}
+        for table in all_tables():
+            for lab in table.labels():
+                assert shared.setdefault(lab.raw, lab) is lab, (table.group, lab.raw)
+
+    def test_each_label_text_is_parsed_once_per_content(self, monkeypatch, tmp_path):
+        with open(exceptional._PACKAGED_TABLES, encoding="utf-8") as f:
+            text = f.read()
+        distinct = {
+            label
+            for line in text.splitlines()
+            if line.strip() and not line.startswith("#")
+            for label in line.split("\t")[2].split(",")
+        }
+        assert len(distinct) == 140
+        calls = []
+        parse = CarterLabel.parse.__func__
+        monkeypatch.setattr(
+            CarterLabel, "parse", classmethod(lambda cls, s: calls.append(s) or parse(cls, s))
+        )
+        monkeypatch.setattr(exceptional, "_cache", None)
+        first = all_tables()
+        assert sorted(calls) == sorted(distinct)
+        del calls[:]
+        all_tables()
+        assert calls == []
+        # the same records in a new content: parsed afresh, once each
+        data = tmp_path / "tables.tsv"
+        data.write_text(text + "# one more comment\n", encoding="utf-8")
+        monkeypatch.setenv("WEYL2UNI_TABLE_PATH", str(data))
+        fresh = all_tables()
+        assert sorted(calls) == sorted(distinct)
+        assert fresh == first and fresh[0].labels()[0] is not first[0].labels()[0]
 
 
 class TestPatchLines:

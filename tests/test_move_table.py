@@ -11,7 +11,10 @@ value beyond its parity, a rule replaced after the table is warm is the one
 in use, and a whole sweep needs only a small table.
 """
 
-from weyl2uni import ORTHOGONAL, Partition, SYMPLECTIC, splits, type_bd, type_c, verify
+import tracemalloc
+
+from weyl2uni import (GroupKind, JordanType, ORTHOGONAL, Partition, SYMPLECTIC, psi_classical, splits, type_bd,
+                      type_c, verify)
 from weyl2uni.partitions import iter_members
 
 SIDES = {"C": (type_c, SYMPLECTIC), "BD": (type_bd, ORTHOGONAL)}
@@ -168,3 +171,33 @@ def test_the_table_stays_bounded():
         splits._moves(type_c._r_step, state, 1, 2)
     assert splits._moves.cache_info().currsize == 4096
     assert splits._moves(type_c._r_step, 0, 0, 4)[0] == ((0, 4), (0, 2), (0, 0))
+
+
+def test_long_runs_are_listed_afresh_with_the_same_moves():
+    # above a fixed count of copies the table keeps no move tuple, only the
+    # cheapest moves; the listing it hands the walk must still be the rules'
+    for name, (side, _) in SIDES.items():
+        for state in reachable_states(side):
+            for odd in (0, 1):
+                for q in (63, 64, 65, 66, 200, 201):
+                    moves, cheapest = splits._moves(side._r_step, state, odd, q)
+                    want_moves, want_cheapest = direct(side, state, odd, q)
+                    for _ in range(2):  # a listing can be read again
+                        assert list(moves) == want_moves, (name, state, odd, q)
+                    assert len(moves) == len(want_moves)
+                    assert dict(cheapest) == want_cheapest, (name, state, odd, q)
+
+
+def test_the_table_is_bounded_by_the_moves_it_holds():
+    # a run of q copies offers q // 2 + 1 moves: kept per key, 50 runs of
+    # 2,000 to 3,000 copies held about 6 MB, and 4,096 such keys gigabytes
+    splits._moves.cache_clear()
+    tracemalloc.start()
+    try:
+        for q in range(2000, 3000, 20):
+            psi_classical(JordanType(Partition([2] * q), -1), GroupKind("C", q))
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert splits._moves.cache_info().currsize == 50
+    assert held < 500_000

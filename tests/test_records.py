@@ -129,6 +129,16 @@ print(",".join(m for m in {heavy!r} if m in sys.modules) or "-")
 """
 
 
+LAZY_PROBE = """
+import sys
+sys.path.insert(0, {src!r})
+import weyl2uni
+print("weyl2uni.verify" in sys.modules)
+weyl2uni.run_all
+print("weyl2uni.verify" in sys.modules)
+"""
+
+
 def run_cold(probe: str) -> list[str]:
     """The words a probe prints; -S: no site packages, so only weyl2uni itself imports anything."""
     proc = subprocess.run(
@@ -146,3 +156,21 @@ def test_cold_import_loads_only_the_stdlib_modules_it_uses():
 def test_cold_import_of_the_cli_loads_none_of_the_heavy_modules():
     # json is imported only when a command prints JSON
     assert run_cold(CLI_COLD_PROBE) == ["-"]
+
+
+def test_cold_import_leaves_the_sweeps_unimported_until_first_use():
+    assert run_cold(LAZY_PROBE) == ["False", "True"]
+
+
+def test_every_exported_name_resolves_and_star_binds_them_all():
+    import weyl2uni
+    from weyl2uni import verify
+
+    for name in weyl2uni.__all__:
+        assert getattr(weyl2uni, name) is not None, name
+    assert (weyl2uni.verify, weyl2uni.run_all) == (verify, verify.run_all)
+    assert (weyl2uni.SweepConfig, weyl2uni.VerificationReport) == (verify.SweepConfig, verify.VerificationReport)
+    namespace = {}
+    exec("from weyl2uni import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(weyl2uni.__all__)
+    assert not hasattr(weyl2uni, "no_such_name")

@@ -38,6 +38,10 @@ def P(*parts):
     return Partition(parts)
 
 
+def type_c_split():
+    return SIDES["C"].Split(P(2), P(1, 1))
+
+
 def W(pos, neg):
     return SignedCycleType(Partition(pos), Partition(neg))
 
@@ -377,6 +381,41 @@ class TestWrongArgumentTypes:
             psi_classical(JordanType(P(2, 2), -1), g)
         with pytest.raises(DomainError, match="expected a SignedCycleType and a GroupKind"):
             phi_classical(W([2], []), g)
+
+    @pytest.mark.parametrize("g", ["C", ("C", 2), None, 2])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda g: encode_class(W([2], []), g),
+            lambda g: decode_class(type_c_split(), g),
+            lambda g: is_split_class(W([2], []), g),
+            lambda g: fixed_space_dim_from_matrix(W([2], []), g),
+            lambda g: enumerate_classes(g),
+            lambda g: iter_jordan_types(g),  # refused at the call, not at the first next
+        ],
+        ids=["encode_class", "decode_class", "is_split_class", "fixed_space_dim_from_matrix",
+             "enumerate_classes", "iter_jordan_types"],
+    )
+    def test_every_function_taking_a_group_refuses_one_that_is_not_a_group_kind(self, call, g):
+        with pytest.raises(DomainError, match="GroupKind"):
+            call(g)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: decode_class(type_c_split(), "C"), "expected a GroupKind, got 'C'"),
+            (lambda: enumerate_classes("C"), "expected a GroupKind, got 'C'"),
+            (lambda: iter_jordan_types("C"), "expected a GroupKind, got 'C'"),
+            (lambda: fixed_space_dim((2, 1)), "expected a SignedCycleType, got (2, 1)"),
+            (lambda: is_split_class((2,), GroupKind("D", 2)),
+             "expected a SignedCycleType and a GroupKind, got (2,) and GroupKind(series='D', rank=2)"),
+        ],
+        ids=["decode_class", "enumerate_classes", "iter_jordan_types", "fixed_space_dim", "is_split_class"],
+    )
+    def test_a_wrong_argument_type_is_a_domain_error(self, call, message):
+        with pytest.raises(DomainError) as exc:
+            call()
+        assert (type(exc.value), str(exc.value)) == (DomainError, message)
 
     def test_psi_and_phi_refuse_a_first_argument_of_the_other_kind(self):
         g = GroupKind("C", 2)
