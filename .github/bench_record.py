@@ -5,11 +5,11 @@ Usage: python3 .github/bench_record.py [--workload NAME ...] [--runs N] [--secon
 
 Runs ``perfbench/run.py`` of each checkout (default: the one holding this
 script) N times per workload, run k with seed K + k.  With several
-checkouts the runs alternate between them, so a drift of the machine
-touches each alike.  Per checkout it records the commit, whether the tree
-differs from it, the ``source_lines.py`` counts of ``src/weyl2uni`` and,
-per workload and end-to-end metric, each run's value, the median and the
-quartiles.  With two checkouts it also counts, per metric, the pairs of
+checkouts the runs alternate between them, each going first in turn, so
+a drift of the machine touches each alike.  Per checkout it records the
+commit, whether the tree differs from it, the ``source_lines.py`` counts
+of ``src/weyl2uni`` and, per workload and end-to-end metric, each run's
+value, the median and the quartiles.  With two checkouts it also counts, per metric, the pairs of
 runs in which the second is better, in the direction ``BENCHMARK.json``
 gives.  An existing FILE recorded for the same commits keeps its other
 workloads.  Stdlib only, and no gate: the exit status is 0 unless a run
@@ -96,7 +96,8 @@ def main(argv: list[str] | None = None) -> int:
         values = [{} for _ in roots]
         failed = [0 for _ in roots]
         for k in range(args.runs):
-            for i, root in enumerate(roots):
+            for i in range(len(roots))[::-1 if k % 2 else 1]:  # each checkout runs first in turn
+                root = roots[i]
                 out = run_once(root, workload, args.seed + k, args.seconds)
                 failed[i] += out["failed"] + (not out["correct"])
                 for name, metric in out["metrics"].items():
@@ -107,9 +108,9 @@ def main(argv: list[str] | None = None) -> int:
             checkout["workloads"][workload] = {"failed": fails, **{n: summary(v) for n, v in vals.items()}}
         if len(roots) == 2:
             wins = {}
-            for name, (a, b) in ((n, (values[0][n], values[1][n])) for n in values[0]):
+            for name, first in values[0].items():
                 sign = 1 if better.get(name) == "higher" else -1
-                wins[name] = sum(sign * (y - x) > 0 for x, y in zip(a, b))
+                wins[name] = sum(sign * (y - x) > 0 for x, y in zip(first, values[1][name]))
             record.setdefault("second_better", {})[workload] = wins
 
     text = json.dumps(record, indent=1) + "\n"
