@@ -9,7 +9,8 @@ checkouts the runs alternate between them, each going first in turn, so
 a drift of the machine touches each alike.  Per checkout it records the
 commit, whether the tree differs from it, the ``source_lines.py`` counts
 of ``src/weyl2uni`` and, per workload and end-to-end metric, each run's
-value, the median and the quartiles.  With two checkouts it also counts, per metric, the pairs of
+value, the median and the quartiles, with each workload's runs, seconds
+and seeds.  With two checkouts it also counts, per metric, the pairs of
 runs in which the second is better, in the direction ``BENCHMARK.json``
 gives.  An existing FILE recorded for the same commits keeps its other
 workloads.  Stdlib only, and no gate: the exit status is 0 unless a run
@@ -74,9 +75,7 @@ def main(argv: list[str] | None = None) -> int:
     record = {
         "python": platform.python_version(),
         "nproc": os.cpu_count(),
-        "runs": args.runs,
-        "seconds": args.seconds,
-        "seeds": [args.seed + k for k in range(args.runs)],
+        "settings": {},
         "checkouts": [
             {"commit": git(root, "rev-parse", "HEAD") or None,
              "dirty": bool(git(root, "status", "--porcelain", "--untracked-files=no")),
@@ -90,9 +89,11 @@ def main(argv: list[str] | None = None) -> int:
         if [c["commit"] for c in old["checkouts"]] == [c["commit"] for c in record["checkouts"]]:
             for mine, kept in zip(record["checkouts"], old["checkouts"]):
                 mine["workloads"] = {**kept["workloads"]}
-            record["second_better"] = old.get("second_better", {})
+            record["settings"], record["second_better"] = old["settings"], old.get("second_better", {})
 
     for workload in workloads:
+        record["settings"][workload] = {"runs": args.runs, "seconds": args.seconds,
+                                        "seeds": [args.seed + k for k in range(args.runs)]}
         values = [{} for _ in roots]
         failed = [0 for _ in roots]
         for k in range(args.runs):
