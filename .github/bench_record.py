@@ -12,9 +12,8 @@ of ``src/weyl2uni`` and, per workload and end-to-end metric, each run's
 value, the median and the quartiles, with each workload's runs, seconds
 and seeds.  With two checkouts it also counts, per metric, the pairs of
 runs in which the second is better, in the direction ``BENCHMARK.json``
-gives.  An existing FILE recorded for the same commits keeps its other
-workloads.  Stdlib only, and no gate: the exit status is 0 unless a run
-cannot start.
+gives.  One invocation writes one record, replacing FILE.  Stdlib only,
+and no gate: the exit status is 0 unless a run cannot start.
 """
 
 import argparse
@@ -84,13 +83,6 @@ def main(argv: list[str] | None = None) -> int:
             for root in roots
         ],
     }
-    if args.out is not None and args.out.is_file():
-        old = json.loads(args.out.read_text(encoding="utf-8"))
-        if [c["commit"] for c in old["checkouts"]] == [c["commit"] for c in record["checkouts"]]:
-            for mine, kept in zip(record["checkouts"], old["checkouts"]):
-                mine["workloads"] = {**kept["workloads"]}
-            record["settings"], record["second_better"] = old["settings"], old.get("second_better", {})
-
     for workload in workloads:
         record["settings"][workload] = {"runs": args.runs, "seconds": args.seconds,
                                         "seeds": [args.seed + k for k in range(args.runs)]}

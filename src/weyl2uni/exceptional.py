@@ -75,8 +75,7 @@ _COMPONENT_RE = re.compile(
 )
 
 
-# the ASCII spellings of each mark a canonical key may hold, itself first
-_SPELLINGS = {"Ã": ("Ã", "tA", "A~", "~A"), "''": ("''", '"')}
+_SPELLINGS = {"Ã": ("Ã", "tA", "A~", "~A"), "''": ("''", '"')}  # each mark's ASCII spellings, itself first
 _MARK_RE = re.compile("(Ã|'')")
 
 
@@ -179,8 +178,8 @@ class MapTable(Record):
         object.__setattr__(self, "lines", lines)
         labeled = [(lab, line) for line in lines for lab in line.labels]
         object.__setattr__(self, "_phi", _index([(lab.raw, line.name) for lab, line in labeled]))
-        dims = [(lab.raw, weyl_rank - lab.rank) for lab, _ in labeled if lab.rank <= weyl_rank]
-        object.__setattr__(self, "_dims", _index(dims))
+        object.__setattr__(self, "_dims", _index([(lab.raw, weyl_rank - lab.rank) for lab, _ in labeled
+                                                  if lab.rank <= weyl_rank]))
         object.__setattr__(self, "_psi", _index([(line.name, line.labels[0]) for line in lines]))
 
     def labels(self) -> list[CarterLabel]:
@@ -402,13 +401,12 @@ def load_table(group: str, characteristic: str = "good") -> MapTable:
 
 def _build_table(cache: _TableCache, group: str, characteristic: str) -> MapTable:
     """The (group, characteristic) table assembled from a content's records and labels, validated."""
-    parsed = cache.labels
     base: list[TableLine] = []
     patches: list[TableLine] = []
     for rec_group, tag, texts, name in cache.records:
         if rec_group != group:
             continue
-        labels = tuple([parsed.get(s) or parsed.setdefault(s, CarterLabel.parse(s)) for s in texts])
+        labels = tuple([cache.labels.get(s) or cache.labels.setdefault(s, CarterLabel.parse(s)) for s in texts])
         line = TableLine(labels, normalize_name(name))
         if tag == "good":
             base.append(line)

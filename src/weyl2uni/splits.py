@@ -135,9 +135,6 @@ class _MoveList:
         step, state, odd, q = self.key
         return ((to, m) for m in range(q, -1, -2) if (to := step(state, odd, m)) is not None)
 
-    def __len__(self) -> int:
-        return sum(1 for _ in self)
-
 
 @lru_cache(maxsize=4096)
 def _moves(step, state, odd: int, q: int) -> tuple[tuple | _MoveList, tuple]:
@@ -150,8 +147,10 @@ def _moves(step, state, odd: int, q: int) -> tuple[tuple | _MoveList, tuple]:
     other move into that target reaches a minimum or a tie at it.  The key
     fixes the moves, as the rules read a value only through its parity, and
     a rule replaced later is a new key.  Each of the at most 4,096 keys
-    holds its cheapest moves, and its moves only up to ``_LISTED_Q`` copies:
-    above, a ``_MoveList`` lists them again, as a listing is output-bound.
+    holds its cheapest moves, and its moves only up to ``_LISTED_Q`` copies
+    (at most 4,096 x 33 moves, about 10 MB): above, a ``_MoveList`` lists
+    them again on each pass, which costs a walk about 1.7x the tuple's read
+    (``deep_fibers`` aux_p50_ms, where q <= 2).
     """
     listed = _MoveList(step, state, odd, q)
     moves = tuple(listed)

@@ -163,8 +163,10 @@ def _check_class(w: SignedCycleType, g: GroupKind) -> None:
 
 
 def is_split_class(w: SignedCycleType, g: GroupKind) -> bool:
-    """Series-D classes with no negative cycle and all positive lengths even; w must be a class of g."""
-    _check_class(w, g)
+    """Series-D classes with no negative cycle and all positive lengths even."""
+    _check_group(g)
+    if not isinstance(w, SignedCycleType):
+        raise DomainError(f"expected a SignedCycleType, got {w!r}")
     return (
         g.series == "D"
         and not w.negative

@@ -80,7 +80,7 @@ def test_no_move_leaves_an_odd_count_in_p():
             for odd in (0, 1):
                 for q in range(61):
                     moves, cheapest = splits._moves(side._r_step, state, odd, q)
-                    assert all((q - m) % 2 == 0 for _, m in moves + cheapest), (name, state, odd, q)
+                    assert all((q - m) % 2 == 0 for _, m in (*moves, *cheapest)), (name, state, odd, q)
     automaton = (type_c._R_START, type_c._r_step, type_c._r_accepts)
     assert list(splits.iter_fiber(type_c.Split, [(3, 1)], automaton)) == []
     assert splits.fiber_minimum([(3, 1)], automaton) == (None, 0, None)
@@ -170,7 +170,7 @@ def test_the_table_stays_bounded():
     for state in range(5000):  # C's step keeps any state: cheap distinct keys
         splits._moves(type_c._r_step, state, 1, 2)
     assert splits._moves.cache_info().currsize == 4096
-    assert splits._moves(type_c._r_step, 0, 0, 4)[0] == ((0, 4), (0, 2), (0, 0))
+    assert list(splits._moves(type_c._r_step, 0, 0, 4)[0]) == [(0, 4), (0, 2), (0, 0)]
 
 
 def test_long_runs_are_listed_afresh_with_the_same_moves():
@@ -184,7 +184,6 @@ def test_long_runs_are_listed_afresh_with_the_same_moves():
                     want_moves, want_cheapest = direct(side, state, odd, q)
                     for _ in range(2):  # a listing can be read again
                         assert list(moves) == want_moves, (name, state, odd, q)
-                    assert len(moves) == len(want_moves)
                     assert dict(cheapest) == want_cheapest, (name, state, odd, q)
 
 

@@ -349,6 +349,10 @@ class TestEnumerate:
         assert is_split_class(W([2, 2], []), g)
         assert not is_split_class(W([2, 1, 1], []), g)
         assert not is_split_class(W([2], [1, 1]), g)
+        # the flag reads w alone: a class of another rank, or with an odd
+        # number of negative cycles, is answered, not refused
+        assert is_split_class(W([2], []), g)
+        assert not is_split_class(W([2], [1]), g)
 
     def test_rank_cap(self):
         with pytest.raises(DomainError):
@@ -407,8 +411,7 @@ class TestWrongArgumentTypes:
             (lambda: enumerate_classes("C"), "expected a GroupKind, got 'C'"),
             (lambda: iter_jordan_types("C"), "expected a GroupKind, got 'C'"),
             (lambda: fixed_space_dim((2, 1)), "expected a SignedCycleType, got (2, 1)"),
-            (lambda: is_split_class((2,), GroupKind("D", 2)),
-             "expected a SignedCycleType and a GroupKind, got (2,) and GroupKind(series='D', rank=2)"),
+            (lambda: is_split_class((2,), GroupKind("D", 2)), "expected a SignedCycleType, got (2,)"),
         ],
         ids=["decode_class", "enumerate_classes", "iter_jordan_types", "fixed_space_dim", "is_split_class"],
     )
