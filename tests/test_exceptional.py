@@ -304,6 +304,30 @@ def test_a_cache_hit_compares_bytes_and_decodes_nothing(monkeypatch, tmp_path):
     assert len(decodes) == 2 and again is not first and again == first
 
 
+def test_a_file_longer_than_one_read_gives_the_packaged_tables(monkeypatch, tmp_path):
+    with open(exceptional._PACKAGED_TABLES, encoding="utf-8") as f:
+        text = f.read()
+    comments = "# a comment line, repeated to push the records past the first read of the file\n" * 1000
+    data = tmp_path / "tables.tsv"
+    data.write_text(comments + text + comments, encoding="utf-8")
+    assert len(comments) >= 64 * 1024
+    packaged = all_tables()
+    monkeypatch.setenv("WEYL2UNI_TABLE_PATH", str(data))
+    assert all_tables() == packaged
+
+
+def test_each_load_of_an_unchanged_file_opens_it_again(monkeypatch, tmp_path):
+    data = tmp_path / "tables.tsv"
+    data.write_text(FAKE_G2, encoding="utf-8")
+    monkeypatch.setenv("WEYL2UNI_TABLE_PATH", str(data))
+    opened = []
+    os_open = os.open
+    monkeypatch.setattr(os, "open", lambda path, *args: opened.append(path) or os_open(path, *args))
+    first = load_table("G2")
+    assert load_table("G2") is first
+    assert opened == [str(data)] * 2
+
+
 def test_a_non_utf8_table_names_the_byte(monkeypatch, tmp_path):
     path = tmp_path / "tables.tsv"
     head = FAKE_G2.encode("utf-8") + b"G2\tgood\t"

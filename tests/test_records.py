@@ -100,7 +100,7 @@ def test_record_semantics(name):
 
 
 def test_keyword_construction_and_class_level_defaults():
-    # the CLI reads its verify defaults from the class
+    # the verify defaults are class attributes; the CLI leaves unset caps to the constructor
     assert type_c.Split(r=P(2), p=P()) == type_c.Split(P(2), P())
     assert GroupKind(series="D", rank=4) == GroupKind("D", 4)
     assert SweepConfig() == SweepConfig(SweepConfig.series, 16, 5)

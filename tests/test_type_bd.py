@@ -103,6 +103,9 @@ class TestHalvesFromBlocks:
     def test_rejects_non_chained(self):
         with pytest.raises(DomainError):
             type_bd.halves_from_blocks(P(3, 3), 1)
+        # at kappa 0 the total's parity fits, so only the family R test refuses 3,3
+        with pytest.raises(DomainError, match="is not in family R"):
+            type_bd.halves_from_blocks(P(3, 3), 0)
 
     def test_rejects_parity_mismatch(self):
         with pytest.raises(DomainError):

@@ -316,6 +316,10 @@ class TestPsi:
         with pytest.raises(DomainError):
             psi_classical(JordanType(P(2, 2), -1), GroupKind("D", 2))
 
+    def test_total_mismatch(self):
+        with pytest.raises(DomainError, match="does not match nu=10 of C5"):
+            psi_classical(JordanType(P(4, 4, 2, 2), -1), GroupKind("C", 5))
+
     def test_unique_fixed_space_minimum_over_class_fibers(self):
         # group classes by their image; the section must be the strict
         # minimizer of the fixed-space dimension in each fiber
