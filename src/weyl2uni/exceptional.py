@@ -297,10 +297,10 @@ _READ_CHUNK = 1 << 16
 def _read_bytes() -> tuple[str, bytes]:
     """(file, its bytes): the file the env var names, else the packaged file, read whole.
 
-    A raw read (``os.open``, ``os.read`` until EOF, ``os.close``) builds no
-    file object, the larger part of a buffered read of the 5 KB packaged
-    file.  On Linux a directory opens and fails at the read, so all three
-    sit inside the one handler.
+    A raw read (``os.open``, ``os.read`` until EOF, ``os.close``): building
+    a buffered file object was most of the cost of reading the 5 KB
+    packaged file.  On Linux a directory opens and fails at the read, so
+    all three sit inside the one handler.
     """
     file = os.environ.get(_DATA_ENV) or _PACKAGED_TABLES
     try:
