@@ -103,6 +103,13 @@ def _index(pairs: list[tuple[str, object]]) -> dict[str, object]:
     return index
 
 
+def _label_index(pairs: list[tuple[CarterLabel, object]]) -> dict[object, object]:
+    """``_index`` of the labels' texts, with each answer also under its ``CarterLabel``."""
+    index = _index([(lab.raw, answer) for lab, answer in pairs])
+    index.update(pairs)
+    return index
+
+
 class CarterLabel(Record):
     """A Weyl-class name such as D_4(a_1)+2A_1 or A_3+2A_1''.
 
@@ -110,18 +117,23 @@ class CarterLabel(Record):
     with index >= 1, primes) per summand; subscript 0 occurs only in the
     whole label A_0, the identity class.  The diagram rank is the
     count-weighted sum of subscripts, ignoring parentheticals and primes;
-    it is computed once into ``rank``, which is not a field.  raw is the
-    canonical spelling and round-trips through parse: counts, subscripts
-    and parenthetical indices lose their leading zeros.
+    it is computed once into ``rank``, which is not a field, as is the
+    hash of the fields, so a label keys a dict at the cost of one read.
+    raw is the canonical spelling and round-trips through parse: counts,
+    subscripts and parenthetical indices lose their leading zeros.
     """
 
-    __slots__ = ("raw", "components", "rank")
+    __slots__ = ("raw", "components", "rank", "_hash")
     _fields = __slots__[:2]
 
     def __init__(self, raw: str, components: tuple[tuple[int, str, int, str, str], ...]) -> None:
         object.__setattr__(self, "raw", raw)
         object.__setattr__(self, "components", components)
         object.__setattr__(self, "rank", sum(count * sub for count, _, sub, _, _ in components))
+        object.__setattr__(self, "_hash", hash((raw, components)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def parse(cls, s: str) -> "CarterLabel":
@@ -171,9 +183,11 @@ class MapTable(Record):
     lookup's final answer (``phi``: the line's name; ``fixed_space_dim``:
     the Weyl rank minus the label's, if not negative; ``psi``: the line's
     first label) under each canonical spelling and each ASCII alias that
-    ``normalize_name`` maps to it.  A miss is normalized and probed again,
-    and a label whose normal form is not a key is parsed, so every route
-    gives the parse-first answer or error.
+    ``normalize_name`` maps to it; ``phi`` and ``fixed_space_dim`` also
+    hold it under the ``CarterLabel`` itself, so a label is answered by
+    one probe too.  A miss is normalized and probed again, and a label
+    whose normal form is not a key is parsed, so every route gives the
+    parse-first answer or error.
     """
 
     __slots__ = ("group", "weyl_rank", "characteristic", "lines", "_phi", "_dims", "_psi")
@@ -187,9 +201,9 @@ class MapTable(Record):
         object.__setattr__(self, "characteristic", characteristic)
         object.__setattr__(self, "lines", lines)
         labeled = [(lab, line) for line in lines for lab in line.labels]
-        object.__setattr__(self, "_phi", _index([(lab.raw, line.name) for lab, line in labeled]))
-        object.__setattr__(self, "_dims", _index([(lab.raw, weyl_rank - lab.rank) for lab, _ in labeled
-                                                  if lab.rank <= weyl_rank]))
+        object.__setattr__(self, "_phi", _label_index([(lab, line.name) for lab, line in labeled]))
+        object.__setattr__(self, "_dims", _label_index([(lab, weyl_rank - lab.rank) for lab, _ in labeled
+                                                        if lab.rank <= weyl_rank]))
         object.__setattr__(self, "_psi", _index([(line.name, line.labels[0]) for line in lines]))
 
     def labels(self) -> list[CarterLabel]:

@@ -117,10 +117,10 @@ class Partition(tuple):
     # weakly decreasing order, derived from validated partitions.  Outside
     # input (``from_text``, the public records' ``__init__``) never uses it.
     # Its callers, listed in ``TRUSTED_CALLERS`` of ``tests/test_partitions.py``
-    # and checked there by a scan of the source: ``merge``, ``double_parts``
-    # and ``iter_member_runs`` here; ``splits.walk``, ``splits.iter_fiber`` and
+    # and checked there by a scan of the source: ``_sorted_union`` and
+    # ``iter_member_runs`` here; ``splits.walk``, ``splits.iter_fiber`` and
     # ``splits._choice_parts``; ``type_bd.blocks_from_halves`` and
-    # ``_halves_of_chained``; ``weyl.encode_class`` (series C) and ``_class_of``.
+    # ``_halves_of_chained``; ``weyl._encode_parts`` (series C) and ``_class_of``.
     _from_sorted = classmethod(tuple.__new__)
 
     @property
@@ -184,19 +184,28 @@ def parse_decimal(tok: str) -> int:
     return int(digits)
 
 
+def _sorted_union(a: Partition, b: Partition) -> Partition:
+    """The multiset union of two partitions, re-sorted weakly decreasing, with no type check.
+
+    The core of ``merge`` and ``double_parts``, and of ``weyl``'s encoding,
+    whose arguments are already checked Partitions.
+    """
+    return Partition._from_sorted(tuple(sorted(a + b, reverse=True)))
+
+
 def merge(a: Partition, b: Partition) -> Partition:
     """Multiset union of the parts of a and b, re-sorted weakly decreasing; DomainError unless both are Partitions."""
     if not isinstance(a, Partition) or not isinstance(b, Partition):
         name, value = ("b", b) if isinstance(a, Partition) else ("a", a)
         raise DomainError(f"merge needs Partitions, got {name}={value!r}")
-    return Partition._from_sorted(tuple(sorted(a + b, reverse=True)))
+    return _sorted_union(a, b)
 
 
 def double_parts(a: Partition) -> Partition:
     """Each part of a repeated twice, so always in the DOUBLED family; DomainError unless a is a Partition."""
     if not isinstance(a, Partition):
         raise DomainError(f"double_parts needs a Partition, got a={a!r}")
-    return Partition._from_sorted(tuple(sorted(a + a, reverse=True)))
+    return _sorted_union(a, a)
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,10 @@ exactly when the vector has one m in 0..q per run, which it checks
   first compares it with the vector of the dynamic program.
 * ``weyl.psi_classical`` tests no family of its certified Jordan type and
   builds no ``Split``: it runs the two routes of ``minimal_parts``,
-  ``Split._check`` once and its round trip, where on B/D
-  ``blocks_from_halves`` tests r for family R.
+  ``Split._check`` once and its round trip, which re-encodes the class by
+  ``weyl._encode_parts``: one ``_check_class``, and on B/D
+  ``blocks_from_halves``, which tests r for order, total and family R.
+  ``phi_classical`` reads the same encoder.
 * The scan of ``verify`` (``_claim_and_walk``) takes c with its runs from
   the sweep, tests the routed (r, p) by ``Split._check`` and reads ``walk``
   over the runs, which tests each r it lists for the r-family; it builds no

@@ -6,7 +6,7 @@ The block/halves bijection: ``blocks_from_halves`` stretches a partition of
 half-lengths into a member of the chained family R by doubling each part and
 adding +1/-1 at strict descents (odd positions gain one, even positions give
 one up), appending a trailing 1 when the length-plus-kappa parity calls for
-it.  ``halves_from_blocks`` inverts it exactly.  ``weyl.encode_class``
+it.  ``halves_from_blocks`` inverts it exactly.  ``weyl._encode_parts``
 builds the r of a class's split from its negative cycle lengths this way,
 and ``weyl.decode_class`` reads them back.
 

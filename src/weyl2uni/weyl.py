@@ -9,8 +9,15 @@ positive cycles.  ``fixed_space_dim`` is the closed-form count (positive
 cycles); ``fixed_space_dim_from_matrix`` recomputes it as an exact matrix
 nullity and serves as the independent oracle.
 
-A class has one encoded form, its split (r, p): ``encode_class`` returns
-it on every series and ``decode_class`` inverts it.  ``SIDES`` is the one
+A class has one encoded form, its split (r, p).  ``_encode_parts`` is the
+one encoder: it runs ``_check_class`` once and returns (r, p) as
+Partitions, p doubled by the unchecked ``partitions._sorted_union`` and a
+B/D r built and tested by ``type_bd.blocks_from_halves``.
+``phi_classical`` merges the two with the same core, and
+``psi_classical``'s round trip compares that merge with j; neither builds
+a ``Split`` or re-checks a Partition's type.  ``encode_class`` is the
+trusted ``Split`` of the same parts, on every series, and
+``decode_class`` inverts it.  ``SIDES`` is the one
 place a series picks its side (``type_c`` for C, ``type_bd`` for B and D);
 a side's Jordan family ``FAMILY`` (T or Q) is tested by
 ``splits.check_jordan``, which ``JordanType`` shares.
@@ -37,11 +44,10 @@ from .partitions import (
     Partition,
     Record,
     SYMPLECTIC,
+    _sorted_union,
     check_int,
-    double_parts,
     iter_members,
     iter_partitions,
-    merge,
 )
 
 SIDES = {"B": type_bd, "C": type_c, "D": type_bd}
@@ -154,8 +160,9 @@ def _check_group(g: GroupKind) -> None:
 def _check_class(w: SignedCycleType, g: GroupKind) -> None:
     if not isinstance(w, SignedCycleType) or not isinstance(g, GroupKind):
         raise DomainError(f"expected a SignedCycleType and a GroupKind, got {w!r} and {g!r}")
-    if w.rank != g.rank:
-        raise DomainError(f"class {w.text()} has rank {w.rank}, group expects {g.rank}")
+    rank = sum(w.positive) + sum(w.negative)  # ``w.rank``, without its property frame
+    if rank != g.rank:
+        raise DomainError(f"class {w.text()} has rank {rank}, group expects {g.rank}")
     if g.series == "D" and len(w.negative) % 2:
         raise DomainError(
             f"class {w.text()} has an odd number of negative cycles; series D requires evenly many"
@@ -175,21 +182,33 @@ def is_split_class(w: SignedCycleType, g: GroupKind) -> bool:
     )
 
 
-def encode_class(w: SignedCycleType, g: GroupKind) -> type_c.Split | type_bd.Split:
-    """The split (r, p) of a class: each positive cycle of length d gives p two parts d.
+def _encode_parts(w: SignedCycleType, g: GroupKind) -> tuple[Partition, Partition]:
+    """The (r, p) of the split of a class, as Partitions: each positive cycle of length d gives p two parts d.
 
     Series C: each negative cycle of length d is one invariant 2d-cycle of
     the underlying permutation (r gets 2d).  Series B/D: r is
     ``type_bd.blocks_from_halves`` of the negative lengths, which tests r
     for family R (``_check_class`` gives series D, kappa=0, evenly many).
-    Built trusted: p is doubled and a C r all even by construction.
+    ``_check_class`` runs once, and nothing after it checks a type: the
+    fields of a ``SignedCycleType`` are Partitions, so p is their
+    ``_sorted_union``, doubled by construction, as a C r is all even.
     """
     _check_class(w, g)
-    p = double_parts(w.positive)
+    pos = w.positive
+    p = _sorted_union(pos, pos)
     if g.series == "C":
-        r = Partition._from_sorted(tuple([2 * d for d in w.negative]))
-        return type_c.Split._trusted(r, p)
-    return type_bd.Split._trusted(type_bd.blocks_from_halves(w.negative, g.kappa), p)
+        return Partition._from_sorted(tuple([2 * d for d in w.negative])), p
+    return type_bd.blocks_from_halves(w.negative, g.kappa), p
+
+
+def encode_class(w: SignedCycleType, g: GroupKind) -> type_c.Split | type_bd.Split:
+    """The split of a class: the parts of ``_encode_parts`` as a trusted ``Split`` of g's side.
+
+    ``cli encode`` and ``verify`` read it; ``phi_classical`` and
+    ``psi_classical`` read the parts alone.
+    """
+    r, p = _encode_parts(w, g)
+    return SIDES[g.series].Split._trusted(r, p)
 
 
 def decode_class(x: type_c.Split | type_bd.Split, g: GroupKind) -> SignedCycleType:
@@ -280,9 +299,13 @@ def fixed_space_dim_from_matrix(w: SignedCycleType, g: GroupKind) -> int:
 
 
 def phi_classical(w: SignedCycleType, g: GroupKind) -> JordanType:
-    """Jordan type of the unipotent class attached to a Weyl class (tested by JordanType)."""
-    x = encode_class(w, g)
-    return JordanType(merge(x.r, x.p), g.epsilon)
+    """Jordan type of the unipotent class attached to a Weyl class: the merged (r, p) of ``_encode_parts``.
+
+    The class is checked once, by ``_encode_parts``; the merge checks no
+    type, and ``JordanType`` tests its family.
+    """
+    r, p = _encode_parts(w, g)
+    return JordanType(_sorted_union(r, p), g.epsilon)
 
 
 def _check_jordan(j: JordanType, g: GroupKind) -> None:
@@ -300,7 +323,9 @@ def psi_classical(j: JordanType, g: GroupKind) -> SignedCycleType:
     Each check runs once: j, a certificate, has its sign and total matched
     to g; ``_minimal_parts`` compares the two routes and reads (r, p), which
     ``Split._check`` tests; ``_class_of`` halves them without rebuilding r;
-    the class, encoded again, must merge back to j's parts (the round trip).
+    the class, encoded again by ``_encode_parts`` (its one ``_check_class``,
+    and on B/D ``blocks_from_halves``), must merge back to j's parts (the
+    round trip).  No ``Split`` is built, and no Partition's type re-checked.
     """
     _check_jordan(j, g)
     c = j.parts
@@ -309,10 +334,10 @@ def psi_classical(j: JordanType, g: GroupKind) -> SignedCycleType:
     side.Split._check(r, p)
     w = _class_of(r, p, g, rebuild=False)
     try:
-        x = encode_class(w, g)
+        back = _encode_parts(w, g)
     except DomainError as exc:  # e.g. a class of the wrong rank: a fault of psi, not of j
         raise ContradictionError(f"psi of {j.text()} does not round-trip through phi: {exc}") from None
-    if merge(x.r, x.p) != c:
+    if _sorted_union(*back) != c:
         raise ContradictionError(f"psi of {j.text()} does not round-trip through phi")
     return w
 
@@ -322,18 +347,17 @@ def enumerate_classes(g: GroupKind) -> list[SignedCycleType]:
 
     Series B/C: every pair of partitions with total rank.  Series D: evenly
     many negative cycles, each pair of fused split classes listed once.
+    Positive parts of size rank down to 0, each size in the order of
+    ``iter_partitions``; the partitions of each size are listed once per
+    call and reused for the negative parts.
     """
     _check_group(g)
     if g.rank > 12:
         raise DomainError(f"class enumeration is capped at rank 12, got {g.rank}")
-    out: list[SignedCycleType] = []
-    for k in range(g.rank, -1, -1):
-        for pos in iter_partitions(k):
-            for neg in iter_partitions(g.rank - k):
-                if g.series == "D" and len(neg) % 2:
-                    continue
-                out.append(SignedCycleType(pos, neg))
-    return out
+    n = g.rank
+    by_size = [list(iter_partitions(k)) for k in range(n + 1)]
+    negs = [[neg for neg in ps if len(neg) % 2 == 0] for ps in by_size] if g.series == "D" else by_size
+    return [SignedCycleType(pos, neg) for k in range(n, -1, -1) for pos in by_size[k] for neg in negs[n - k]]
 
 
 def iter_jordan_types(g: GroupKind) -> Iterator[JordanType]:

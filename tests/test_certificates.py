@@ -81,7 +81,7 @@ def test_trusted_splits_certify_only_true_facts(monkeypatch):
             fiber = type_c.fiber if g.series == "C" else type_bd.fiber
             for j in iter_jordan_types(g):
                 w = psi_classical(j, g)
-                out.append((w, phi_classical(w, g), fiber(j.parts)))
+                out.append((w, phi_classical(w, g), weyl.encode_class(w, g), fiber(j.parts)))
         return out
 
     want = answers()
@@ -275,7 +275,7 @@ def test_a_bd_psi_runs_the_block_arithmetic_once(monkeypatch):
     "wrong, error, match",
     [
         # the largest half one too big: the class has the wrong rank, which
-        # the round trip's encode_class refuses; a fault of psi, not bad input
+        # the round trip's _encode_parts refuses; a fault of psi, not bad input
         (lambda hs: (hs[0] + 1,) + hs[1:], ContradictionError, "does not round-trip through phi: .* has rank"),
         # one unit moved from the smallest half to the largest: the rank is
         # kept, so only the merge with j can see it
@@ -286,7 +286,7 @@ def test_a_bd_psi_runs_the_block_arithmetic_once(monkeypatch):
 def test_a_wrong_halving_on_the_psi_path_is_caught_by_the_round_trip(monkeypatch, wrong, error, match):
     # psi skips the rebuild of _halves_of_chained: a halving seeded wrong,
     # still decreasing and positive, is refused by the round trip's
-    # encode_class and merge on every B/D type that can carry it (not a
+    # _encode_parts and merge on every B/D type that can carry it (not a
     # routed r with no half, nor, for the move, one half or a smallest 1)
     original = type_bd._halves_of_chained
 
@@ -320,6 +320,42 @@ def test_a_lost_trailing_block_is_caught_only_by_the_total_check(monkeypatch):
                 type_bd.blocks_from_halves(halves, 1)
             seen += 1
     assert seen > 50
+
+
+def test_blocks_out_of_order_are_caught_only_by_the_order_check(monkeypatch):
+    # the appended 1 put one place early keeps the total, and the unsorted
+    # tuple still reads as family R: only the order test of
+    # blocks_from_halves rejects it, on phi and on psi's round trip alike
+    original = type_bd._raw_blocks
+
+    def early_one(hs, kappa):
+        out = original(hs, kappa)
+        return out[:-2] + (out[-1], out[-2]) if len(out) > len(hs) >= 1 else out
+
+    def out_of_order(hs):
+        out = early_one(hs, 1)
+        return list(out) != sorted(out, reverse=True)  # not when no 1 is appended, or a 1 precedes it
+
+    answers = [(j, g, psi_classical(j, g)) for j, g in _all_types(20) if g.series == "B"]
+    monkeypatch.setattr(type_bd, "_raw_blocks", early_one)
+    seen = 0
+    for n in range(1, 13):
+        for halves in iter_partitions(n):
+            if not out_of_order(halves.parts):
+                continue
+            out = early_one(halves.parts, 1)
+            assert sum(out) == 2 * n + 1 and is_member(Partition._from_sorted(out), "R")
+            with pytest.raises(ContradictionError, match="not decreasing"):
+                type_bd.blocks_from_halves(halves, 1)
+            with pytest.raises(ContradictionError, match="not decreasing"):
+                phi_classical(SignedCycleType(Partition(), halves), GroupKind("B", n))
+            seen += 1
+    assert seen > 30
+    reached = [(j, g) for j, g, w in answers if out_of_order(w.negative.parts)]
+    for j, g in reached:
+        with pytest.raises(ContradictionError, match="not decreasing"):
+            psi_classical(j, g)
+    assert len(reached) > 50
 
 
 def _fuse_last_pair(p):
@@ -400,9 +436,10 @@ def test_a_trusted_dp_argmin_outside_its_families_is_caught_by_the_dual_route(mo
 
 
 def test_undoubled_p_from_encode_is_caught_by_the_round_trip(monkeypatch):
-    # encode_class builds its splits trusted: p doubled by double_parts
+    # _encode_parts tests no family of p: it is doubled by construction
     types = [(j, g) for j, g in _all_types(12) if psi_classical(j, g).positive]
-    monkeypatch.setattr(weyl, "double_parts", lambda a: a)
+    original = weyl._encode_parts
+    monkeypatch.setattr(weyl, "_encode_parts", lambda w, g: (original(w, g)[0], w.positive))
     for j, g in types:
         # the merged type has the wrong total: the round trip rejects it
         with pytest.raises(ContradictionError, match="does not round-trip"):
@@ -416,11 +453,15 @@ def test_merged_type_outside_its_family_is_caught_by_the_psi_round_trip(monkeypa
     # the certified parts of j stands in for its family test
     family = "T" if series == "C" else "Q"
 
+    original = weyl._sorted_union
+
     def outside(a, b):
+        if a is b:  # the doubling of p in _encode_parts, left sound: only the merge is seeded
+            return original(a, b)
         return next((c for c in iter_partitions(sum(a) + sum(b)) if not is_member(c, family)), None)
 
     types = [(j, g) for j, g in _all_types(12) if g.series == series and outside(j.parts, ())]
-    monkeypatch.setattr(weyl, "merge", outside)
+    monkeypatch.setattr(weyl, "_sorted_union", outside)
     for j, g in types:
         with pytest.raises(ContradictionError, match="does not round-trip"):
             psi_classical(j, g)
@@ -428,7 +469,7 @@ def test_merged_type_outside_its_family_is_caught_by_the_psi_round_trip(monkeypa
 
 
 def test_odd_halves_from_encode_are_caught_by_blocks_from_halves(monkeypatch):
-    # encode_class relies on _check_class for family P0 at kappa=0
+    # _encode_parts relies on _check_class for family P0 at kappa=0
     original = weyl._check_class
 
     def no_d_rule(w, g):
@@ -441,7 +482,7 @@ def test_odd_halves_from_encode_are_caught_by_blocks_from_halves(monkeypatch):
 
 
 def test_blocks_outside_family_r_are_caught_by_blocks_from_halves(monkeypatch):
-    # encode_class builds its B/D Split trusted: blocks_from_halves tests r
+    # _encode_parts tests no family of r: on B/D blocks_from_halves does
     monkeypatch.setattr(type_bd, "_raw_blocks", lambda hs, kappa: tuple(2 * v for v in hs) + (1,) * kappa)
     g = GroupKind("B", 3)
     with pytest.raises(ContradictionError, match="left family R"):
@@ -452,7 +493,8 @@ def test_blocks_outside_family_r_are_caught_by_blocks_from_halves(monkeypatch):
 @pytest.mark.parametrize("series", ["B", "C"])
 def test_merged_type_outside_its_family_is_caught_by_jordan_type(monkeypatch, series):
     # phi_classical merges without a family test of its own: JordanType tests it
-    monkeypatch.setattr(weyl, "merge", lambda a, b: P(4, 3, 2, 1))
+    original = weyl._sorted_union
+    monkeypatch.setattr(weyl, "_sorted_union", lambda a, b: original(a, b) if a is b else P(4, 3, 2, 1))
     family = "family T" if series == "C" else "family Q"
     with pytest.raises(DomainError, match=family):
         phi_classical(W([1], [1]), GroupKind(series, 2))

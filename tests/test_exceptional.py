@@ -534,6 +534,42 @@ class TestAnswerIndex:
                 seen += 1
         assert seen > 1500
 
+    def test_a_label_is_answered_by_one_probe_as_its_text_is(self, monkeypatch):
+        # phi and fixed_space_dim also key each answer by the table's label:
+        # that label, or an equal one built apart, is neither normalized nor
+        # parsed, and is answered by one probe of the answer dict, a hit
+        probes = []
+
+        class Probed(dict):
+            def __getitem__(self, key):
+                probes.append((key, key in self))
+                return dict.__getitem__(self, key)
+
+            def get(self, key, default=None):
+                probes.append((key, key in self))
+                return dict.get(self, key, default)
+
+        cases = []
+        for shared in all_tables():
+            table = MapTable(shared.group, shared.weyl_rank, shared.characteristic, shared.lines)
+            for slot in ("_phi", "_dims"):
+                object.__setattr__(table, slot, Probed(getattr(table, slot)))
+            cases += [(table, lab) for lab in table.labels()]
+            cases += [(table, CarterLabel(lab.raw, lab.components)) for lab in table.labels()]
+
+        def refuse(*args):
+            raise AssertionError("a label lookup normalized or parsed its argument")
+
+        monkeypatch.setattr(exceptional, "normalize_name", refuse)
+        monkeypatch.setattr(CarterLabel, "parse", classmethod(refuse))
+        for table, lab in cases:
+            for kind in ("phi", "fixed_space_dim"):
+                lookup = getattr(table, kind)
+                probes.clear()
+                assert lookup(lab) == lookup(lab.raw), (table.group, kind, lab.raw)
+                assert probes == [(lab, True), (lab.raw, True)], (table.group, kind, lab.raw)
+        assert len(cases) > 1000
+
     def test_no_alias_is_a_key(self):
         seen = 0
         for table in all_tables():

@@ -144,6 +144,27 @@ def test_fiber_minimum_counts_every_tied_split():
     assert seen_ties > 10  # 12 types of total <= 20 tie, 4,4,2,2 the least
 
 
+def _first_and_total(state, odd, m):
+    """The state after m copies join r: the count taken from the first value, and the count so far."""
+    first, total = state
+    return (m if first is None else first, total + m)
+
+
+# r takes 4 copies in all, and the state remembers how many came from the
+# first value, so splits tied at the least p-length end in different states.
+FIRST_AND_TOTAL = ((None, 0), _first_and_total, lambda s: s[1] == 4)
+
+
+def test_ties_in_different_end_states_are_all_counted():
+    # over 3,3,2,2,1,1 two of the three pairs go to r: (2, 2, 0) and
+    # (2, 0, 2) end in state (2, 4), (0, 2, 2) in (0, 4), each with p of
+    # length 2; the last pass over the accepting states sums the ways of both
+    runs = Partition([3, 3, 2, 2, 1, 1]).runs()
+    listed = [len(p) for _, p in splits.walk("P1", runs, FIRST_AND_TOTAL)]
+    assert sorted(listed) == [2, 2, 2]
+    assert splits.fiber_minimum(runs, FIRST_AND_TOTAL) == (2, 3, None)
+
+
 @pytest.mark.parametrize("module", [type_c, type_bd], ids=["C", "BD"])
 def test_empty_fiber_reports_contradiction(module, monkeypatch):
     monkeypatch.setattr(splits, "fiber_minimum", lambda *args, **kwargs: (None, 0, None))

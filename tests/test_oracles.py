@@ -72,14 +72,14 @@ def test_centraliser_dimension_equals_least_length_on_elliptic_classes():
 def test_a_conjugated_negative_cycle_type_fails_the_oracle(monkeypatch):
     # the fault the recorded-value tests alone caught: series B encodes the
     # conjugate of the negative cycle type, a map that stays self-consistent
-    original = weyl.encode_class
+    original = weyl._encode_parts
 
     def conjugated(w, g):
         if g.series == "B":
             w = SignedCycleType(w.positive, Partition(dual(w.negative)))
         return original(w, g)
 
-    monkeypatch.setattr(weyl, "encode_class", conjugated)
+    monkeypatch.setattr(weyl, "_encode_parts", conjugated)
     b_groups = [g for g in GROUPS if g.series == "B"]
     broken = elliptic_mismatches(b_groups)  # 254 of the 271
     assert len(broken) > 0.9 * sum(len(elliptic_classes(g)) for g in b_groups)

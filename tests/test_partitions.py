@@ -387,10 +387,10 @@ class TestIterMembers:
 # Parsers (``from_text``) and the ``__init__`` of the public records must
 # never appear here.
 TRUSTED_CALLERS = {
-    "partitions": {"merge", "double_parts", "iter_member_runs"},
+    "partitions": {"_sorted_union", "iter_member_runs"},
     "splits": {"walk", "iter_fiber", "_choice_parts"},
     "type_bd": {"blocks_from_halves", "_halves_of_chained"},
-    "weyl": {"encode_class", "_class_of"},
+    "weyl": {"_encode_parts", "_class_of"},
 }
 
 

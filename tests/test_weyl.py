@@ -14,6 +14,7 @@ from weyl2uni import (
     is_member,
     iter_partitions,
     type_bd,
+    weyl,
 )
 from weyl2uni.partitions import PARSE_CAP
 from weyl2uni.weyl import (
@@ -361,6 +362,24 @@ class TestEnumerate:
     def test_rank_cap(self):
         with pytest.raises(DomainError):
             enumerate_classes(GroupKind("C", 13))
+
+    def test_each_size_is_listed_once_in_the_nested_order(self, monkeypatch):
+        # the classes and their order are those of the nested generation,
+        # which lists the negative parts afresh for every positive partition
+        sizes = []
+
+        def counting(total):
+            sizes.append(total)
+            return iter_partitions(total)
+
+        monkeypatch.setattr(weyl, "iter_partitions", counting)
+        for series in "BCD":
+            for n in range(LEAST_RANK[series], 9):
+                nested = [W(pos, neg) for k in range(n, -1, -1) for pos in iter_partitions(k)
+                          for neg in iter_partitions(n - k) if series != "D" or len(neg) % 2 == 0]
+                sizes.clear()
+                assert enumerate_classes(GroupKind(series, n)) == nested, (series, n)
+                assert sorted(sizes) == list(range(n + 1))
 
 
 class TestWrongArgumentTypes:
